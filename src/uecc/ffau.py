@@ -148,12 +148,6 @@ class RegisterFile:
         self.regs = [0] * (NUM_REGISTERS + 1)
         self.cycles = 0
 
-    def copy(self) -> "RegisterFile":
-        dup = RegisterFile(self.curve)
-        dup.regs = list(self.regs)
-        dup.cycles = self.cycles
-        return dup
-
 
 def write_register(state: RegisterFile, addr: int, value) -> RegisterFile:
     """Store a value; out-of-range values are reduced into canonical form."""

@@ -1,10 +1,17 @@
 """Arithmetic in F_(2^255-19) and F_(2^448-2^224-1).
 
-Multiplication always funnels through the 256-bit Karatsuba unit: one product
-for Curve25519, four 224x224 partial products for Curve448 via the golden
-ratio split of its Solinas prime (p = phi^2 - phi - 1, phi = 2^224).
-Reduction is a fixed shift-add pass plus two masked conditional subtractions,
-so the sequence of operations never depends on operand values.
+Multiplication always funnels through the 256-bit multiplier unit
+`kar256_int`: one product for Curve25519, four 224x224 partial products for
+Curve448 via the golden ratio split of its Solinas prime
+(p = phi^2 - phi - 1, phi = 2^224).  Reduction is a fixed shift-add pass plus
+two masked conditional subtractions, so the sequence of operations never
+depends on operand values.
+
+The unit (`bigmul`) returns the native integer product, counted as one
+2-level Karatsuba product; the structural recursion is the reference that the
+tests check against schoolbook.  The multiplies look the unit up through this
+module's name `kar256_int`, so replacing `field.kar256_int` (with the
+reference kernel, or a timing wrapper) reaches every engine product.
 """
 
 from __future__ import annotations

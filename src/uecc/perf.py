@@ -133,9 +133,3 @@ def tally(trace, curve: CurveId, dpa: bool) -> CycleReport:
             raise ValueError(f"unknown trace event {kind!r}")
     return CycleReport(ladder, inversion, overhead, prng)
 
-
-def tally_counts(
-    ladder_waves: int, inversion_waves: int, overhead_waves: int, prng_calls: int
-) -> CycleReport:
-    """Same accounting from pre-aggregated counters (engine fast path)."""
-    return CycleReport(ladder_waves, inversion_waves, overhead_waves, prng_calls)

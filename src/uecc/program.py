@@ -1,4 +1,4 @@
-"""LUT instruction programs: the restructured ladder and the inversion chains.
+r"""LUT instruction programs: the restructured ladder and the inversion chains.
 
 Register map (fixed for the whole scalar multiplication):
 

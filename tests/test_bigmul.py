@@ -7,6 +7,7 @@ from uecc.bigmul import (
     counters,
     kar128_int,
     kar256_int,
+    kar256_structural_int,
     mul_karatsuba_256,
     mul_schoolbook,
 )
@@ -81,7 +82,7 @@ class TestKaratsuba:
     def test_recursion_identity_both_levels(self):
         # z = x1*y1*2^(2b) + [(x0+x1)(y0+y1) - x0*y0 - x1*y1]*2^b + x0*y0
         rng = random.Random(6)
-        for bits, b, kar in ((256, 128, kar256_int), (128, 64, kar128_int)):
+        for bits, b, kar in ((256, 128, kar256_structural_int), (128, 64, kar128_int)):
             mask = (1 << b) - 1
             for _ in range(200):
                 x = rng.getrandbits(bits)
@@ -100,6 +101,20 @@ class TestKaratsuba:
         mul_karatsuba_256(x, x)
         d64, d128, d256 = (a - b for a, b in zip(counters.snapshot(), before))
         assert (d64, d128, d256) == (9, 3, 1)
+
+    def test_engine_unit_matches_structural_reference(self):
+        # same value and same (9, 3, 1) charge as the recursion it stands for
+        rng = random.Random(10)
+        m = (1 << 256) - 1
+        pairs = [(m, m), (0, m)] + [(rng.getrandbits(256), rng.getrandbits(256)) for _ in range(200)]
+        for x, y in pairs:
+            c0 = counters.snapshot()
+            want = kar256_structural_int(x, y)
+            c1 = counters.snapshot()
+            got = kar256_int(x, y)
+            c2 = counters.snapshot()
+            assert got == want
+            assert [b - a for a, b in zip(c1, c2)] == [b - a for a, b in zip(c0, c1)] == [9, 3, 1]
 
 
 class TestSchoolbook:

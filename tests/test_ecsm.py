@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from uecc import trivium
+from uecc import field, trivium
+from uecc.bigmul import counters, kar256_structural_int
 from uecc.ecsm import (
     EcsmConfig,
     RAW,
@@ -10,6 +11,7 @@ from uecc.ecsm import (
     Scalar,
     clamp_scalar,
     cswap,
+    decode_scalar,
     decode_u,
     initialize_state,
     randomize_initial_state,
@@ -239,3 +241,55 @@ class TestConfig:
     def test_clamp_mode_checked(self):
         with pytest.raises(ValueError):
             EcsmConfig(clamp_mode="sideways")
+
+
+class TestMultiplierUnit:
+    """The engine's native 256-bit unit against the structural Karatsuba reference."""
+
+    def test_structural_kernel_gives_identical_results(self, monkeypatch):
+        rng = random.Random(58)
+        runs = []
+        for curve in CURVES:
+            params = PARAMS[curve]
+            inputs = [
+                (decode_scalar(bytes.fromhex(k), curve, RFC_CLAMPED),
+                 decode_u(bytes.fromhex(u), curve, RFC_CLAMPED))
+                for k, u, _ in SINGLE_SHOT[curve]
+            ]
+            inputs += [
+                (Scalar(rng.getrandbits(params.scalar_bits), curve), fe(rng.randrange(params.p), curve))
+                for _ in range(2)
+            ]
+            cfgs = (EcsmConfig(), dpa_cfg(), dpa_cfg((bytes(10), bytes(10))),
+                    dpa_cfg((rng.randbytes(10), rng.randbytes(10))))
+            runs += [(k, x_p, cfg) for k, x_p in inputs for cfg in cfgs]
+        native = [scalar_mult(*run) for run in runs]
+
+        products = 0
+
+        def structural(x, y):
+            nonlocal products
+            products += 1
+            return kar256_structural_int(x, y)
+
+        monkeypatch.setattr(field, "kar256_int", structural)
+        reference = [scalar_mult(*run) for run in runs]
+        assert products > 0  # the engine really multiplied through the replaced unit
+        assert [(r.x_q, r.cycles) for r in native] == [(r.x_q, r.cycles) for r in reference]
+
+    @pytest.mark.parametrize("curve,dpa,products", [
+        (CurveId.CURVE25519, False, 2816),
+        (CurveId.CURVE25519, True, 3073),
+        (CurveId.CURVE448, False, 19772),
+        (CurveId.CURVE448, True, 21572),
+    ])
+    def test_products_per_ecsm(self, curve, dpa, products):
+        # ladder ops x iterations + inversion chain + final (+ 2 randomization) multiplies
+        params = PARAMS[curve]
+        rng = random.Random(59)
+        k = Scalar(rng.getrandbits(params.scalar_bits), curve)
+        x_p = fe(rng.randrange(params.p), curve)
+        before = counters.snapshot()
+        scalar_mult(k, x_p, dpa_cfg() if dpa else EcsmConfig())
+        got = tuple(b - a for a, b in zip(before, counters.snapshot()))
+        assert got == (9 * products, 3 * products, products)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from uecc import field
-from uecc.bigmul import WideInt
+from uecc.bigmul import WideInt, counters
 from uecc.field import (
     CurveId,
     P25519,
@@ -125,6 +125,13 @@ class TestMul:
     def test_curve_mismatch(self):
         with pytest.raises(ValueError):
             mul(fe(1, CurveId.CURVE25519), fe(1, CurveId.CURVE448))
+
+    def test_multiplier_unit_counts(self):
+        # one 256-bit product per Curve25519 multiply, four per Curve448 multiply
+        for curve, want in ((CurveId.CURVE25519, (9, 3, 1)), (CurveId.CURVE448, (36, 12, 4))):
+            before = counters.snapshot()
+            mul(fe(3, curve), fe(5, curve))
+            assert tuple(b - a for a, b in zip(before, counters.snapshot())) == want
 
 
 class TestFieldAxioms:
