@@ -10,6 +10,7 @@ default (00010203...).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -99,17 +100,17 @@ def cmd_scalarmult(args) -> int:
 
 
 def _print_trace(trace):
-    cycle = 0
-    for ev in trace:
-        if ev[0] == perf.EV_WAVE:
-            _, phase, wave = ev
-            ops = "; ".join(program.format_op(op) for op in wave.ops)
-            print(f"cycle {cycle:5d}  {phase:9s}  {ops}")
-        elif ev[0] == perf.EV_PRNG:
-            print(f"cycle {cycle:5d}  prng       next64")
+    """One line per executed event, written at once; wave text is memoised on the wave."""
+    lines = []
+    for cycle, ev in enumerate(trace):
+        kind = ev[0]
+        if kind == perf.EV_WAVE:
+            lines.append(f"cycle {cycle:5d}  {ev[1]:9s}  {ev[2].text}\n")
+        elif kind == perf.EV_PRNG:
+            lines.append(f"cycle {cycle:5d}  prng       next64\n")
         else:
-            print(f"cycle {cycle:5d}  overhead   load/store")
-        cycle += 1
+            lines.append(f"cycle {cycle:5d}  overhead   load/store\n")
+    sys.stdout.write("".join(lines))
 
 
 def cmd_trace(args) -> int:
@@ -206,7 +207,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every `main` call."""
     ap = argparse.ArgumentParser(prog="uecc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -183,6 +183,8 @@ def scalar_mult(
 
     ladder = build_ladder_program(curve, cfg.dpa_enabled)
     ladder_compiled = ladder.compiled()
+    if events is not None:
+        ladder_events = tuple((perf.EV_WAVE, "ladder", w) for w in ladder.waves)
     ladder_waves = 0
     swap = 0
     kbits = k.bits
@@ -195,7 +197,7 @@ def scalar_mult(
             execute_compiled_wave(regs, ops, curve)
         ladder_waves += len(ladder_compiled)
         if events is not None:
-            events.extend((perf.EV_WAVE, "ladder", w) for w in ladder.waves)
+            events.extend(ladder_events)
     _cswap_running_pairs(regs, swap)
     state.cycles += ladder_waves
 

@@ -11,6 +11,7 @@ with one short a24-constant multiplication.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .field import PARAMS, CurveId, FieldElement, mul_int, mul_small_int
@@ -84,6 +85,23 @@ class QuadOpInstruction:
         )
 
 
+_OPSEL_CH = {OP_ADD: "+", OP_SUB: "-"}
+
+
+def format_op(op: QuadOpInstruction) -> str:
+    """Assembly text of one op, e.g. ``r6 <- (r2 + r3) x (r2 + r3)``."""
+
+    def src(addr):
+        return "0" if addr == ZERO else f"r{addr}"
+
+    lhs = f"({src(op.src_a)} {_OPSEL_CH[op.opsel.add_or_sub_left]} {src(op.src_b)})"
+    if op.const_tag:
+        rhs = "a24"
+    else:
+        rhs = f"({src(op.src_c)} {_OPSEL_CH[op.opsel.add_or_sub_right]} {src(op.src_d)})"
+    return f"r{op.dst} <- {lhs} x {rhs}"
+
+
 def quad_op(sl, a, b, sr, c, d, dst, const=False) -> QuadOpInstruction:
     return QuadOpInstruction(OpSel(sl, sr), a, b, c, d, dst, const)
 
@@ -131,6 +149,11 @@ class Wave:
 
     def compiled(self) -> tuple:
         return tuple(op.compiled() for op in self.ops)
+
+    @functools.cached_property
+    def text(self) -> str:
+        """The wave's ops as trace text, rendered once per wave object."""
+        return "; ".join(format_op(op) for op in self.ops)
 
 
 class RegisterFile:

@@ -26,6 +26,10 @@ class CurveId(enum.Enum):
     CURVE25519 = "curve25519"
     CURVE448 = "curve448"
 
+    # Members are singletons compared by identity; Enum's own __hash__ is a
+    # Python-level call, paid on every PARAMS[curve] lookup in the hot path.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class CurveParams:
@@ -62,6 +66,8 @@ PARAMS = {
         field_bytes=56,
     ),
 }
+
+_C25519 = CurveId.CURVE25519  # module global: cheaper to load than the enum attribute
 
 _M224 = (1 << 224) - 1
 _M255 = (1 << 255) - 1
@@ -164,14 +170,14 @@ def mul448_int(a: int, b: int) -> int:
 
 
 def mul_int(a: int, b: int, curve: CurveId) -> int:
-    if curve is CurveId.CURVE25519:
+    if curve is _C25519:
         return mul25519_int(a, b)
     return mul448_int(a, b)
 
 
 def mul_small_int(a: int, c: int, curve: CurveId) -> int:
     # short-constant product (the a24 path); a single fold suffices for c < 2^32
-    if curve is CurveId.CURVE25519:
+    if curve is _C25519:
         x = a * c
         x = (x & _M255) + 19 * (x >> 255)
         x -= P25519 & -(x >= P25519)

@@ -105,7 +105,7 @@ EV_LOADSTORE = "load_store"
 _OVERHEAD_PHASES = ("init", "final")
 
 
-def tally(trace, curve: CurveId, dpa: bool) -> CycleReport:
+def tally(trace) -> CycleReport:
     """Fold an executed event stream into a CycleReport.
 
     Events are tuples: ("wave", phase_tag, wave) for issued waves,

@@ -42,6 +42,7 @@ from .ffau import (
     Wave,
     ZERO,
     a24_op,
+    format_op,
     mul_op,
     quad_op,
 )
@@ -148,21 +149,6 @@ def validate_schedule(prog: ScheduledProgram) -> ValidationReport:
             if not 0 <= op.dst < NUM_REGISTERS:
                 violations.append(f"wave {i}: dst address {op.dst} out of range")
     return ValidationReport(not violations, tuple(violations))
-
-
-_OPSEL_CH = {OP_ADD: "+", OP_SUB: "-"}
-
-
-def format_op(op) -> str:
-    def src(addr):
-        return "0" if addr == ZERO else f"r{addr}"
-
-    lhs = f"({src(op.src_a)} {_OPSEL_CH[op.opsel.add_or_sub_left]} {src(op.src_b)})"
-    if op.const_tag:
-        rhs = "a24"
-    else:
-        rhs = f"({src(op.src_c)} {_OPSEL_CH[op.opsel.add_or_sub_right]} {src(op.src_d)})"
-    return f"r{op.dst} <- {lhs} x {rhs}"
 
 
 def dump_program(prog: ScheduledProgram) -> str:

@@ -26,6 +26,9 @@ _MB = (1 << 84) - 1
 _MC = (1 << 111) - 1
 
 WARMUP_STEPS = 4 * 288
+# A draw reduces to 0 with probability at most about 2^-255, so this many in a row
+# means the generator is stuck, not unlucky.
+MAX_LAMBDA_DRAWS = 16
 
 
 def _load_bits(data: bytes) -> int:
@@ -91,14 +94,21 @@ def keystream_bytes(state: TriviumState, nbytes: int) -> bytes:
 
 
 def gen_lambda(state: TriviumState, curve: CurveId) -> FieldElement:
-    """Nonzero randomization scalar: ceil(bits/64) draws, truncate, reduce."""
+    """Nonzero randomization scalar: ceil(bits/64) draws, truncate, reduce.
+
+    A draw that reduces to 0 is redrawn; after MAX_LAMBDA_DRAWS such draws in
+    a row the PRNG is taken to be stuck and RuntimeError is raised.
+    """
     params = PARAMS[curve]
     words = -(-params.scalar_bits // 64)
     mask = (1 << params.scalar_bits) - 1
-    while True:
+    for _ in range(MAX_LAMBDA_DRAWS):
         value = 0
         for i in range(words):
             value |= next64(state) << (64 * i)
         value = (value & mask) % params.p
         if value:
             return FieldElement(value, curve)
+    raise RuntimeError(
+        f"PRNG produced {MAX_LAMBDA_DRAWS} zero lambda draws in a row; it is stuck"
+    )

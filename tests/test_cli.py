@@ -1,14 +1,24 @@
+import hashlib
 import io
 from contextlib import redirect_stdout
 
 import pytest
 
+from uecc import cli
 from uecc.cli import main
 from uecc.vectors import SINGLE_SHOT
 from uecc.field import CurveId
 
 V25519 = SINGLE_SHOT[CurveId.CURVE25519][0]
 V448 = SINGLE_SHOT[CurveId.CURVE448][0]
+
+# SHA-256 of the whole `uecc trace` stdout for the first RFC 7748 single-shot
+# vector of each curve, with the default PRNG key and IV.
+TRACE_SHA256 = {
+    ("25519", False): "e11ca30a56938790ac507d628ae32464b17013703745e70761f3f6628aae3f37",
+    ("25519", True): "06518d923415caa2bb43601be27161ae7ce1946e23c83b3c32d76917bd2da97e",
+    ("448", True): "eef0656f934ae692df7f27eab66381b5bf53e33739c2591196e60a7ce78a017c",
+}
 
 
 def run_cli(*argv):
@@ -65,6 +75,44 @@ class TestScalarmult:
         )
         assert code == 0
         assert out.strip() == u
+
+
+def trace_argv(curve, dpa, command=("trace",)):
+    scalar, u, _ = V25519 if curve == "25519" else V448
+    return [*command, "--curve", curve, "--scalar", scalar, "--u", u] + (["--dpa"] if dpa else [])
+
+
+class TestTraceOutput:
+    @pytest.fixture(autouse=True)
+    def default_prng_seed(self, monkeypatch):
+        monkeypatch.delenv("UECC_PRNG_KEY", raising=False)
+        monkeypatch.delenv("UECC_PRNG_IV", raising=False)
+
+    @pytest.mark.parametrize("curve, dpa", list(TRACE_SHA256))
+    def test_trace_stdout_pinned(self, curve, dpa):
+        code, out = run_cli(*trace_argv(curve, dpa))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TRACE_SHA256[curve, dpa]
+
+    @pytest.mark.parametrize("curve, dpa", list(TRACE_SHA256))
+    def test_scalarmult_trace_prints_the_same_cycles(self, curve, dpa):
+        _, traced = run_cli(*trace_argv(curve, dpa))
+        code, out = run_cli(*trace_argv(curve, dpa, ("scalarmult", "--trace")))
+        assert code == 0
+        # trace adds the cycle report after x_Q; the cycle lines are the same
+        assert out.splitlines()[0] == traced.splitlines()[0]
+        assert out.splitlines()[1:] == traced.splitlines()[2:]
+        assert run_cli(*trace_argv(curve, dpa, ("scalarmult", "--trace", "--cycles"))) == (0, traced)
+
+    def test_reused_parser_survives_an_invalid_invocation(self):
+        argv = trace_argv("25519", False)
+        first = run_cli(*argv)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("trace", "--curve", "25519", "--scalar", V25519[0])
+        assert exc.value.code == 2
+        assert run_cli("trace", "--curve", "25519", "--scalar", "zz", "--u", V25519[1])[0] == 2
+        assert run_cli(*argv) == first
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestVectors:

@@ -293,3 +293,30 @@ class TestMultiplierUnit:
         scalar_mult(k, x_p, dpa_cfg() if dpa else EcsmConfig())
         got = tuple(b - a for a, b in zip(before, counters.snapshot()))
         assert got == (9 * products, 3 * products, products)
+
+
+class TestAllZeroOutput:
+    """Contract: on u in {0, 1} the model returns x_Q = 0 (all-zero bytes), with
+    DPA off and on, where OpenSSL rejects the all-zero shared secret."""
+
+    SEEDS = (SEED, (bytes(10), bytes(10)), (b"\xff" * 10, bytes(range(40, 50))))
+
+    @pytest.mark.parametrize("curve", CURVES)
+    @pytest.mark.parametrize("u", (0, 1))
+    def test_model_returns_zero_where_openssl_raises(self, curve, u):
+        if curve is CurveId.CURVE25519:
+            mod = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.x25519")
+            private, public = mod.X25519PrivateKey, mod.X25519PublicKey
+        else:
+            mod = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.x448")
+            private, public = mod.X448PrivateKey, mod.X448PublicKey
+        nbytes = PARAMS[curve].field_bytes
+        u_bytes = u.to_bytes(nbytes, "little")
+        rng = random.Random(f"all-zero:{curve.value}:{u}")
+        scalars = [bytes.fromhex(SINGLE_SHOT[curve][0][0])] + [rng.randbytes(nbytes) for _ in range(2)]
+        configs = [EcsmConfig()] + [dpa_cfg(seed) for seed in self.SEEDS]
+        for scalar in scalars:
+            for cfg in configs:
+                assert scalar_mult_bytes(scalar, u_bytes, curve, cfg) == bytes(nbytes)
+            with pytest.raises(ValueError):
+                private.from_private_bytes(scalar).exchange(public.from_public_bytes(u_bytes))

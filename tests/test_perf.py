@@ -69,12 +69,12 @@ class TestTally:
             EcsmConfig(dpa_enabled=True, prng_seed=SEED),
             want_trace=True,
         )
-        assert perf.tally(res.trace, CurveId.CURVE25519, dpa=True) == res.cycles
+        assert perf.tally(res.trace) == res.cycles
         assert res.cycles.total == 1038
 
     def test_rejects_unknown_events(self):
         with pytest.raises(ValueError):
-            perf.tally([("teleport",)], CurveId.CURVE25519, dpa=False)
+            perf.tally([("teleport",)])
 
     def test_engine_totals_match_published(self):
         rng = random.Random(61)

@@ -118,6 +118,18 @@ class TestGenLambda:
         assert lam.n == 5
         assert prng.next64_calls == 8
 
+    def test_stuck_prng_raises(self):
+        class ZeroPrng:
+            next64_calls = 0
+
+            def _step64(self):
+                return 0
+
+        prng = ZeroPrng()
+        with pytest.raises(RuntimeError, match="stuck"):
+            trivium.gen_lambda(prng, CurveId.CURVE448)
+        assert prng.next64_calls == 7 * trivium.MAX_LAMBDA_DRAWS
+
     def test_truncation_keeps_low_bits(self):
         key, iv = bytes(range(10)), bytes(range(10, 20))
         st = trivium.init(key, iv)
