@@ -199,7 +199,7 @@ def cmd_bench(args) -> int:
             scalar_mult_bytes(scalar, u, curve)
             samples.append(time.perf_counter() - t0)
         mean = sum(samples) / len(samples)
-        model = perf.DEFAULT_MODEL.expected(curve, dpa=False)
+        model = perf.expected(curve, dpa=False)
         print(
             f"{curve.value}: {args.count} ECSM, mean {mean * 1e3:.2f} ms "
             f"({1 / mean:.1f}/s); modeled {model.total} cycles = {model.latency_us:.2f} us @ 100 MHz"

@@ -12,18 +12,16 @@ from dataclasses import dataclass
 
 from . import perf
 from .field import PARAMS, CurveId, FieldElement, fe
-from .ffau import RegisterFile, Wave, execute_compiled_wave, mul_op
-from .program import R_RND, X1, X2, X3, Z1, Z2, Z3, build_inversion_program, build_ladder_program
+from .ffau import RegisterFile, execute_compiled_wave
+from .program import (
+    FINAL_WAVE, INIT_WAVES, R_RND, X1, X2, X3, Z1, Z2, Z3, build_inversion_program, build_ladder_program,
+)
 from .trivium import TriviumState, gen_lambda
 
 RFC_CLAMPED = "rfc_clamped"
 RAW = "raw"
 
 _M448 = (1 << 448) - 1
-
-# randomization: X3 <- Z1*X1 (lambda*x_P), then X1 <- Z1*X1 in place
-INIT_WAVES = (Wave((mul_op(Z1, X1, X3),)), Wave((mul_op(Z1, X1, X1),)))
-FINAL_WAVE = Wave((mul_op(X2, Z2, X2),))
 
 
 @dataclass(frozen=True)
@@ -108,16 +106,8 @@ def decode_u(data: bytes, curve: CurveId, clamp_mode: str) -> FieldElement:
     return fe(value, curve)
 
 
-def cswap(swap_bit: int, u: tuple[int, int], v: tuple[int, int]):
-    """Masked conditional swap of two register pairs; no data-dependent branches."""
-    mask = -(swap_bit & 1) & _M448
-    d0 = (u[0] ^ v[0]) & mask
-    d1 = (u[1] ^ v[1]) & mask
-    return (u[0] ^ d0, u[1] ^ d1), (v[0] ^ d0, v[1] ^ d1)
-
-
 def _cswap_running_pairs(regs: list[int], swap_bit: int) -> None:
-    """cswap of (X2,Z2) with (X3,Z3) applied in place on the register file."""
+    """Masked swap of (X2,Z2) with (X3,Z3) in place; no data-dependent branches."""
     mask = -swap_bit & _M448
     d = (regs[X2] ^ regs[X3]) & mask
     regs[X2] ^= d
@@ -150,7 +140,6 @@ def randomize_initial_state(state: RegisterFile, x_p: FieldElement, prng: Triviu
     initialize_state(state, x_p, lam.n)
     for wave in INIT_WAVES:
         execute_compiled_wave(state.regs, wave.compiled(), state.curve)
-        state.cycles += 1
     return lam, INIT_WAVES
 
 
@@ -162,7 +151,6 @@ def scalar_mult(
     if k.curve is not x_p.curve:
         raise ValueError("scalar and point curves differ")
     curve = k.curve
-    params = PARAMS[curve]
     state = RegisterFile(curve)
     regs = state.regs
     events = [] if want_trace else None
@@ -188,7 +176,7 @@ def scalar_mult(
     ladder_waves = 0
     swap = 0
     kbits = k.bits
-    for i in range(params.ladder_iterations - 1, -1, -1):
+    for i in range(PARAMS[curve].scalar_bits - 1, -1, -1):
         bit = (kbits >> i) & 1
         swap ^= bit
         _cswap_running_pairs(regs, swap)
@@ -199,22 +187,18 @@ def scalar_mult(
         if events is not None:
             events.extend(ladder_events)
     _cswap_running_pairs(regs, swap)
-    state.cycles += ladder_waves
 
     inversion = build_inversion_program(curve)
     for ops in inversion.compiled():
         execute_compiled_wave(regs, ops, curve)
     inversion_waves = len(inversion.waves)
-    state.cycles += inversion_waves
     if events is not None:
         events.extend((perf.EV_WAVE, "inversion", w) for w in inversion.waves)
 
     execute_compiled_wave(regs, FINAL_WAVE.compiled(), curve)
-    state.cycles += 1
-    overhead_waves += 2  # final multiplication + output load/store
+    overhead_waves += len(perf.OUTPUT_EVENTS)
     if events is not None:
-        events.append((perf.EV_WAVE, "final", FINAL_WAVE))
-        events.append((perf.EV_LOADSTORE,))
+        events.extend(perf.OUTPUT_EVENTS)
 
     return EcsmResult(
         x_q=FieldElement(regs[X2], curve),

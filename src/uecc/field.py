@@ -37,8 +37,6 @@ class CurveParams:
     p: int
     a24: int
     scalar_bits: int
-    ladder_iterations: int
-    inversion_mult_count: int
     field_bytes: int
 
 
@@ -52,8 +50,6 @@ PARAMS = {
         p=P25519,
         a24=121665,
         scalar_bits=255,
-        ladder_iterations=255,
-        inversion_mult_count=265,
         field_bytes=32,
     ),
     CurveId.CURVE448: CurveParams(
@@ -61,8 +57,6 @@ PARAMS = {
         p=P448,
         a24=39081,
         scalar_bits=448,
-        ladder_iterations=448,
-        inversion_mult_count=462,
         field_bytes=56,
     ),
 }
@@ -85,10 +79,6 @@ class FieldElement:
             raise ValueError("value not canonical")
         self.n = n
         self.curve = curve
-
-    @property
-    def value(self) -> WideInt:
-        return WideInt.from_int(self.n, 448)
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
@@ -199,7 +189,8 @@ def mul_small_int(a: int, c: int, curve: CurveId) -> int:
 # 265 (Curve25519: 254 squarings + 11 multiplications) and 462 (Curve448:
 # 447 squarings + 15 multiplications).  Steps are ("sq", dst, src) or
 # ("mul", dst, src_a, src_b); slot "z" holds the input and, at the end,
-# the result.
+# the result.  The chains are data: `program.build_inversion_program` turns
+# them into the FFAU waves that compute every inverse.
 
 def _chain25519():
     steps = []
@@ -289,38 +280,6 @@ assert len(INVERSION_CHAINS[CurveId.CURVE25519]) == 265
 assert len(INVERSION_CHAINS[CurveId.CURVE448]) == 462
 
 
-class InvCounter:
-    """Multiplications executed by inversion chains since the last reset."""
-
-    __slots__ = ("mults",)
-
-    def __init__(self):
-        self.mults = 0
-
-    def reset(self):
-        self.mults = 0
-
-
-inv_counter = InvCounter()
-
-
-def inv_int(a: int, curve: CurveId) -> int:
-    slots = {"z": a, "t0": 0, "t1": 0, "t2": 0, "t3": 0}
-    if curve is CurveId.CURVE25519:
-        mul = mul25519_int
-    else:
-        mul = mul448_int
-    for step in INVERSION_CHAINS[curve]:
-        if step[0] == "sq":
-            _, dst, src = step
-            slots[dst] = mul(slots[src], slots[src])
-        else:
-            _, dst, sa, sb = step
-            slots[dst] = mul(slots[sa], slots[sb])
-        inv_counter.mults += 1
-    return slots["z"]
-
-
 # ---------------------------------------------------------------------------
 # public surface
 
@@ -353,12 +312,6 @@ def reduce_p448(product: WideInt) -> FieldElement:
     if product.bit_width != 896:
         raise ValueError("reduce_p448 expects an 896-bit product")
     return FieldElement(reduce448_int(product.to_int()), CurveId.CURVE448)
-
-
-def inv(a: FieldElement) -> FieldElement:
-    if a.n == 0:
-        raise ZeroDivisionError("0 has no inverse")
-    return FieldElement(inv_int(a.n, a.curve), a.curve)
 
 
 def mul_wide(a: FieldElement, b: FieldElement) -> FieldElement:

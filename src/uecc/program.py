@@ -55,8 +55,15 @@ R_RND = 11
 # slot -> register map shared by both inversion chains ("z" is Z2 in place)
 _INV_SLOT_REG = {"z": Z2, "t0": 6, "t1": 7, "t2": 8, "t3": 9}
 
+# randomization: X3 <- Z1*X1 (lambda*x_P), then X1 <- Z1*X1 in place
+INIT_WAVES = (Wave((mul_op(Z1, X1, X3),)), Wave((mul_op(Z1, X1, X1),)))
+# output: x_Q = X2 * Z2 once the inversion program has replaced Z2 by 1/Z2
+FINAL_WAVE = Wave((mul_op(X2, Z2, X2),))
 
-@dataclass(frozen=True)
+
+# eq=False: programs hash by identity, so the cached `compiled` finds its tuple
+# without hashing every wave and op; nothing compares programs by value.
+@dataclass(frozen=True, eq=False)
 class ScheduledProgram:
     waves: tuple[Wave, ...]
     phase_tag: str  # ladder | inversion | init | final

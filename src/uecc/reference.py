@@ -43,7 +43,7 @@ def scalar_mult_ref(curve: CurveId, k: int, x_p: int, lam: int = 1) -> int:
     x1, z1 = lam * x_p % p, lam % p
     x2, z2 = lam % p, 0
     x3, z3 = lam * x_p % p, lam % p
-    for i in range(params.ladder_iterations - 1, -1, -1):
+    for i in range(params.scalar_bits - 1, -1, -1):
         if (k >> i) & 1:
             x3, z3, x2, z2 = ladder_step(curve, x1, z1, x3, z3, x2, z2)
         else:

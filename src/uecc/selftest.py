@@ -108,7 +108,7 @@ def _cycle_totals(rng) -> bool:
         x_p = fe(rng.randrange(params.p), curve)
         cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=seed if dpa else None)
         report = scalar_mult(k, x_p, cfg).cycles
-        if report.total != total or report.total != perf.DEFAULT_MODEL.expected(curve, dpa).total:
+        if report.total != total or report != perf.expected(curve, dpa):
             return False
     return True
 

@@ -93,6 +93,11 @@ def keystream_bytes(state: TriviumState, nbytes: int) -> bytes:
     return bytes(out[:nbytes])
 
 
+def lambda_words(curve: CurveId) -> int:
+    """64-bit PRNG words (one cycle each) that one lambda draw takes."""
+    return -(-PARAMS[curve].scalar_bits // 64)
+
+
 def gen_lambda(state: TriviumState, curve: CurveId) -> FieldElement:
     """Nonzero randomization scalar: ceil(bits/64) draws, truncate, reduce.
 
@@ -100,7 +105,7 @@ def gen_lambda(state: TriviumState, curve: CurveId) -> FieldElement:
     a row the PRNG is taken to be stuck and RuntimeError is raised.
     """
     params = PARAMS[curve]
-    words = -(-params.scalar_bits // 64)
+    words = lambda_words(curve)
     mask = (1 << params.scalar_bits) - 1
     for _ in range(MAX_LAMBDA_DRAWS):
         value = 0

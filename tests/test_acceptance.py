@@ -36,6 +36,7 @@ DESIGN_CYCLES = {
     (CurveId.CURVE448, False): 4944,
     (CurveId.CURVE448, True): 5401,
 }
+INVERSION_CYCLES = {CurveId.CURVE25519: 265, CurveId.CURVE448: 462}
 
 
 def _report(name: str, ok: bool):
@@ -101,7 +102,7 @@ def test_criterion_2_cycle_reproduction():
             x_p = fe(rng.randrange(params.p), curve)
             totals.add(scalar_mult(k, x_p, cfg).cycles.total)
         ok &= totals == {want}
-        ok &= perf.DEFAULT_MODEL.expected(curve, dpa).total == want
+        ok &= perf.expected(curve, dpa).total == want
     _report("2. cycle totals exactly 1032/1038 and 4944/5401, scalar-independent", ok)
 
 
@@ -139,11 +140,15 @@ def test_criterion_4_field_arithmetic_oracle():
             ok &= field.reduce25519_int(x) == x % PARAMS[CurveId.CURVE25519].p
             y = rng.getrandbits(896)
             ok &= field.reduce448_int(y) == y % PARAMS[CurveId.CURVE448].p
+        inversion = build_inversion_program(curve)
         for _ in range(20):
-            a = fe(rng.randrange(1, p), curve)
-            field.inv_counter.reset()
-            ok &= field.mul(a, field.inv(a)).n == 1
-            ok &= field.inv_counter.mults == PARAMS[curve].inversion_mult_count
+            a = rng.randrange(1, p)
+            state = RegisterFile(curve)
+            write_register(state, Z2, a)
+            for wave in inversion.waves:
+                execute_wave(state, wave)
+            ok &= a * state.regs[Z2] % p == 1
+            ok &= state.cycles == INVERSION_CYCLES[curve]
     _report("4. field ops match big-integer oracle (10^4 each); inv chains = 265/462", ok)
 
 
@@ -223,7 +228,7 @@ def test_criterion_7_modeled_latency_display():
     }
     ok = True
     for (curve, dpa), us in want.items():
-        report = perf.DEFAULT_MODEL.expected(curve, dpa)
+        report = perf.expected(curve, dpa)
         ok &= report.latency_us == pytest.approx(us)
         ok &= f"{report.latency_us:.2f}" == f"{us:.2f}"
     _report("7. modeled latency = cycles / 100 MHz -> 10.32/10.38/49.44/54.01 us", ok)

@@ -9,8 +9,8 @@ from uecc.ecsm import (
     RAW,
     RFC_CLAMPED,
     Scalar,
+    _cswap_running_pairs,
     clamp_scalar,
-    cswap,
     decode_scalar,
     decode_u,
     initialize_state,
@@ -20,7 +20,7 @@ from uecc.ecsm import (
     scalar_mult_bytes,
 )
 from uecc.field import CurveId, PARAMS, fe, from_bytes
-from uecc.ffau import RegisterFile
+from uecc.ffau import NUM_REGISTERS, RegisterFile
 from uecc.program import R_RND, X1, X2, X3, Z1, Z2, Z3
 from uecc.reference import scalar_mult_ref
 from uecc.vectors import BASE_U, SINGLE_SHOT
@@ -89,19 +89,28 @@ class TestDecodeU:
 
 
 class TestCswap:
+    """The in-place masked swap of (X2, Z2) with (X3, Z3) that the ladder runs."""
+
     def test_identity(self):
-        assert cswap(0, (1, 2), (3, 4)) == ((1, 2), (3, 4))
+        regs = list(range(NUM_REGISTERS + 1))
+        _cswap_running_pairs(regs, 0)
+        assert regs == list(range(NUM_REGISTERS + 1))
 
     def test_swap(self):
-        assert cswap(1, (1, 2), (3, 4)) == ((3, 4), (1, 2))
+        regs = list(range(NUM_REGISTERS + 1))
+        want = list(regs)
+        want[X2], want[Z2], want[X3], want[Z3] = regs[X3], regs[Z3], regs[X2], regs[Z2]
+        _cswap_running_pairs(regs, 1)
+        assert regs == want
 
     def test_involution(self):
         rng = random.Random(52)
         for bit in (0, 1):
-            u = (rng.getrandbits(448), rng.getrandbits(448))
-            v = (rng.getrandbits(448), rng.getrandbits(448))
-            u2, v2 = cswap(bit, *cswap(bit, u, v))
-            assert (u2, v2) == (u, v)
+            regs = [rng.getrandbits(448) for _ in range(NUM_REGISTERS + 1)]
+            before = list(regs)
+            _cswap_running_pairs(regs, bit)
+            _cswap_running_pairs(regs, bit)
+            assert regs == before
 
 
 class TestInitialization:

@@ -13,7 +13,6 @@ from uecc.field import (
     add,
     fe,
     from_bytes,
-    inv,
     mul,
     mul_a24,
     mul_wide,
@@ -22,8 +21,19 @@ from uecc.field import (
     sub,
     to_bytes,
 )
+from uecc.ffau import RegisterFile, execute_wave, write_register
+from uecc.program import Z2, build_inversion_program
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
+
+
+def invert(a):
+    """Run the inversion chain as the FFAU program on Z2 = a; the inverse is in Z2."""
+    state = RegisterFile(a.curve)
+    write_register(state, Z2, a)
+    for wave in build_inversion_program(a.curve).waves:
+        execute_wave(state, wave)
+    return state
 
 
 class TestParams:
@@ -37,10 +47,10 @@ class TestParams:
         assert PARAMS[CurveId.CURVE448].a24 == 39081
 
     def test_iteration_and_inversion_counts(self):
-        assert PARAMS[CurveId.CURVE25519].ladder_iterations == 255
-        assert PARAMS[CurveId.CURVE448].ladder_iterations == 448
-        assert PARAMS[CurveId.CURVE25519].inversion_mult_count == 265
-        assert PARAMS[CurveId.CURVE448].inversion_mult_count == 462
+        assert PARAMS[CurveId.CURVE25519].scalar_bits == 255
+        assert PARAMS[CurveId.CURVE448].scalar_bits == 448
+        assert len(field.INVERSION_CHAINS[CurveId.CURVE25519]) == 265
+        assert len(field.INVERSION_CHAINS[CurveId.CURVE448]) == 462
 
 
 class TestAddSub:
@@ -171,11 +181,11 @@ class TestMulA24:
 class TestInv:
     def test_one(self):
         for curve in CURVES:
-            assert inv(fe(1, curve)).n == 1
+            assert invert(fe(1, curve)).regs[Z2] == 1
 
     def test_two_curve25519(self):
         # 2 * (2^254 - 9) = p + 1
-        assert inv(fe(2, CurveId.CURVE25519)).n == 2**254 - 9
+        assert invert(fe(2, CurveId.CURVE25519)).regs[Z2] == 2**254 - 9
 
     def test_random_self_check(self):
         rng = random.Random(16)
@@ -183,15 +193,15 @@ class TestInv:
             p = PARAMS[curve].p
             for _ in range(10):
                 a = fe(rng.randrange(1, p), curve)
-                assert mul(a, inv(a)).n == 1
+                assert mul(a, fe(invert(a).regs[Z2], curve)).n == 1
 
     def test_chain_lengths(self):
+        # one multiplication per cycle: 254 + 11 and 447 + 15 chain steps
         rng = random.Random(17)
+        lengths = {CurveId.CURVE25519: 265, CurveId.CURVE448: 462}
         for curve in CURVES:
             a = fe(rng.randrange(1, PARAMS[curve].p), curve)
-            field.inv_counter.reset()
-            inv(a)
-            assert field.inv_counter.mults == PARAMS[curve].inversion_mult_count
+            assert invert(a).cycles == lengths[curve]
 
     def test_chain_is_fixed_sequence(self):
         # data-independent: same step list regardless of operand
@@ -204,11 +214,6 @@ class TestInv:
         squarings = sum(1 for s in chain448 if s[0] == "sq")
         mults = sum(1 for s in chain448 if s[0] == "mul")
         assert (squarings, mults) == (447, 15)
-
-    def test_zero_raises(self):
-        for curve in CURVES:
-            with pytest.raises(ZeroDivisionError):
-                inv(fe(0, curve))
 
 
 class TestBytes:

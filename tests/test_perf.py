@@ -25,10 +25,10 @@ class TestDecomposition:
 
     def test_model_expected(self):
         for (curve, dpa), total in DESIGN_TOTALS.items():
-            assert perf.DEFAULT_MODEL.expected(curve, dpa).total == total
+            assert perf.expected(curve, dpa).total == total
 
     def test_model_components(self):
-        report = perf.DEFAULT_MODEL.expected(CurveId.CURVE448, dpa=True)
+        report = perf.expected(CurveId.CURVE448, dpa=True)
         assert report.ladder_cycles == 448 * 11
         assert report.inversion_cycles == 462
         assert report.overhead_cycles == 4
@@ -53,24 +53,32 @@ class TestCycleReport:
             (CurveId.CURVE448, True): 54.01,
         }
         for (curve, dpa), want in latencies.items():
-            assert perf.DEFAULT_MODEL.expected(curve, dpa).latency_us == pytest.approx(want)
+            assert perf.expected(curve, dpa).latency_us == pytest.approx(want)
 
     def test_kv_rendering(self):
-        text = perf.DEFAULT_MODEL.expected(CurveId.CURVE25519, False).as_kv()
+        text = perf.expected(CurveId.CURVE25519, False).as_kv()
         assert "total_cycles=1032" in text
         assert "modeled_latency_us=10.32" in text
 
 
 class TestTally:
-    def test_event_stream_matches_counts(self):
+    @pytest.mark.parametrize(
+        "curve, dpa", list(DESIGN_TOTALS), ids=["25519", "25519-dpa", "448", "448-dpa"]
+    )
+    def test_event_stream_matches_counts(self, curve, dpa):
         res = scalar_mult(
-            Scalar(12345, CurveId.CURVE25519),
-            fe(9, CurveId.CURVE25519),
-            EcsmConfig(dpa_enabled=True, prng_seed=SEED),
+            Scalar(12345, curve),
+            fe(9, curve),
+            EcsmConfig(dpa_enabled=dpa, prng_seed=SEED if dpa else None),
             want_trace=True,
         )
         assert perf.tally(res.trace) == res.cycles
-        assert res.cycles.total == 1038
+        assert res.cycles.total == DESIGN_TOTALS[curve, dpa]
+        want = perf.expected(curve, dpa)
+        assert res.cycles.ladder_cycles == want.ladder_cycles
+        assert res.cycles.inversion_cycles == want.inversion_cycles
+        assert res.cycles.overhead_cycles == want.overhead_cycles
+        assert res.cycles.prng_cycles == want.prng_cycles
 
     def test_rejects_unknown_events(self):
         with pytest.raises(ValueError):
@@ -84,6 +92,7 @@ class TestTally:
             k = Scalar(rng.getrandbits(params.scalar_bits), curve)
             res = scalar_mult(k, fe(9, curve), cfg)
             assert res.cycles.total == total
+            assert res.cycles == perf.expected(curve, dpa)
 
     def test_totals_scalar_independent(self):
         rng = random.Random(62)

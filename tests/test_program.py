@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from uecc.field import CurveId, PARAMS, fe, inv
+from uecc.field import CurveId, PARAMS
 from uecc.ffau import RegisterFile, Wave, execute_wave, mul_op, write_register
 from uecc.program import (
     R_RND,
@@ -119,16 +119,15 @@ class TestInversionProgram:
         run_program(state, build_inversion_program(CurveId.CURVE25519))
         assert state.regs[Z2] == 2**254 - 9
 
-    def test_matches_field_inv(self):
+    def test_matches_pow(self):
         rng = random.Random(34)
         for curve in CURVES:
             p = PARAMS[curve].p
-            for _ in range(3):
-                a = rng.randrange(1, p)
+            for a in (1, 2, p - 1, *(rng.randrange(1, p) for _ in range(3))):
                 state = RegisterFile(curve)
                 write_register(state, Z2, a)
                 run_program(state, build_inversion_program(curve))
-                assert state.regs[Z2] == inv(fe(a, curve)).n
+                assert state.regs[Z2] == pow(a, -1, p)
 
     def test_zero_maps_to_zero(self):
         # branch-free handling of the point at infinity
@@ -143,6 +142,17 @@ class TestInversionProgram:
         write_register(state, Z2, 2)
         run_program(state, build_inversion_program(CurveId.CURVE25519))
         assert state.regs[X2] == 123456
+
+
+class TestScheduledProgram:
+    def test_hashes_by_identity(self):
+        # the cached `compiled` must not hash every wave and op on each call
+        for curve in CURVES:
+            progs = [build_ladder_program(curve, dpa) for dpa in (False, True)]
+            progs.append(build_inversion_program(curve))
+            for prog in progs:
+                assert hash(prog) == object.__hash__(prog)
+                assert prog.compiled() is prog.compiled()
 
 
 class TestValidateSchedule:

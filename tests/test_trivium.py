@@ -92,6 +92,8 @@ class TestGenLambda:
         assert st.next64_calls == 4
         trivium.gen_lambda(st, CurveId.CURVE448)
         assert st.next64_calls == 4 + 7
+        assert trivium.lambda_words(CurveId.CURVE25519) == 4
+        assert trivium.lambda_words(CurveId.CURVE448) == 7
 
     def test_result_nonzero_canonical(self):
         rng = random.Random(42)
