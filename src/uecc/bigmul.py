@@ -22,7 +22,6 @@ LIMB_MASK = (1 << 64) - 1
 # Only the widths the two curves need.
 ALLOWED_WIDTHS = (64, 128, 224, 256, 448, 512, 896)
 
-_M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 
 
@@ -88,9 +87,9 @@ def kar128_int(x: int, y: int) -> int:
     """One Karatsuba level: 128x128 via three 64x64 base products."""
     counters.mul64 += 3
     x1 = x >> 64
-    x0 = x & _M64
+    x0 = x & LIMB_MASK
     y1 = y >> 64
-    y0 = y & _M64
+    y0 = y & LIMB_MASK
     p00 = x0 * y0
     p11 = x1 * y1
     sx = x0 + x1
@@ -98,8 +97,8 @@ def kar128_int(x: int, y: int) -> int:
     # 65-bit middle operands: peel the carry bit, fold it back as shifted adds
     cx = sx >> 64
     cy = sy >> 64
-    sx &= _M64
-    sy &= _M64
+    sx &= LIMB_MASK
+    sy &= LIMB_MASK
     mid = sx * sy
     if cx:
         mid += sy << 64

@@ -59,20 +59,19 @@ def _prng_seed(args) -> tuple[bytes, bytes]:
 def _config(args) -> EcsmConfig:
     return EcsmConfig(
         dpa_enabled=args.dpa,
-        clamp_mode=RAW if getattr(args, "raw_scalar", False) else RFC_CLAMPED,
+        clamp_mode=RAW if args.raw_scalar else RFC_CLAMPED,
         prng_seed=_prng_seed(args) if args.dpa else None,
     )
 
 
-def _add_common(p: argparse.ArgumentParser, scalar_args=True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--curve", choices=_CURVES, required=True)
     p.add_argument("--dpa", action="store_true", help="enable randomized coordinates")
     p.add_argument("--prng-key", metavar="HEX", help="10-byte Trivium key (hex)")
     p.add_argument("--prng-iv", metavar="HEX", help="10-byte Trivium IV (hex)")
-    if scalar_args:
-        p.add_argument("--scalar", metavar="HEX", required=True)
-        p.add_argument("--u", metavar="HEX", required=True, help="input u-coordinate")
-        p.add_argument("--raw-scalar", action="store_true", help="skip clamping")
+    p.add_argument("--scalar", metavar="HEX", required=True)
+    p.add_argument("--u", metavar="HEX", required=True, help="input u-coordinate")
+    p.add_argument("--raw-scalar", action="store_true", help="skip clamping")
     p.add_argument("--format", choices=("text", "kv"), default="text")
 
 
@@ -113,12 +112,6 @@ def _print_trace(trace):
     sys.stdout.write("".join(lines))
 
 
-def cmd_trace(args) -> int:
-    args.cycles = True
-    args.trace = True
-    return cmd_scalarmult(args)
-
-
 def cmd_program_dump(args) -> int:
     curve = _CURVES[args.curve]
     if args.phase in ("ladder", "all"):
@@ -128,27 +121,24 @@ def cmd_program_dump(args) -> int:
     return 0
 
 
-def _run_vector(curve: CurveId, scalar_hex: str, u_hex: str, expected_hex: str, label: str) -> bool:
-    got = scalar_mult_bytes(bytes.fromhex(scalar_hex), bytes.fromhex(u_hex), curve).hex()
-    ok = got == expected_hex
+def _compare(label: str, got_hex: str, expected_hex: str) -> bool:
+    ok = got_hex == expected_hex
     print(f"{'PASS' if ok else 'FAIL'}  {label}")
     if not ok:
         print(f"      expected {expected_hex}")
-        print(f"      got      {got}")
+        print(f"      got      {got_hex}")
     return ok
+
+
+def _run_vector(curve: CurveId, scalar_hex: str, u_hex: str, expected_hex: str, label: str) -> bool:
+    got = scalar_mult_bytes(bytes.fromhex(scalar_hex), bytes.fromhex(u_hex), curve)
+    return _compare(label, got.hex(), expected_hex)
 
 
 def _run_iteration(curve: CurveId, count: int) -> bool:
-    expected = vectors.ITERATED[curve][count]
-    k = u = vectors.BASE_U[curve]
-    for _ in range(count):
-        k, u = scalar_mult_bytes(k, u, curve), k
-    ok = k.hex() == expected
-    print(f"{'PASS' if ok else 'FAIL'}  {curve.value} base-point iteration x{count}")
-    if not ok:
-        print(f"      expected {expected}")
-        print(f"      got      {k.hex()}")
-    return ok
+    got = vectors.iterate(curve, count).hex()
+    label = f"{curve.value} base-point iteration x{count}"
+    return _compare(label, got, vectors.ITERATED[curve][count])
 
 
 def cmd_vectors(args) -> int:
@@ -221,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="scalarmult with a full instruction trace")
     _add_common(p)
-    p.set_defaults(fn=cmd_trace)
+    p.set_defaults(fn=cmd_scalarmult, cycles=True, trace=True)
 
     p = sub.add_parser("vectors", help="run the published vector suite")
     p.add_argument("--curve", choices=_CURVES)
@@ -254,10 +244,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import perf
-from .field import PARAMS, CurveId, FieldElement, fe
+from .field import PARAMS, CurveId, FieldElement, check_width, fe
 from .ffau import RegisterFile, execute_compiled_wave
 from .program import (
     FINAL_WAVE, INIT_WAVES, R_RND, X1, X2, X3, Z1, Z2, Z3, build_inversion_program, build_ladder_program,
@@ -60,11 +60,7 @@ class EcsmResult:
 
 def clamp_scalar(data: bytes, curve: CurveId) -> Scalar:
     """Scalar decoding with the standard clamp (cofactor bits cleared, top bit set)."""
-    params = PARAMS[curve]
-    if len(data) != params.field_bytes:
-        raise ValueError(
-            f"{curve.value} scalar must be {params.field_bytes} bytes, got {len(data)}"
-        )
+    check_width(data, curve, "scalar")
     buf = bytearray(data)
     if curve is CurveId.CURVE25519:
         buf[0] &= 248
@@ -78,12 +74,8 @@ def clamp_scalar(data: bytes, curve: CurveId) -> Scalar:
 
 def raw_scalar(data: bytes, curve: CurveId) -> Scalar:
     """Scalar bytes taken verbatim as a t-bit little-endian integer."""
-    params = PARAMS[curve]
-    if len(data) != params.field_bytes:
-        raise ValueError(
-            f"{curve.value} scalar must be {params.field_bytes} bytes, got {len(data)}"
-        )
-    mask = (1 << params.scalar_bits) - 1
+    check_width(data, curve, "scalar")
+    mask = (1 << PARAMS[curve].scalar_bits) - 1
     return Scalar(int.from_bytes(data, "little") & mask, curve)
 
 
@@ -95,11 +87,7 @@ def decode_scalar(data: bytes, curve: CurveId, clamp_mode: str) -> Scalar:
 
 def decode_u(data: bytes, curve: CurveId, clamp_mode: str) -> FieldElement:
     """u-coordinate decoding; the ignored Curve25519 top bit is masked when clamping."""
-    params = PARAMS[curve]
-    if len(data) != params.field_bytes:
-        raise ValueError(
-            f"{curve.value} u-coordinate must be {params.field_bytes} bytes, got {len(data)}"
-        )
+    check_width(data, curve, "u-coordinate")
     value = int.from_bytes(data, "little")
     if clamp_mode == RFC_CLAMPED and curve is CurveId.CURVE25519:
         value &= (1 << 255) - 1
@@ -135,12 +123,12 @@ def initialize_state(state: RegisterFile, x_p: FieldElement, lam: int) -> None:
 
 def randomize_initial_state(state: RegisterFile, x_p: FieldElement, prng: TriviumState):
     """Draw a nonzero lambda and set X1 = lam*x_P, X2 = lam, X3 = lam*x_P,
-    Z1 = lam, Z2 = 0, Z3 = lam.  Returns (lambda, executed init waves)."""
+    Z1 = lam, Z2 = 0, Z3 = lam by issuing the `INIT_WAVES`.  Returns lambda."""
     lam = gen_lambda(prng, state.curve)
     initialize_state(state, x_p, lam.n)
     for wave in INIT_WAVES:
         execute_compiled_wave(state.regs, wave.compiled(), state.curve)
-    return lam, INIT_WAVES
+    return lam
 
 
 def scalar_mult(
@@ -159,12 +147,12 @@ def scalar_mult(
     overhead_waves = 0
     if cfg.dpa_enabled:
         prng = TriviumState(*cfg.prng_seed)
-        _, init_waves = randomize_initial_state(state, x_p, prng)
+        randomize_initial_state(state, x_p, prng)
         prng_calls = prng.next64_calls
-        overhead_waves += len(init_waves)
+        overhead_waves += len(INIT_WAVES)
         if events is not None:
             events.extend((perf.EV_PRNG,) for _ in range(prng_calls))
-            events.extend((perf.EV_WAVE, "init", w) for w in init_waves)
+            events.extend((perf.EV_WAVE, "init", w) for w in INIT_WAVES)
     else:
         initialize_state(state, x_p, 1)
         regs[R_RND] = 0

@@ -192,14 +192,11 @@ def read_register(state: RegisterFile, addr: int) -> FieldElement:
     return FieldElement(state.regs[addr], state.curve)
 
 
-def execute_wave(state: RegisterFile, wave: Wave, curve: CurveId | None = None) -> RegisterFile:
-    """Execute one wave in one cycle; every op sees the pre-wave registers."""
-    if curve is None:
-        curve = state.curve
-    elif curve is not state.curve:
-        raise ValueError("wave curve does not match register file")
-    wave.check(curve)
-    execute_compiled_wave(state.regs, wave.compiled(), curve)
+def execute_wave(state: RegisterFile, wave: Wave) -> RegisterFile:
+    """Execute one wave in one cycle on the register file's curve; every op
+    sees the pre-wave registers."""
+    wave.check(state.curve)
+    execute_compiled_wave(state.regs, wave.compiled(), state.curve)
     state.cycles += 1
     return state
 

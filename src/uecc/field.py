@@ -33,7 +33,6 @@ class CurveId(enum.Enum):
 
 @dataclass(frozen=True)
 class CurveParams:
-    curve: CurveId
     p: int
     a24: int
     scalar_bits: int
@@ -46,14 +45,12 @@ PHI = 2**224  # golden ratio of the Solinas prime: P448 = PHI**2 - PHI - 1
 
 PARAMS = {
     CurveId.CURVE25519: CurveParams(
-        curve=CurveId.CURVE25519,
         p=P25519,
         a24=121665,
         scalar_bits=255,
         field_bytes=32,
     ),
     CurveId.CURVE448: CurveParams(
-        curve=CurveId.CURVE448,
         p=P448,
         a24=39081,
         scalar_bits=448,
@@ -104,20 +101,6 @@ def _check_same_curve(a: FieldElement, b: FieldElement):
 
 # ---------------------------------------------------------------------------
 # int-level kernels (engine hot path)
-
-def add_int(a: int, b: int, p: int) -> int:
-    s = a + b
-    if s >= p:
-        s -= p
-    return s
-
-
-def sub_int(a: int, b: int, p: int) -> int:
-    s = a - b
-    if s < 0:
-        s += p
-    return s
-
 
 def reduce25519_int(x: int) -> int:
     # 2^255 = 19 (mod p); two folds bring x under p + 1482, masked subtractions finish
@@ -285,12 +268,15 @@ assert len(INVERSION_CHAINS[CurveId.CURVE448]) == 462
 
 def add(a: FieldElement, b: FieldElement) -> FieldElement:
     _check_same_curve(a, b)
-    return FieldElement(add_int(a.n, b.n, PARAMS[a.curve].p), a.curve)
+    s = a.n + b.n
+    p = PARAMS[a.curve].p
+    return FieldElement(s - p if s >= p else s, a.curve)
 
 
 def sub(a: FieldElement, b: FieldElement) -> FieldElement:
     _check_same_curve(a, b)
-    return FieldElement(sub_int(a.n, b.n, PARAMS[a.curve].p), a.curve)
+    s = a.n - b.n
+    return FieldElement(s + PARAMS[a.curve].p if s < 0 else s, a.curve)
 
 
 def mul(a: FieldElement, b: FieldElement) -> FieldElement:
@@ -326,12 +312,15 @@ def mul_wide(a: FieldElement, b: FieldElement) -> FieldElement:
     return reduce_p448(mul_schoolbook(wa, wb))
 
 
+def check_width(data: bytes, curve: CurveId, what: str) -> None:
+    """Reject an octet string that is not exactly one field element wide."""
+    n = PARAMS[curve].field_bytes
+    if len(data) != n:
+        raise ValueError(f"{curve.value} {what} must be {n} bytes, got {len(data)}")
+
+
 def from_bytes(data: bytes, curve: CurveId) -> FieldElement:
-    params = PARAMS[curve]
-    if len(data) != params.field_bytes:
-        raise ValueError(
-            f"{curve.value} encoding must be {params.field_bytes} bytes, got {len(data)}"
-        )
+    check_width(data, curve, "encoding")
     return fe(int.from_bytes(data, "little"), curve)
 
 

@@ -32,17 +32,13 @@ def ladder_step(curve: CurveId, x1, z1, x2, z2, x3, z3):
     return new_x2, new_z2, new_x3, new_z3
 
 
-def scalar_mult_ref(curve: CurveId, k: int, x_p: int, lam: int = 1) -> int:
-    """Branching double-and-add ladder over projective x-coordinates.
-
-    `lam` applies the randomized-coordinate transform to the initial state;
-    the affine result is independent of it.
-    """
+def scalar_mult_ref(curve: CurveId, k: int, x_p: int) -> int:
+    """Branching double-and-add ladder over projective x-coordinates."""
     params = PARAMS[curve]
     p = params.p
-    x1, z1 = lam * x_p % p, lam % p
-    x2, z2 = lam % p, 0
-    x3, z3 = lam * x_p % p, lam % p
+    x1, z1 = x_p % p, 1
+    x2, z2 = 1, 0
+    x3, z3 = x_p % p, 1
     for i in range(params.scalar_bits - 1, -1, -1):
         if (k >> i) & 1:
             x3, z3, x2, z2 = ladder_step(curve, x1, z1, x3, z3, x2, z2)

@@ -1,131 +1,184 @@
-"""Oracle-equivalence self tests behind `uecc selftest`.
+"""The oracle checks behind `uecc selftest` and `tests/test_acceptance.py`.
 
-Each check pits the datapath model against an independent route: schoolbook
-limbs or native big integers for the multipliers, the branching reference
-ladder for the engine, and the bit-serial cipher for the 64-wide Trivium.
+Each `check(rng, n) -> bool` pits the model against an independent route or
+against the published figures, which stay literals here and are never read
+off the programs.  `CHECKS` holds the sample counts `uecc selftest` uses.
 """
 
 from __future__ import annotations
 
 import random
 
-from . import perf, reference, trivium
-from .bigmul import WideInt, mul_karatsuba_256, mul_schoolbook
+from . import field, perf, program, reference, trivium
+from .bigmul import WideInt, counters, mul_karatsuba_256, mul_schoolbook
 from .ecsm import EcsmConfig, Scalar, scalar_mult
-from .field import PARAMS, CurveId, fe, mul, mul_wide
+from .field import PARAMS, CurveId, fe
 from .ffau import RegisterFile, execute_wave, write_register
-from .program import build_ladder_program
 
 _SEED = 20240901
+PRNG_SEED = (bytes(range(10)), bytes(range(10, 20)))  # the CLI's default key and IV
+
+# (curve, dpa): cycles, modeled latency in us, ladder waves and ops per scalar bit
+DESIGN = {
+    (CurveId.CURVE25519, False): (1032, 10.32, 3, 11),
+    (CurveId.CURVE25519, True): (1038, 10.38, 3, 12),
+    (CurveId.CURVE448, False): (4944, 49.44, 10, 11),
+    (CurveId.CURVE448, True): (5401, 54.01, 11, 12),
+}
+INVERSION_CYCLES = {CurveId.CURVE25519: 265, CurveId.CURVE448: 462}
 
 
-def _check(name: str, ok: bool) -> bool:
-    print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    return ok
+def _random_input(rng, curve: CurveId) -> tuple[Scalar, field.FieldElement]:
+    params = PARAMS[curve]
+    return Scalar(rng.getrandbits(params.scalar_bits), curve), fe(rng.randrange(params.p), curve)
 
 
-def _karatsuba_vs_schoolbook(rng, samples) -> bool:
-    for _ in range(samples):
+def karatsuba(rng, n) -> bool:
+    """Structural Karatsuba == schoolbook == native, 9/3/1 unit counts, `n` products."""
+    ok = True
+    before = counters.snapshot()
+    for _ in range(n):
         x = WideInt.from_int(rng.getrandbits(256), 256)
         y = WideInt.from_int(rng.getrandbits(256), 256)
         kar = mul_karatsuba_256(x, y)
-        sch = mul_schoolbook(x, y)
-        if kar != sch or kar.to_int() != x.to_int() * y.to_int():
-            return False
-    return True
+        ok &= kar == mul_schoolbook(x, y) and kar.to_int() == x.to_int() * y.to_int()
+    return ok and tuple(a - b for a, b in zip(counters.snapshot(), before)) == (9 * n, 3 * n, n)
 
 
-def _field_vs_native(rng, samples) -> bool:
-    for curve in CurveId:
-        p = PARAMS[curve].p
-        for _ in range(samples):
-            a = rng.randrange(p)
-            b = rng.randrange(p)
-            if mul(fe(a, curve), fe(b, curve)).n != a * b % p:
-                return False
-    return True
-
-
-def _golden_ratio_vs_wide(rng, samples) -> bool:
+def golden_ratio(rng, n) -> bool:
+    """Golden-ratio Curve448 multiply == schoolbook multiply + reduce, `n` samples."""
     p = PARAMS[CurveId.CURVE448].p
-    for _ in range(samples):
-        a = fe(rng.randrange(p), CurveId.CURVE448)
-        b = fe(rng.randrange(p), CurveId.CURVE448)
-        if mul(a, b) != mul_wide(a, b):
-            return False
-    return True
+    pairs = [(fe(rng.randrange(p), CurveId.CURVE448), fe(rng.randrange(p), CurveId.CURVE448))
+             for _ in range(n)]
+    return all(field.mul(a, b) == field.mul_wide(a, b) for a, b in pairs)
 
 
-def _ladder_vs_reference(rng, samples) -> bool:
+def field_ops(rng, n) -> bool:
+    """Field add/sub/mul and the curve's reduction == `% p`, `n` samples per curve."""
+    ok = True
+    for curve, reduce, width in ((CurveId.CURVE25519, field.reduce25519_int, 512),
+                                 (CurveId.CURVE448, field.reduce448_int, 896)):
+        p = PARAMS[curve].p
+        for _ in range(n):
+            a, b = rng.randrange(p), rng.randrange(p)
+            fa, fb = fe(a, curve), fe(b, curve)
+            ok &= field.add(fa, fb).n == (a + b) % p and field.sub(fa, fb).n == (a - b) % p
+            ok &= field.mul(fa, fb).n == a * b % p
+            x = rng.getrandbits(width)
+            ok &= reduce(x) == x % p
+    return ok
+
+
+def inversion(rng, n) -> bool:
+    """The inversion program turns Z2 = a into 1/a in 265/462 cycles, `n` samples per curve."""
+    ok = True
+    for curve, cycles in INVERSION_CYCLES.items():
+        p = PARAMS[curve].p
+        for _ in range(n):
+            a = rng.randrange(1, p)
+            state = write_register(RegisterFile(curve), program.Z2, a)
+            for wave in program.build_inversion_program(curve).waves:
+                execute_wave(state, wave)
+            ok &= a * state.regs[program.Z2] % p == 1 and state.cycles == cycles
+    return ok
+
+
+def ladder(rng, n) -> bool:
+    """Valid schedules, ladders of 3/3 and 10/11 waves and 11/12 ops, and scheduled
+    step == straight-line step on `n` random register states per (curve, dpa)."""
+    ok = all(program.validate_schedule(program.build_inversion_program(c)).valid for c in CurveId)
+    for (curve, dpa), (*_, waves, ops) in DESIGN.items():
+        prog = program.build_ladder_program(curve, dpa)
+        shape = (len(prog.waves), prog.op_count)
+        ok &= program.validate_schedule(prog).valid and shape == (waves, ops)
     for curve in CurveId:
         p = PARAMS[curve].p
-        prog = build_ladder_program(curve, dpa=False)
-        for _ in range(samples):
-            vals = [rng.randrange(p) for _ in range(6)]
-            state = RegisterFile(curve)
-            for addr, v in enumerate(vals):
-                write_register(state, addr, v)
-            for wave in prog.waves:
-                execute_wave(state, wave)
-            want = reference.ladder_step(curve, *vals)
-            got = (state.regs[2], state.regs[3], state.regs[4], state.regs[5])
-            if got != want:
-                return False
-    return True
+        for dpa in (False, True):
+            for _ in range(n):
+                vals = [rng.randrange(p) for _ in range(6)]
+                state = RegisterFile(curve)
+                for addr, v in enumerate(vals):  # X1, Z1, X2, Z2, X3, Z3
+                    write_register(state, addr, v)
+                write_register(state, program.R_RND, rng.randrange(p))
+                for wave in program.build_ladder_program(curve, dpa).waves:
+                    execute_wave(state, wave)
+                got = tuple(state.regs[program.X2:program.Z3 + 1])  # X2, Z2, X3, Z3
+                ok &= got == reference.ladder_step(curve, *vals)
+    return ok
 
 
-def _trivium_wide_vs_serial(rng, words) -> bool:
-    key = rng.randbytes(10)
-    iv = rng.randbytes(10)
+def trivium_words(rng, n) -> bool:
+    """All-zero key/IV keystream, and 64-wide == bit-serial on `n` words of a random key/IV."""
+    ok = trivium.keystream_bytes(trivium.init(bytes(10), bytes(10)), 16).hex() == (
+        "fbe0bf265859051b517a2e4e239fc97f")
+    key, iv = rng.randbytes(10), rng.randbytes(10)
     st = trivium.init(key, iv)
-    wide = [trivium.next64(st) for _ in range(words)]
-    return wide == reference.trivium_words(key, iv, words)
+    return ok and [trivium.next64(st) for _ in range(n)] == reference.trivium_words(key, iv, n)
 
 
-def _ecsm_vs_reference(rng, samples) -> bool:
+def ecsm_vs_reference(rng, n) -> bool:
+    """Engine ECSM == branching reference ladder, `n` random inputs per curve."""
+    inputs = [_random_input(rng, curve) for curve in CurveId for _ in range(n)]
+    return all(scalar_mult(k, x_p).x_q.n == reference.scalar_mult_ref(k.curve, k.bits, x_p.n)
+               for k, x_p in inputs)
+
+
+def lambda_invariance(rng, n) -> bool:
+    """DPA (lambda) leaves x_Q unchanged: one input per curve, `n` random Trivium seeds."""
+    ok = True
     for curve in CurveId:
-        params = PARAMS[curve]
-        for _ in range(samples):
-            k = Scalar(rng.getrandbits(params.scalar_bits), curve)
-            x_p = fe(rng.randrange(params.p), curve)
-            got = scalar_mult(k, x_p).x_q.n
-            if got != reference.scalar_mult_ref(curve, k.bits, x_p.n):
-                return False
-    return True
+        k, x_p = _random_input(rng, curve)
+        plain = scalar_mult(k, x_p).x_q
+        for _ in range(n):
+            cfg = EcsmConfig(dpa_enabled=True, prng_seed=(rng.randbytes(10), rng.randbytes(10)))
+            ok &= scalar_mult(k, x_p, cfg).x_q == plain
+    return ok
 
 
-def _cycle_totals(rng) -> bool:
-    seed = (rng.randbytes(10), rng.randbytes(10))
-    expected = {
-        (CurveId.CURVE25519, False): 1032,
-        (CurveId.CURVE25519, True): 1038,
-        (CurveId.CURVE448, False): 4944,
-        (CurveId.CURVE448, True): 5401,
-    }
-    for (curve, dpa), total in expected.items():
-        params = PARAMS[curve]
-        k = Scalar(rng.getrandbits(params.scalar_bits), curve)
-        x_p = fe(rng.randrange(params.p), curve)
-        cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=seed if dpa else None)
-        report = scalar_mult(k, x_p, cfg).cycles
-        if report.total != total or report != perf.expected(curve, dpa):
-            return False
-    return True
+def trace_constancy(rng, n) -> bool:
+    """One executed event stream for `n` random scalars per (curve, dpa) configuration."""
+    ok = True
+    for curve, dpa in DESIGN:
+        cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=PRNG_SEED if dpa else None)
+        traces = {scalar_mult(*_random_input(rng, curve), cfg, want_trace=True).trace
+                  for _ in range(n)}
+        ok &= len(traces) <= 1
+    return ok
+
+
+def cycle_totals(rng, n) -> bool:
+    """`perf.expected` gives the published cycles and us, and `n` random ECSMs
+    per (curve, dpa) report exactly that budget."""
+    ok = True
+    for (curve, dpa), (total, latency_us, *_) in DESIGN.items():
+        want = perf.expected(curve, dpa)
+        ok &= want.total == total and f"{want.latency_us:.2f}" == f"{latency_us:.2f}"
+        cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=PRNG_SEED if dpa else None)
+        ok &= all(scalar_mult(*_random_input(rng, curve), cfg).cycles == want for _ in range(n))
+    return ok
+
+
+# (PASS-line name, check, quick n, full n), in the order `uecc selftest` runs them
+CHECKS = (
+    ("karatsuba == schoolbook == native product", karatsuba, 500, 2000),
+    ("field mul == native big-int mod p", field_ops, 200, 1000),
+    ("golden-ratio mul == wide mul + reduce", golden_ratio, 200, 1000),
+    ("inversion program: a * 1/a == 1 in 265/462 cycles", inversion, 2, 10),
+    ("scheduled ladder == straight-line step", ladder, 10, 50),
+    ("trivium 64-wide == bit-serial", trivium_words, 64, 64),
+    ("engine ECSM == branching reference ladder", ecsm_vs_reference, 1, 3),
+    ("lambda-invariance: DPA leaves x_Q unchanged", lambda_invariance, 1, 10),
+    ("event stream independent of the scalar", trace_constancy, 2, 5),
+    ("cycle totals = 1032/1038/4944/5401", cycle_totals, 1, 1),
+)
 
 
 def run(quick: bool = False) -> int:
     rng = random.Random(_SEED)
-    n_mul = 500 if quick else 2000
-    n_field = 200 if quick else 1000
-    n_ladder = 20 if quick else 100
-    n_ecsm = 1 if quick else 3
     ok = True
-    ok &= _check("karatsuba == schoolbook == native product", _karatsuba_vs_schoolbook(rng, n_mul))
-    ok &= _check("field mul == native big-int mod p", _field_vs_native(rng, n_field))
-    ok &= _check("golden-ratio mul == wide mul + reduce", _golden_ratio_vs_wide(rng, n_field))
-    ok &= _check("scheduled ladder == straight-line step", _ladder_vs_reference(rng, n_ladder))
-    ok &= _check("trivium 64-wide == bit-serial", _trivium_wide_vs_serial(rng, 64))
-    ok &= _check("engine ECSM == branching reference ladder", _ecsm_vs_reference(rng, n_ecsm))
-    ok &= _check("cycle totals = 1032/1038/4944/5401", _cycle_totals(rng))
+    for name, check, quick_n, full_n in CHECKS:
+        passed = check(rng, quick_n if quick else full_n)
+        print(f"{'PASS' if passed else 'FAIL'}  {name}")
+        ok &= passed
     print("selftest:", "all checks passed" if ok else "FAILURES")
     return 0 if ok else 1

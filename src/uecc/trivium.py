@@ -31,11 +31,6 @@ WARMUP_STEPS = 4 * 288
 MAX_LAMBDA_DRAWS = 16
 
 
-def _load_bits(data: bytes) -> int:
-    """Key/IV bytes as a little-endian 80-bit integer; bit 79 feeds position 1."""
-    return int.from_bytes(data, "little")
-
-
 class TriviumState:
     """Keyed cipher context; `next64` advances one simulated clock cycle."""
 
@@ -44,8 +39,8 @@ class TriviumState:
     def __init__(self, key: bytes, iv: bytes):
         if len(key) != 10 or len(iv) != 10:
             raise ValueError("Trivium key and IV must be 10 bytes (80 bits) each")
-        kbits = _load_bits(key)
-        ivbits = _load_bits(iv)
+        kbits = int.from_bytes(key, "little")
+        ivbits = int.from_bytes(iv, "little")
         # A bit i holds s(93-i); key bit K_k = bit (80-k) of kbits lands at s_k
         self.a = 0
         self.b = 0

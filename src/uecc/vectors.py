@@ -8,6 +8,7 @@ verified against an independent X25519/X448 implementation before freezing.
 
 from __future__ import annotations
 
+from .ecsm import scalar_mult_bytes
 from .field import CurveId
 
 # (scalar_hex, u_hex, expected_hex)
@@ -66,3 +67,11 @@ ITERATED = {
                  "c8f4bcd66e61b9b9c946da8d524de3d69bd9d9d66b997e37",
     },
 }
+
+
+def iterate(curve: CurveId, count: int) -> bytes:
+    """The base-point iteration: `count` rounds of k, u = f(k, u), k; returns k."""
+    k = u = BASE_U[curve]
+    for _ in range(count):
+        k, u = scalar_mult_bytes(k, u, curve), k
+    return k

@@ -4,7 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from uecc import cli
+from uecc import cli, field, selftest
 from uecc.cli import main
 from uecc.vectors import SINGLE_SHOT
 from uecc.field import CurveId
@@ -167,6 +167,26 @@ class TestOtherCommands:
         code, out = run_cli("selftest", "--quick")
         assert code == 0
         assert "all checks passed" in out
+
+    def test_selftest_reports_a_faulty_multiplier(self, monkeypatch):
+        # a wrong engine product: every check that multiplies through the
+        # unit fails; the structural Karatsuba, Trivium and the cycle and
+        # event-stream checks do not depend on product values and still pass
+        monkeypatch.setattr(field, "kar256_int", lambda x, y: x * y + 1)
+        code, out = run_cli("selftest", "--quick")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "selftest: FAILURES"
+        failed = {line[len("FAIL  "):] for line in lines if line.startswith("FAIL  ")}
+        assert failed == {
+            "field mul == native big-int mod p",
+            "golden-ratio mul == wide mul + reduce",
+            "inversion program: a * 1/a == 1 in 265/462 cycles",
+            "scheduled ladder == straight-line step",
+            "engine ECSM == branching reference ladder",
+            "lambda-invariance: DPA leaves x_Q unchanged",
+        }
+        assert len(failed) + sum(line.startswith("PASS  ") for line in lines) == len(selftest.CHECKS)
 
     def test_bench(self):
         code, out = run_cli("bench", "--curve", "25519", "--count", "1")

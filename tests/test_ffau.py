@@ -209,8 +209,3 @@ class TestExecuteWave:
         execute_wave(state, Wave((mul_op(0, 1, 2),)))
         execute_wave(state, Wave((mul_op(0, 1, 3),)))
         assert state.cycles == 2
-
-    def test_curve_mismatch(self):
-        state = RegisterFile(CurveId.CURVE25519)
-        with pytest.raises(ValueError):
-            execute_wave(state, Wave((mul_op(0, 1, 2),)), CurveId.CURVE448)
