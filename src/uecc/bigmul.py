@@ -6,10 +6,10 @@ units, each built from three 64x64 products, so one 256-bit product costs
 exactly 9 base multiplications.  Only the output value and that cost are
 contractual.  The engine's unit, `kar256_int`, therefore computes the native
 integer product and charges it to `counters` as one Karatsuba product
-(9 base, 3 mid, 1 top).  `kar256_structural_int` spells the recursion out
-(carry-save compressors and adder trees as plain additions); it is the
-reference that `mul_karatsuba_256` exposes and that the tests and
-`uecc selftest` check against schoolbook.
+(9 base, 3 mid, 1 top, derived from its call count).  `kar256_structural_int`
+spells the recursion out (carry-save compressors and adder trees as plain
+additions); it is the reference that `mul_karatsuba_256` exposes and that the
+tests and `uecc selftest` check against schoolbook.
 """
 
 from __future__ import annotations
@@ -26,17 +26,38 @@ _M128 = (1 << 128) - 1
 
 
 class MulCounters:
-    """Running totals of multiplier-unit invocations (see `counters`)."""
+    """Running totals of multiplier-unit invocations (see `counters`).
 
-    __slots__ = ("mul64", "mul128", "mul256")
+    The engine's unit `kar256_int` charges one increment of `units` per
+    256-bit product; each stands for one 2-level Karatsuba product, so its
+    9 base, 3 mid and 1 top multiplications are derived from that count when
+    read.  The structural reference tallies each level in `ref64`, `ref128`
+    and `ref256` as it recurses.  `mul64`, `mul128`, `mul256` and
+    `snapshot()` report the sum of both.
+    """
+
+    __slots__ = ("units", "ref64", "ref128", "ref256")
 
     def __init__(self):
         self.reset()
 
     def reset(self):
-        self.mul64 = 0
-        self.mul128 = 0
-        self.mul256 = 0
+        self.units = 0
+        self.ref64 = 0
+        self.ref128 = 0
+        self.ref256 = 0
+
+    @property
+    def mul64(self) -> int:
+        return 9 * self.units + self.ref64
+
+    @property
+    def mul128(self) -> int:
+        return 3 * self.units + self.ref128
+
+    @property
+    def mul256(self) -> int:
+        return self.units + self.ref256
 
     def snapshot(self):
         return (self.mul64, self.mul128, self.mul256)
@@ -85,7 +106,7 @@ class WideInt:
 
 def kar128_int(x: int, y: int) -> int:
     """One Karatsuba level: 128x128 via three 64x64 base products."""
-    counters.mul64 += 3
+    counters.ref64 += 3
     x1 = x >> 64
     x0 = x & LIMB_MASK
     y1 = y >> 64
@@ -111,8 +132,8 @@ def kar128_int(x: int, y: int) -> int:
 
 def kar256_structural_int(x: int, y: int) -> int:
     """Second Karatsuba level: 256x256 via three 128-bit units (9 base products)."""
-    counters.mul128 += 3
-    counters.mul256 += 1
+    counters.ref128 += 3
+    counters.ref256 += 1
     x1 = x >> 128
     x0 = x & _M128
     y1 = y >> 128
@@ -137,10 +158,8 @@ def kar256_structural_int(x: int, y: int) -> int:
 
 def kar256_int(x: int, y: int) -> int:
     """The engine's 256-bit multiplier unit: the same value and counts as
-    `kar256_structural_int`, from one native product."""
-    counters.mul64 += 9
-    counters.mul128 += 3
-    counters.mul256 += 1
+    `kar256_structural_int`, from one native product and one counter increment."""
+    counters.units += 1
     return x * y
 
 

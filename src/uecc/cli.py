@@ -1,4 +1,4 @@
-"""Command-line front end: scalarmult, vectors, selftest, trace, program-dump, bench.
+"""Command-line front end: scalarmult, vectors, selftest, trace, program-dump.
 
 Hex I/O uses little-endian octet strings (two hex digits per byte), so the
 published vectors paste in directly.  Identical invocations produce
@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import random
 import sys
-import time
 
 from . import perf, program, vectors
 from .ecsm import (
@@ -176,27 +174,6 @@ def cmd_selftest(args) -> int:
     return selftest.run(quick=args.quick)
 
 
-def cmd_bench(args) -> int:
-    curves = [_CURVES[args.curve]] if args.curve else list(_CURVES.values())
-    rng = random.Random(args.seed)
-    for curve in curves:
-        nbytes = PARAMS[curve].field_bytes
-        samples = []
-        for _ in range(args.count):
-            scalar = rng.randbytes(nbytes)
-            u = rng.randbytes(nbytes)
-            t0 = time.perf_counter()
-            scalar_mult_bytes(scalar, u, curve)
-            samples.append(time.perf_counter() - t0)
-        mean = sum(samples) / len(samples)
-        model = perf.expected(curve, dpa=False)
-        print(
-            f"{curve.value}: {args.count} ECSM, mean {mean * 1e3:.2f} ms "
-            f"({1 / mean:.1f}/s); modeled {model.total} cycles = {model.latency_us:.2f} us @ 100 MHz"
-        )
-    return 0
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused by every `main` call."""
@@ -230,12 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dpa", action="store_true")
     p.add_argument("--phase", choices=("ladder", "inversion", "all"), default="all")
     p.set_defaults(fn=cmd_program_dump)
-
-    p = sub.add_parser("bench", help="wall-clock throughput")
-    p.add_argument("--curve", choices=_CURVES)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_bench)
 
     return ap
 

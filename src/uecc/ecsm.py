@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import perf
 from .field import PARAMS, CurveId, FieldElement, check_width, fe
-from .ffau import RegisterFile, execute_compiled_wave
+from .ffau import REGISTER_BITS, DatapathError, RegisterFile, execute_compiled_wave
 from .program import (
     FINAL_WAVE, INIT_WAVES, R_RND, X1, X2, X3, Z1, Z2, Z3, build_inversion_program, build_ladder_program,
 )
@@ -135,7 +135,10 @@ def scalar_mult(
     k: Scalar, x_p: FieldElement, cfg: EcsmConfig = EcsmConfig(), want_trace: bool = False
 ) -> EcsmResult:
     """Algorithm: ladder init (randomized when dpa), t masked-swap ladder
-    iterations, Fermat inversion of Z2, final multiplication X2 * Z2."""
+    iterations, Fermat inversion of Z2, final multiplication X2 * Z2.
+
+    Raises `DatapathError` if after any ladder iteration the running pair no
+    longer fits the 448-bit registers."""
     if k.curve is not x_p.curve:
         raise ValueError("scalar and point curves differ")
     curve = k.curve
@@ -171,6 +174,9 @@ def scalar_mult(
         swap = bit
         for ops in ladder_compiled:
             execute_compiled_wave(regs, ops, curve)
+        if (regs[X2] | regs[Z2] | regs[X3] | regs[Z3]) >> REGISTER_BITS:
+            # a reduction fault: stop before each product doubles the excess
+            raise DatapathError(f"running pair exceeds {REGISTER_BITS} bits at scalar bit {i}")
         ladder_waves += len(ladder_compiled)
         if events is not None:
             events.extend(ladder_events)

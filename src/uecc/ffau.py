@@ -2,11 +2,13 @@
 
 One wave of quad-ops executes per simulated clock cycle against the 12-entry
 register file.  All operands are read from the pre-wave state, so ops inside
-a wave are simultaneous; the schedule rules forbid an op from reading another
-op's destination in the same wave.  Curve25519 issues up to four ops per wave
-(the four 256-bit multipliers run in parallel); Curve448 consumes all four
-multipliers for one full-width product per wave, optionally sharing the cycle
-with one short a24-constant multiplication.
+a wave are simultaneous.  Because the schedule rules forbid an op from reading
+another op's destination in the same wave, the model writes each destination
+in place as its op completes and still reads only pre-wave values.
+Curve25519 issues up to four ops per wave (the four 256-bit multipliers run in
+parallel); Curve448 consumes all four multipliers for one full-width product
+per wave, optionally sharing the cycle with one short a24-constant
+multiplication.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from .field import PARAMS, CurveId, FieldElement, mul_int, mul_small_int
 
 NUM_REGISTERS = 12
+REGISTER_BITS = 448
 # Hardwired pseudo-source: reads as 0, consumes no register slot.
 ZERO = 12
 
@@ -26,6 +29,11 @@ OP_SUB = 1
 
 class ScheduleError(ValueError):
     """Wave violates an issue rule (size, address, or intra-wave hazard)."""
+
+
+class DatapathError(ArithmeticError):
+    """A register value no longer fits the 448-bit datapath: some reduction
+    left it non-canonical, and every further product would double its width."""
 
 
 @dataclass(frozen=True)
@@ -193,36 +201,29 @@ def read_register(state: RegisterFile, addr: int) -> FieldElement:
 
 
 def execute_wave(state: RegisterFile, wave: Wave) -> RegisterFile:
-    """Execute one wave in one cycle on the register file's curve; every op
-    sees the pre-wave registers."""
+    """Execute one wave in one cycle on the register file's curve.
+
+    This is the checked path: the wave must pass `Wave.check` (the registers
+    are untouched if it does not), and every value written must fit the
+    448-bit registers, or `DatapathError` is raised."""
     wave.check(state.curve)
     execute_compiled_wave(state.regs, wave.compiled(), state.curve)
     state.cycles += 1
+    for op in wave.ops:
+        if state.regs[op.dst] >> REGISTER_BITS:
+            raise DatapathError(f"r{op.dst} exceeds {REGISTER_BITS} bits: a reduction fault")
     return state
 
 
 def execute_compiled_wave(regs: list[int], ops: tuple, curve: CurveId):
-    """Hot path shared with the scalar-multiplication engine (pre-validated ops)."""
-    p = PARAMS[curve].p
-    a24 = PARAMS[curve].a24
-    if len(ops) == 1:
-        sl, sr, a, b, c, d, dst, const = ops[0]
-        lhs = regs[a] - regs[b] if sl else regs[a] + regs[b]
-        if lhs >= p:
-            lhs -= p
-        elif lhs < 0:
-            lhs += p
-        if const:
-            regs[dst] = mul_small_int(lhs, a24, curve)
-        else:
-            rhs = regs[c] - regs[d] if sr else regs[c] + regs[d]
-            if rhs >= p:
-                rhs -= p
-            elif rhs < 0:
-                rhs += p
-            regs[dst] = mul_int(lhs, rhs, curve)
-        return
-    pending = []
+    """Hot path shared with the scalar-multiplication engine (pre-validated ops).
+
+    Each op writes its destination as soon as it is computed.  That equals
+    reading every operand from the pre-wave registers, because `Wave.check`
+    forbids any op from reading another op's destination in the same wave:
+    an op only ever overwrites registers that no later op of the wave reads."""
+    params = PARAMS[curve]
+    p = params.p
     for sl, sr, a, b, c, d, dst, const in ops:
         lhs = regs[a] - regs[b] if sl else regs[a] + regs[b]
         if lhs >= p:
@@ -230,13 +231,11 @@ def execute_compiled_wave(regs: list[int], ops: tuple, curve: CurveId):
         elif lhs < 0:
             lhs += p
         if const:
-            pending.append((dst, mul_small_int(lhs, a24, curve)))
+            regs[dst] = mul_small_int(lhs, params.a24, curve)
         else:
             rhs = regs[c] - regs[d] if sr else regs[c] + regs[d]
             if rhs >= p:
                 rhs -= p
             elif rhs < 0:
                 rhs += p
-            pending.append((dst, mul_int(lhs, rhs, curve)))
-    for dst, val in pending:
-        regs[dst] = val
+            regs[dst] = mul_int(lhs, rhs, curve)

@@ -3,9 +3,11 @@
 Multiplication always funnels through the 256-bit multiplier unit
 `kar256_int`: one product for Curve25519, four 224x224 partial products for
 Curve448 via the golden ratio split of its Solinas prime
-(p = phi^2 - phi - 1, phi = 2^224).  Reduction is a fixed shift-add pass plus
-two masked conditional subtractions, so the sequence of operations never
-depends on operand values.
+(p = phi^2 - phi - 1, phi = 2^224).  Reduction is fused into `mul_int` per
+curve: two folds of 2^255 = 19 for Curve25519; for Curve448 the partials
+folded once more by phi^2 = phi + 1, then one fold of 2^448 = 2^224 + 1.
+Either leaves the value below 2p, so one masked conditional subtraction
+finishes, and the sequence of operations never depends on operand values.
 
 The unit (`bigmul`) returns the native integer product, counted as one
 2-level Karatsuba product; the structural recursion is the reference that the
@@ -100,68 +102,75 @@ def _check_same_curve(a: FieldElement, b: FieldElement):
 
 
 # ---------------------------------------------------------------------------
-# int-level kernels (engine hot path)
+# int-level kernels
+#
+# Each reduction folds with the prime's special form a fixed number of times,
+# which leaves x < 2p, so one masked subtraction finishes; the bound of each
+# step is noted beside it.  `mul_int` and `mul_small_int` are the engine's hot
+# path, with the folds fused in; the `reduce*_int` functions take a product of
+# any width up to 2 x 448 bits (the schoolbook check path).
 
 def reduce25519_int(x: int) -> int:
-    # 2^255 = 19 (mod p); two folds bring x under p + 1482, masked subtractions finish
+    # 2^255 = 19 (mod p).  x < 2^512: the first fold leaves x < 2^262 and the
+    # second x < 2^255 + 19 * 2^7 < 2p.
     x = (x & _M255) + 19 * (x >> 255)
     x = (x & _M255) + 19 * (x >> 255)
-    x -= P25519 & -(x >= P25519)
-    x -= P25519 & -(x >= P25519)
-    return x
+    return x - (P25519 & -(x >= P25519))
 
 
 def reduce448_int(x: int) -> int:
-    # 2^448 = 2^224 + 1 (mod p); three folds, then masked subtractions
+    # 2^448 = 2^224 + 1 (mod p).  x < 2^896: the folds leave x < 2^673, then
+    # x < 2^450, then x < 2^448 + 2^226 + 4 < 2p.
     h = x >> 448
     x = (x & _M448) + (h << 224) + h
     h = x >> 448
     x = (x & _M448) + (h << 224) + h
     h = x >> 448
     x = (x & _M448) + (h << 224) + h
-    x -= P448 & -(x >= P448)
-    x -= P448 & -(x >= P448)
-    return x
+    return x - (P448 & -(x >= P448))
 
 
-def mul25519_int(a: int, b: int) -> int:
-    return reduce25519_int(kar256_int(a, b))
-
-
-def mul448_int(a: int, b: int) -> int:
+def mul_int(a: int, b: int, curve: CurveId) -> int:
+    """a * b mod p for operands below 2^256 (25519) or 2^448 (448), with the
+    curve's reduction fused in: fixed folds, then one masked subtraction."""
+    if curve is _C25519:
+        x = kar256_int(a, b)
+        # 2^255 = 19 (mod p).  x < 2^512, so the first fold leaves x < 2^262
+        # and the second x < 2^255 + 19 * 2^7 < 2p.
+        x = (x & _M255) + 19 * (x >> 255)
+        x = (x & _M255) + 19 * (x >> 255)
+        return x - (P25519 & -(x >= P25519))
     # phi^2 = phi + 1 (mod p), so with A = a1*phi + a0, B = b1*phi + b0:
-    # A*B = (a1*b1 + a0*b0) + (a1*b0 + a0*b1 + a1*b1)*phi, four 256-bit partials
+    # A*B = p11 + p00 + H*phi with H = p10 + p01 + p11 < 3 * 2^448, four
+    # 256-bit partials.  Splitting H = h1*phi + h0 and folding phi^2 again:
+    # H*phi = h1 + (h0 + h1)*phi with h1 < 3 * 2^224, so x < 2^449 + 2^226 + 2^450 < 2^451.
     a1 = a >> 224
     a0 = a & _M224
     b1 = b >> 224
     b0 = b & _M224
     p11 = kar256_int(a1, b1)
     p00 = kar256_int(a0, b0)
-    p10 = kar256_int(a1, b0)
-    p01 = kar256_int(a0, b1)
-    return reduce448_int(p11 + p00 + ((p10 + p01 + p11) << 224))
-
-
-def mul_int(a: int, b: int, curve: CurveId) -> int:
-    if curve is _C25519:
-        return mul25519_int(a, b)
-    return mul448_int(a, b)
+    h = kar256_int(a1, b0) + kar256_int(a0, b1) + p11
+    h1 = h >> 224
+    x = p11 + p00 + h1 + (((h & _M224) + h1) << 224)
+    # 2^448 = 2^224 + 1 (mod p).  One fold of the top 3 bits leaves
+    # x < 2^448 + 2^227 + 8 < 2p.
+    h = x >> 448
+    x = (x & _M448) + (h << 224) + h
+    return x - (P448 & -(x >= P448))
 
 
 def mul_small_int(a: int, c: int, curve: CurveId) -> int:
-    # short-constant product (the a24 path); a single fold suffices for c < 2^32
-    if curve is _C25519:
-        x = a * c
-        x = (x & _M255) + 19 * (x >> 255)
-        x -= P25519 & -(x >= P25519)
-        x -= P25519 & -(x >= P25519)
-        return x
+    """a * c mod p for the short constant c < 2^32 (the a24 path)."""
     x = a * c
+    if curve is _C25519:
+        # one fold leaves x < 2^255 + 19 * 2^33 < 2p
+        x = (x & _M255) + 19 * (x >> 255)
+        return x - (P25519 & -(x >= P25519))
+    # one fold leaves x < 2^448 + 2^256 + 2^32 < 2p
     h = x >> 448
     x = (x & _M448) + (h << 224) + h
-    x -= P448 & -(x >= P448)
-    x -= P448 & -(x >= P448)
-    return x
+    return x - (P448 & -(x >= P448))
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,24 @@ def golden_ratio(rng, n) -> bool:
     return all(field.mul(a, b) == field.mul_wide(a, b) for a, b in pairs)
 
 
+def _edge_operands(curve: CurveId) -> tuple[int, ...]:
+    """Operands at the bounds of the fused reductions: 0, 1, 2, p-1, p-2,
+    (p-1)/2, and for Curve448 the values whose halves at phi = 2^224 are
+    all-ones or near-max (the largest golden-ratio partials)."""
+    p = PARAMS[curve].p
+    edges = (0, 1, 2, p - 1, p - 2, (p - 1) // 2)
+    if curve is CurveId.CURVE448:
+        edges += (field.PHI - 1, field.PHI, p - field.PHI)
+    return edges
+
+
 def field_ops(rng, n) -> bool:
-    """Field add/sub/mul and the curve's reduction == `% p`, `n` samples per curve."""
+    """Field add/sub/mul and the curve's reduction == `% p`, `n` samples per curve,
+    plus the engine's `mul_int`/`mul_small_int` on every pair of edge operands."""
     ok = True
     for curve, reduce, width in ((CurveId.CURVE25519, field.reduce25519_int, 512),
                                  (CurveId.CURVE448, field.reduce448_int, 896)):
-        p = PARAMS[curve].p
+        p, a24 = PARAMS[curve].p, PARAMS[curve].a24
         for _ in range(n):
             a, b = rng.randrange(p), rng.randrange(p)
             fa, fb = fe(a, curve), fe(b, curve)
@@ -66,6 +78,10 @@ def field_ops(rng, n) -> bool:
             ok &= field.mul(fa, fb).n == a * b % p
             x = rng.getrandbits(width)
             ok &= reduce(x) == x % p
+        edges = _edge_operands(curve)
+        for a in edges:
+            ok &= field.mul_small_int(a, a24, curve) == a * a24 % p
+            ok &= all(field.mul_int(a, b, curve) == a * b % p for b in edges)
     return ok
 
 
@@ -177,8 +193,13 @@ def run(quick: bool = False) -> int:
     rng = random.Random(_SEED)
     ok = True
     for name, check, quick_n, full_n in CHECKS:
-        passed = check(rng, quick_n if quick else full_n)
+        try:
+            passed, error = check(rng, quick_n if quick else full_n), None
+        except Exception as exc:  # a fault found in one check must not hide the others
+            passed, error = False, exc
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
+        if error is not None:
+            print(f"      {type(error).__name__}: {error}")
         ok &= passed
     print("selftest:", "all checks passed" if ok else "FAILURES")
     return 0 if ok else 1

@@ -1,10 +1,11 @@
 import hashlib
 import io
+import time
 from contextlib import redirect_stdout
 
 import pytest
 
-from uecc import cli, field, selftest
+from uecc import cli, ffau, field, selftest
 from uecc.cli import main
 from uecc.vectors import SINGLE_SHOT
 from uecc.field import CurveId
@@ -188,7 +189,26 @@ class TestOtherCommands:
         }
         assert len(failed) + sum(line.startswith("PASS  ") for line in lines) == len(selftest.CHECKS)
 
-    def test_bench(self):
-        code, out = run_cli("bench", "--curve", "25519", "--count", "1")
-        assert code == 0
-        assert "modeled 1032 cycles" in out
+    def test_selftest_fails_fast_on_an_unreduced_product(self, monkeypatch):
+        # the engine's multiply leaves its product unreduced: every check that
+        # multiplies through the FFAU stops at its first over-wide register
+        # and reports FAIL; the checks that call the field directly still pass
+        monkeypatch.setattr(ffau, "mul_int", lambda a, b, curve: a * b)
+        t0 = time.perf_counter()
+        code, out = run_cli("selftest", "--quick")
+        assert time.perf_counter() - t0 < 5
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "selftest: FAILURES"
+        failed = {line[len("FAIL  "):] for line in lines if line.startswith("FAIL  ")}
+        passed = {line[len("PASS  "):] for line in lines if line.startswith("PASS  ")}
+        assert failed == {
+            "inversion program: a * 1/a == 1 in 265/462 cycles",
+            "scheduled ladder == straight-line step",
+            "engine ECSM == branching reference ladder",
+            "lambda-invariance: DPA leaves x_Q unchanged",
+            "event stream independent of the scalar",
+            "cycle totals = 1032/1038/4944/5401",
+        }
+        assert passed == {name for name, *_ in selftest.CHECKS} - failed
+        assert sum("DatapathError" in line for line in lines) == len(failed)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from uecc import field, trivium
+from uecc import ffau, field, trivium
 from uecc.bigmul import counters, kar256_structural_int
 from uecc.ecsm import (
     EcsmConfig,
@@ -20,7 +20,7 @@ from uecc.ecsm import (
     scalar_mult_bytes,
 )
 from uecc.field import CurveId, PARAMS, fe, from_bytes
-from uecc.ffau import NUM_REGISTERS, RegisterFile
+from uecc.ffau import NUM_REGISTERS, DatapathError, RegisterFile
 from uecc.program import R_RND, X1, X2, X3, Z1, Z2, Z3
 from uecc.reference import scalar_mult_ref
 from uecc.vectors import BASE_U, SINGLE_SHOT
@@ -210,6 +210,18 @@ class TestScalarMult:
     def test_scalar_range_checked(self):
         with pytest.raises(ValueError):
             Scalar(1 << 255, CurveId.CURVE25519)
+
+    @pytest.mark.parametrize("cfg", [EcsmConfig(), dpa_cfg()], ids=("plain", "dpa"))
+    def test_unreduced_product_raises_at_the_first_bit(self, monkeypatch, cfg):
+        # a reduction fault stops the ladder before the excess width can grow
+        monkeypatch.setattr(ffau, "mul_int", lambda a, b, curve: a * b)
+        rng = random.Random(60)
+        for curve in CURVES:
+            params = PARAMS[curve]
+            k = Scalar(rng.getrandbits(params.scalar_bits), curve)
+            x_p = fe(rng.randrange(2, params.p), curve)
+            with pytest.raises(DatapathError, match=f"scalar bit {params.scalar_bits - 1}$"):
+                scalar_mult(k, x_p, cfg)
 
 
 class TestTrace:

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from uecc import ffau, program
+from uecc.ecsm import FINAL_WAVE, INIT_WAVES
 from uecc.field import CurveId, PARAMS, fe, mul
 from uecc.ffau import (
     NUM_REGISTERS,
@@ -10,11 +12,13 @@ from uecc.ffau import (
     OP_SUB,
     OpSel,
     QuadOpInstruction,
+    DatapathError,
     RegisterFile,
     ScheduleError,
     Wave,
     ZERO,
     a24_op,
+    execute_compiled_wave,
     execute_wave,
     mul_op,
     quad_op,
@@ -199,9 +203,23 @@ class TestExecuteWave:
             assert all(0 <= v < p for v in state.regs[:NUM_REGISTERS])
 
     def test_hazardous_wave_rejected_at_execute(self):
+        # op2 reads r2, which op1 writes: rejected before any register changes
         state = RegisterFile(CurveId.CURVE25519)
+        for addr in range(5):
+            write_register(state, addr, 10 + addr)
+        before = list(state.regs)
         with pytest.raises(ScheduleError):
             execute_wave(state, Wave((mul_op(0, 1, 2), mul_op(2, 3, 4))))
+        assert state.regs == before and state.cycles == 0
+
+    def test_unreduced_write_raises_datapath_error(self, monkeypatch):
+        monkeypatch.setattr(ffau, "mul_int", lambda a, b, curve: a * b)
+        for curve in CURVES:
+            p = PARAMS[curve].p
+            state = RegisterFile(curve)
+            write_register(state, 0, p - 1)
+            with pytest.raises(DatapathError):
+                execute_wave(state, Wave((mul_op(0, 0, 1),)))
 
     def test_cycle_charge(self):
         state = RegisterFile(CurveId.CURVE25519)
@@ -209,3 +227,39 @@ class TestExecuteWave:
         execute_wave(state, Wave((mul_op(0, 1, 2),)))
         execute_wave(state, Wave((mul_op(0, 1, 3),)))
         assert state.cycles == 2
+
+
+def _snapshot_wave(regs, ops, curve):
+    """Reference semantics: every op reads a copy of the pre-wave registers,
+    and all writes land after the last read."""
+    p, a24 = PARAMS[curve].p, PARAMS[curve].a24
+    pre = list(regs)
+    for sl, sr, a, b, c, d, dst, const in ops:
+        lhs = (pre[a] - pre[b] if sl else pre[a] + pre[b]) % p
+        rhs = a24 if const else (pre[c] - pre[d] if sr else pre[c] + pre[d]) % p
+        regs[dst] = lhs * rhs % p
+
+
+def _every_wave(curve):
+    waves = [*INIT_WAVES, FINAL_WAVE, *program.build_inversion_program(curve).waves]
+    for dpa in (False, True):
+        waves += program.build_ladder_program(curve, dpa).waves
+    return waves
+
+
+class TestInPlaceWrites:
+    @pytest.mark.parametrize("curve", CURVES, ids=("25519", "448"))
+    def test_every_program_wave_matches_snapshot_reference(self, curve):
+        # the engine writes each destination as it goes; on every wave it issues
+        # that must equal reading all operands from the pre-wave registers
+        rng = random.Random(26)
+        p = PARAMS[curve].p
+        for wave in _every_wave(curve):
+            wave.check(curve)
+            ops = wave.compiled()
+            for _ in range(3):
+                regs = [rng.randrange(p) for _ in range(NUM_REGISTERS)] + [0]
+                want = list(regs)
+                _snapshot_wave(want, ops, curve)
+                execute_compiled_wave(regs, ops, curve)
+                assert regs == want, wave.text

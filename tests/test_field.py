@@ -105,6 +105,14 @@ class TestReduce:
             y = rng.getrandbits(896)
             assert reduce_p448(WideInt.from_int(y, 896)).n == y % P448
 
+    def test_all_ones_inputs(self):
+        # the widest value of every bit length reaches each fold's bound
+        for bits in range(1, 897):
+            x = (1 << bits) - 1
+            if bits <= 512:
+                assert field.reduce25519_int(x) == x % P25519
+            assert field.reduce448_int(x) == x % P448
+
     def test_width_checks(self):
         with pytest.raises(ValueError):
             reduce_p25519(WideInt.from_int(1, 896))
@@ -142,6 +150,49 @@ class TestMul:
             before = counters.snapshot()
             mul(fe(3, curve), fe(5, curve))
             assert tuple(b - a for a, b in zip(before, counters.snapshot())) == want
+
+
+class TestReductionBounds:
+    """The fused reductions end in one masked subtraction; operands at the
+    edges of the field drive each fold to its bound."""
+
+    @staticmethod
+    def grid(curve):
+        p = PARAMS[curve].p
+        edges = [0, 1, 2, p - 1, p - 2, (p - 1) // 2]
+        if curve is CurveId.CURVE448:
+            # halves at phi all-ones or near-max: the largest golden-ratio partials
+            edges += [PHI - 1, PHI, p - PHI]
+        return edges
+
+    @pytest.mark.parametrize("curve", CURVES, ids=("25519", "448"))
+    def test_mul_int_on_edge_grid(self, curve):
+        p = PARAMS[curve].p
+        edges = self.grid(curve)
+        for a in edges:
+            for b in edges:
+                got = field.mul_int(a, b, curve)
+                assert got == a * b % p and got < p, (hex(a), hex(b))
+
+    @staticmethod
+    def folds_to_at_least_p(curve):
+        """An operand a < p whose product with a24 folds into [p, 2p), so the
+        masked subtraction must act: with 2^w = p + k and a*a24 = m*2^w - t,
+        one fold gives p + k*m - t."""
+        p, c = PARAMS[curve].p, PARAMS[curve].a24
+        w = p.bit_length()
+        k = 2**w - p
+        m = next(m for m in range(1, c) if (m << w) % c <= k * m)
+        a = ((m << w) - (m << w) % c) // c
+        assert a < p
+        return a
+
+    @pytest.mark.parametrize("curve", CURVES, ids=("25519", "448"))
+    def test_mul_small_int_on_edges(self, curve):
+        p, a24 = PARAMS[curve].p, PARAMS[curve].a24
+        for a in self.grid(curve) + [self.folds_to_at_least_p(curve)]:
+            got = field.mul_small_int(a, a24, curve)
+            assert got == a * a24 % p and got < p, hex(a)
 
 
 class TestFieldAxioms:
