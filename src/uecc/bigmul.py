@@ -8,19 +8,14 @@ contractual.  The engine's unit, `kar256_int`, therefore computes the native
 integer product and charges it to `counters` as one Karatsuba product
 (9 base, 3 mid, 1 top, derived from its call count).  `kar256_structural_int`
 spells the recursion out (carry-save compressors and adder trees as plain
-additions); it is the reference that `mul_karatsuba_256` exposes and that the
-tests and `uecc selftest` check against schoolbook.
+additions); it is the reference that the tests and `uecc selftest` check
+against schoolbook.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 LIMB_BITS = 64
 LIMB_MASK = (1 << 64) - 1
-
-# Only the widths the two curves need.
-ALLOWED_WIDTHS = (64, 128, 224, 256, 448, 512, 896)
 
 _M128 = (1 << 128) - 1
 
@@ -64,44 +59,6 @@ class MulCounters:
 
 
 counters = MulCounters()
-
-
-@dataclass(frozen=True)
-class WideInt:
-    """Fixed-width unsigned integer, little-endian 64-bit limbs."""
-
-    limbs: tuple[int, ...]
-    bit_width: int
-
-    def __post_init__(self):
-        if self.bit_width not in ALLOWED_WIDTHS:
-            raise ValueError(f"unsupported bit width {self.bit_width}")
-        nlimbs = -(-self.bit_width // LIMB_BITS)
-        if len(self.limbs) != nlimbs:
-            raise ValueError(
-                f"{self.bit_width}-bit value needs {nlimbs} limbs, got {len(self.limbs)}"
-            )
-        for limb in self.limbs:
-            if not 0 <= limb <= LIMB_MASK:
-                raise ValueError("limb out of 64-bit range")
-        if self.to_int() >> self.bit_width:
-            raise ValueError(f"value exceeds {self.bit_width} bits")
-
-    @classmethod
-    def from_int(cls, value: int, bit_width: int) -> "WideInt":
-        if value < 0:
-            raise ValueError("negative value")
-        if value >> bit_width:
-            raise ValueError(f"value exceeds {bit_width} bits")
-        nlimbs = -(-bit_width // LIMB_BITS)
-        limbs = tuple((value >> (LIMB_BITS * i)) & LIMB_MASK for i in range(nlimbs))
-        return cls(limbs, bit_width)
-
-    def to_int(self) -> int:
-        value = 0
-        for i, limb in enumerate(self.limbs):
-            value |= limb << (LIMB_BITS * i)
-        return value
 
 
 def kar128_int(x: int, y: int) -> int:
@@ -163,17 +120,10 @@ def kar256_int(x: int, y: int) -> int:
     return x * y
 
 
-def mul_karatsuba_256(x: WideInt, y: WideInt) -> WideInt:
-    """Exact 256x256 -> 512 product through the 2-level Karatsuba datapath."""
-    if x.bit_width != 256 or y.bit_width != 256:
-        raise ValueError("mul_karatsuba_256 requires 256-bit operands")
-    return WideInt.from_int(kar256_structural_int(x.to_int(), y.to_int()), 512)
-
-
-def mul_schoolbook(x: WideInt, y: WideInt) -> WideInt:
+def mul_schoolbook(x: int, y: int) -> int:
     """Independent limb-by-limb oracle; shares no code with the Karatsuba path."""
-    xl = x.limbs
-    yl = y.limbs
+    xl = [(x >> s) & LIMB_MASK for s in range(0, x.bit_length(), LIMB_BITS)]
+    yl = [(y >> s) & LIMB_MASK for s in range(0, y.bit_length(), LIMB_BITS)]
     out = [0] * (len(xl) + len(yl))
     for i, xi in enumerate(xl):
         if xi == 0:
@@ -189,6 +139,4 @@ def mul_schoolbook(x: WideInt, y: WideInt) -> WideInt:
             out[k] = t & LIMB_MASK
             carry = t >> LIMB_BITS
             k += 1
-    width = x.bit_width + y.bit_width
-    nlimbs = -(-width // LIMB_BITS)
-    return WideInt(tuple(out[:nlimbs]), width)
+    return sum(limb << (LIMB_BITS * i) for i, limb in enumerate(out))

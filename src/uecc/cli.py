@@ -55,10 +55,11 @@ def _prng_seed(args) -> tuple[bytes, bytes]:
 
 
 def _config(args) -> EcsmConfig:
+    seed = _prng_seed(args)  # parsed even without --dpa, so a malformed seed is an error
     return EcsmConfig(
         dpa_enabled=args.dpa,
         clamp_mode=RAW if args.raw_scalar else RFC_CLAMPED,
-        prng_seed=_prng_seed(args) if args.dpa else None,
+        prng_seed=seed if args.dpa else None,
     )
 
 
@@ -160,7 +161,7 @@ def cmd_vectors(args) -> int:
         if args.iterations is None:
             for i, (scalar, u, want) in enumerate(vectors.SINGLE_SHOT[curve], 1):
                 ok &= _run_vector(curve, scalar, u, want, f"{curve.value} single-shot vector {i}")
-        counts = [args.iterations] if args.iterations else [1, 1000]
+        counts = [1, 1000] if args.iterations is None else [args.iterations]
         for count in counts:
             if count not in vectors.ITERATED[curve]:
                 raise CliError(f"no published value for {count} iterations (known: 1, 1000, 1000000)")

@@ -2,19 +2,23 @@
 
 The executed instruction stream for a given (curve, dpa) configuration is
 fixed: scalar bits only steer the masked conditional swaps, never which waves
-issue.  Layout and per-phase cycle charges follow the register map in
-`program` and the accounting in `perf`.
+issue.  Every wave issues through `_issue`, which executes, records and counts
+one program, so the trace and the cycle report are what ran.  Layout and
+per-phase cycle charges follow the register map in `program` and the
+accounting in `perf`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import perf
 from .field import PARAMS, CurveId, FieldElement, check_width, fe
 from .ffau import REGISTER_BITS, DatapathError, RegisterFile, execute_compiled_wave
 from .program import (
-    FINAL_WAVE, INIT_WAVES, R_RND, X1, X2, X3, Z1, Z2, Z3, build_inversion_program, build_ladder_program,
+    FINAL_WAVE, INIT_WAVES, R_RND, X1, X2, X3, Z1, Z2, Z3, ScheduledProgram, build_inversion_program,
+    build_ladder_program,
 )
 from .trivium import TriviumState, gen_lambda
 
@@ -22,6 +26,10 @@ RFC_CLAMPED = "rfc_clamped"
 RAW = "raw"
 
 _M448 = (1 << 448) - 1
+
+# the randomization and output phases of each curve, issued like the ladder and inversion
+_INIT = {c: ScheduledProgram(INIT_WAVES, "init", c, dpa=True) for c in CurveId}
+_FINAL = {c: ScheduledProgram((FINAL_WAVE,), "final", c) for c in CurveId}
 
 
 @dataclass(frozen=True)
@@ -43,9 +51,9 @@ class EcsmConfig:
     def __post_init__(self):
         if self.clamp_mode not in (RFC_CLAMPED, RAW):
             raise ValueError(f"unknown clamp mode {self.clamp_mode!r}")
-        if self.dpa_enabled:
-            if self.prng_seed is None:
-                raise ValueError("dpa_enabled requires a prng_seed (key, iv)")
+        if self.dpa_enabled and self.prng_seed is None:
+            raise ValueError("dpa_enabled requires a prng_seed (key, iv)")
+        if self.prng_seed is not None:
             key, iv = self.prng_seed
             if len(key) != 10 or len(iv) != 10:
                 raise ValueError("prng_seed parts must be 10 bytes each")
@@ -121,14 +129,35 @@ def initialize_state(state: RegisterFile, x_p: FieldElement, lam: int) -> None:
     regs[R_RND] = lam
 
 
-def randomize_initial_state(state: RegisterFile, x_p: FieldElement, prng: TriviumState):
-    """Draw a nonzero lambda and set X1 = lam*x_P, X2 = lam, X3 = lam*x_P,
-    Z1 = lam, Z2 = 0, Z3 = lam by issuing the `INIT_WAVES`.  Returns lambda."""
+def _issue(prog: ScheduledProgram, regs: list[int], events: list | None) -> int:
+    """Issue every wave of `prog` on `regs`, one cycle each, and append the
+    same program's wave events to `events` when tracing.  Returns the cycles
+    issued.  The engine issues waves nowhere else."""
+    curve = prog.curve
+    waves, recorded = _waves_and_events(prog)
+    for ops in waves:
+        execute_compiled_wave(regs, ops, curve)
+    if events is not None:
+        events.extend(recorded)
+    return len(waves)
+
+
+@functools.cache
+def _waves_and_events(prog: ScheduledProgram) -> tuple[tuple, tuple]:
+    """The compiled waves of `prog` and their trace events, built once per program."""
+    return prog.compiled(), tuple((perf.EV_WAVE, prog.phase_tag, w) for w in prog.waves)
+
+
+def randomize_initial_state(state: RegisterFile, x_p: FieldElement, prng: TriviumState,
+                            events: list | None = None) -> int:
+    """Draw a nonzero lambda from a fresh `prng` and set X1 = lam*x_P, X2 = lam,
+    X3 = lam*x_P, Z1 = lam, Z2 = 0, Z3 = lam by issuing the init program.
+    Records the PRNG words and the init waves when tracing; returns the init cycles."""
     lam = gen_lambda(prng, state.curve)
+    if events is not None:
+        events.extend((perf.EV_PRNG,) for _ in range(prng.next64_calls))
     initialize_state(state, x_p, lam.n)
-    for wave in INIT_WAVES:
-        execute_compiled_wave(state.regs, wave.compiled(), state.curve)
-    return lam
+    return _issue(_INIT[state.curve], state.regs, events)
 
 
 def scalar_mult(
@@ -136,6 +165,10 @@ def scalar_mult(
 ) -> EcsmResult:
     """Algorithm: ladder init (randomized when dpa), t masked-swap ladder
     iterations, Fermat inversion of Z2, final multiplication X2 * Z2.
+
+    Every phase issues its waves through `_issue`, and the `CycleReport` sums
+    the cycles it returns, plus the PRNG words and the load/store cycle that
+    latches x_Q.
 
     Raises `DatapathError` if after any ladder iteration the running pair no
     longer fits the 448-bit registers."""
@@ -146,25 +179,17 @@ def scalar_mult(
     regs = state.regs
     events = [] if want_trace else None
 
-    prng_calls = 0
-    overhead_waves = 0
+    prng_cycles = overhead_cycles = 0
     if cfg.dpa_enabled:
         prng = TriviumState(*cfg.prng_seed)
-        randomize_initial_state(state, x_p, prng)
-        prng_calls = prng.next64_calls
-        overhead_waves += len(INIT_WAVES)
-        if events is not None:
-            events.extend((perf.EV_PRNG,) for _ in range(prng_calls))
-            events.extend((perf.EV_WAVE, "init", w) for w in INIT_WAVES)
+        overhead_cycles = randomize_initial_state(state, x_p, prng, events)
+        prng_cycles = prng.next64_calls
     else:
         initialize_state(state, x_p, 1)
         regs[R_RND] = 0
 
     ladder = build_ladder_program(curve, cfg.dpa_enabled)
-    ladder_compiled = ladder.compiled()
-    if events is not None:
-        ladder_events = tuple((perf.EV_WAVE, "ladder", w) for w in ladder.waves)
-    ladder_waves = 0
+    ladder_cycles = 0
     swap = 0
     kbits = k.bits
     for i in range(PARAMS[curve].scalar_bits - 1, -1, -1):
@@ -172,31 +197,20 @@ def scalar_mult(
         swap ^= bit
         _cswap_running_pairs(regs, swap)
         swap = bit
-        for ops in ladder_compiled:
-            execute_compiled_wave(regs, ops, curve)
+        ladder_cycles += _issue(ladder, regs, events)
         if (regs[X2] | regs[Z2] | regs[X3] | regs[Z3]) >> REGISTER_BITS:
             # a reduction fault: stop before each product doubles the excess
             raise DatapathError(f"running pair exceeds {REGISTER_BITS} bits at scalar bit {i}")
-        ladder_waves += len(ladder_compiled)
-        if events is not None:
-            events.extend(ladder_events)
     _cswap_running_pairs(regs, swap)
 
-    inversion = build_inversion_program(curve)
-    for ops in inversion.compiled():
-        execute_compiled_wave(regs, ops, curve)
-    inversion_waves = len(inversion.waves)
+    inversion_cycles = _issue(build_inversion_program(curve), regs, events)
+    overhead_cycles += _issue(_FINAL[curve], regs, events) + 1  # + the load/store cycle
     if events is not None:
-        events.extend((perf.EV_WAVE, "inversion", w) for w in inversion.waves)
-
-    execute_compiled_wave(regs, FINAL_WAVE.compiled(), curve)
-    overhead_waves += len(perf.OUTPUT_EVENTS)
-    if events is not None:
-        events.extend(perf.OUTPUT_EVENTS)
+        events.append((perf.EV_LOADSTORE,))
 
     return EcsmResult(
         x_q=FieldElement(regs[X2], curve),
-        cycles=perf.CycleReport(ladder_waves, inversion_waves, overhead_waves, prng_calls),
+        cycles=perf.CycleReport(ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles),
         trace=tuple(events) if events is not None else None,
     )
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .bigmul import WideInt, kar256_int, mul_schoolbook
+from .bigmul import kar256_int
 
 
 class CurveId(enum.Enum):
@@ -96,11 +96,6 @@ def fe(n: int, curve: CurveId) -> FieldElement:
     return FieldElement(n % PARAMS[curve].p, curve)
 
 
-def _check_same_curve(a: FieldElement, b: FieldElement):
-    if a.curve is not b.curve:
-        raise ValueError(f"curve mismatch: {a.curve.value} vs {b.curve.value}")
-
-
 # ---------------------------------------------------------------------------
 # int-level kernels
 #
@@ -108,7 +103,8 @@ def _check_same_curve(a: FieldElement, b: FieldElement):
 # which leaves x < 2p, so one masked subtraction finishes; the bound of each
 # step is noted beside it.  `mul_int` and `mul_small_int` are the engine's hot
 # path, with the folds fused in; the `reduce*_int` functions take a product of
-# any width up to 2 x 448 bits (the schoolbook check path).
+# any width up to 2 x 448 bits, and the checks reduce the schoolbook oracle's
+# products with them.
 
 def reduce25519_int(x: int) -> int:
     # 2^255 = 19 (mod p).  x < 2^512: the first fold leaves x < 2^262 and the
@@ -272,66 +268,8 @@ assert len(INVERSION_CHAINS[CurveId.CURVE25519]) == 265
 assert len(INVERSION_CHAINS[CurveId.CURVE448]) == 462
 
 
-# ---------------------------------------------------------------------------
-# public surface
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same_curve(a, b)
-    s = a.n + b.n
-    p = PARAMS[a.curve].p
-    return FieldElement(s - p if s >= p else s, a.curve)
-
-
-def sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same_curve(a, b)
-    s = a.n - b.n
-    return FieldElement(s + PARAMS[a.curve].p if s < 0 else s, a.curve)
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same_curve(a, b)
-    return FieldElement(mul_int(a.n, b.n, a.curve), a.curve)
-
-
-def mul_a24(a: FieldElement) -> FieldElement:
-    return FieldElement(mul_small_int(a.n, PARAMS[a.curve].a24, a.curve), a.curve)
-
-
-def reduce_p25519(product: WideInt) -> FieldElement:
-    if product.bit_width != 512:
-        raise ValueError("reduce_p25519 expects a 512-bit product")
-    return FieldElement(reduce25519_int(product.to_int()), CurveId.CURVE25519)
-
-
-def reduce_p448(product: WideInt) -> FieldElement:
-    if product.bit_width != 896:
-        raise ValueError("reduce_p448 expects an 896-bit product")
-    return FieldElement(reduce448_int(product.to_int()), CurveId.CURVE448)
-
-
-def mul_wide(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Same-curve product via full-width schoolbook + reduction (check path)."""
-    _check_same_curve(a, b)
-    if a.curve is CurveId.CURVE25519:
-        wa = WideInt.from_int(a.n, 256)
-        wb = WideInt.from_int(b.n, 256)
-        return reduce_p25519(mul_schoolbook(wa, wb))
-    wa = WideInt.from_int(a.n, 448)
-    wb = WideInt.from_int(b.n, 448)
-    return reduce_p448(mul_schoolbook(wa, wb))
-
-
 def check_width(data: bytes, curve: CurveId, what: str) -> None:
     """Reject an octet string that is not exactly one field element wide."""
     n = PARAMS[curve].field_bytes
     if len(data) != n:
         raise ValueError(f"{curve.value} {what} must be {n} bytes, got {len(data)}")
-
-
-def from_bytes(data: bytes, curve: CurveId) -> FieldElement:
-    check_width(data, curve, "encoding")
-    return fe(int.from_bytes(data, "little"), curve)
-
-
-def to_bytes(a: FieldElement) -> bytes:
-    return a.n.to_bytes(PARAMS[a.curve].field_bytes, "little")

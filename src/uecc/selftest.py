@@ -10,10 +10,10 @@ from __future__ import annotations
 import random
 
 from . import field, perf, program, reference, trivium
-from .bigmul import WideInt, counters, mul_karatsuba_256, mul_schoolbook
+from .bigmul import counters, kar256_structural_int, mul_schoolbook
 from .ecsm import EcsmConfig, Scalar, scalar_mult
 from .field import PARAMS, CurveId, fe
-from .ffau import RegisterFile, execute_wave, write_register
+from .ffau import OP_ADD, OP_SUB, ZERO, RegisterFile, Wave, execute_wave, quad_op, write_register
 
 _SEED = 20240901
 PRNG_SEED = (bytes(range(10)), bytes(range(10, 20)))  # the CLI's default key and IV
@@ -38,19 +38,33 @@ def karatsuba(rng, n) -> bool:
     ok = True
     before = counters.snapshot()
     for _ in range(n):
-        x = WideInt.from_int(rng.getrandbits(256), 256)
-        y = WideInt.from_int(rng.getrandbits(256), 256)
-        kar = mul_karatsuba_256(x, y)
-        ok &= kar == mul_schoolbook(x, y) and kar.to_int() == x.to_int() * y.to_int()
+        x, y = rng.getrandbits(256), rng.getrandbits(256)
+        ok &= kar256_structural_int(x, y) == mul_schoolbook(x, y) == x * y
     return ok and tuple(a - b for a, b in zip(counters.snapshot(), before)) == (9 * n, 3 * n, n)
 
 
 def golden_ratio(rng, n) -> bool:
-    """Golden-ratio Curve448 multiply == schoolbook multiply + reduce, `n` samples."""
+    """The engine's golden-ratio Curve448 `mul_int` == schoolbook product +
+    `reduce448_int`, `n` samples."""
     p = PARAMS[CurveId.CURVE448].p
-    pairs = [(fe(rng.randrange(p), CurveId.CURVE448), fe(rng.randrange(p), CurveId.CURVE448))
-             for _ in range(n)]
-    return all(field.mul(a, b) == field.mul_wide(a, b) for a, b in pairs)
+    pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(n)]
+    return all(field.mul_int(a, b, CurveId.CURVE448) == field.reduce448_int(mul_schoolbook(a, b))
+               for a, b in pairs)
+
+
+# r3 = (r0 + r1) x (r2 + 0) and r4 = (r0 - r1) x (r2 + 0), with r2 = 1
+_ADD_SUB = (Wave((quad_op(OP_ADD, 0, 1, OP_ADD, 2, ZERO, 3),)),
+            Wave((quad_op(OP_SUB, 0, 1, OP_ADD, 2, ZERO, 4),)))
+
+
+def add_sub(curve: CurveId, a: int, b: int) -> tuple[int, int]:
+    """(a + b, a - b) mod p from the FFAU's add/sub operand selectors, run
+    through `execute_wave` with the other factor held at 1."""
+    state = RegisterFile(curve)
+    state.regs[:3] = a, b, 1
+    for wave in _ADD_SUB:
+        execute_wave(state, wave)
+    return state.regs[3], state.regs[4]
 
 
 def _edge_operands(curve: CurveId) -> tuple[int, ...]:
@@ -65,17 +79,17 @@ def _edge_operands(curve: CurveId) -> tuple[int, ...]:
 
 
 def field_ops(rng, n) -> bool:
-    """Field add/sub/mul and the curve's reduction == `% p`, `n` samples per curve,
-    plus the engine's `mul_int`/`mul_small_int` on every pair of edge operands."""
+    """The FFAU add/sub selectors, `mul_int` and the curve's reduction == `% p`,
+    `n` samples per curve, plus `mul_int`/`mul_small_int` on every pair of
+    edge operands."""
     ok = True
     for curve, reduce, width in ((CurveId.CURVE25519, field.reduce25519_int, 512),
                                  (CurveId.CURVE448, field.reduce448_int, 896)):
         p, a24 = PARAMS[curve].p, PARAMS[curve].a24
         for _ in range(n):
             a, b = rng.randrange(p), rng.randrange(p)
-            fa, fb = fe(a, curve), fe(b, curve)
-            ok &= field.add(fa, fb).n == (a + b) % p and field.sub(fa, fb).n == (a - b) % p
-            ok &= field.mul(fa, fb).n == a * b % p
+            ok &= add_sub(curve, a, b) == ((a + b) % p, (a - b) % p)
+            ok &= field.mul_int(a, b, curve) == a * b % p
             x = rng.getrandbits(width)
             ok &= reduce(x) == x % p
         edges = _edge_operands(curve)

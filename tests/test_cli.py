@@ -68,6 +68,18 @@ class TestScalarmult:
         code, _ = run_cli("scalarmult", "--curve", "448", "--scalar", V25519[0], "--u", V448[1])
         assert code == 2
 
+    def test_malformed_prng_seed_fails_without_dpa(self, monkeypatch):
+        # the seed is parsed whether or not --dpa uses it
+        monkeypatch.delenv("UECC_PRNG_KEY", raising=False)
+        monkeypatch.delenv("UECC_PRNG_IV", raising=False)
+        args = ("scalarmult", "--curve", "25519", "--scalar", V25519[0], "--u", V25519[1])
+        assert run_cli(*args, "--prng-key", "zz", "--prng-iv", "12")[0] == 2
+        assert run_cli(*args, "--prng-key", "00" * 9)[0] == 2
+        monkeypatch.setenv("UECC_PRNG_KEY", "zz")
+        assert run_cli(*args)[0] == 2
+        monkeypatch.setenv("UECC_PRNG_KEY", "00" * 10)
+        assert run_cli(*args) == (0, V25519[2] + "\n")
+
     def test_raw_scalar_one(self):
         one = "01" + "00" * 31
         u = "09" + "00" * 31
@@ -125,6 +137,12 @@ class TestVectors:
     def test_unknown_iteration_count(self):
         code, _ = run_cli("vectors", "--curve", "25519", "--iterations", "7")
         assert code == 2
+
+    def test_zero_iterations(self):
+        # no published value for 0 iterations: an error, not the default checks
+        code, out = run_cli("vectors", "--curve", "25519", "--iterations", "0")
+        assert code == 2
+        assert out == ""
 
     def test_file_mode(self, tmp_path):
         good = tmp_path / "good.txt"

@@ -1,8 +1,9 @@
 import random
+import sys
 
 import pytest
 
-from uecc import ffau, field, trivium
+from uecc import ecsm, ffau, field, perf, selftest, trivium
 from uecc.bigmul import counters, kar256_structural_int
 from uecc.ecsm import (
     EcsmConfig,
@@ -19,9 +20,9 @@ from uecc.ecsm import (
     scalar_mult,
     scalar_mult_bytes,
 )
-from uecc.field import CurveId, PARAMS, fe, from_bytes
-from uecc.ffau import NUM_REGISTERS, DatapathError, RegisterFile
-from uecc.program import R_RND, X1, X2, X3, Z1, Z2, Z3
+from uecc.field import CurveId, PARAMS, fe
+from uecc.ffau import NUM_REGISTERS, DatapathError, RegisterFile, Wave, mul_op
+from uecc.program import R_AA, R_RND, X1, X2, X3, Z1, Z2, Z3, ScheduledProgram, build_ladder_program
 from uecc.reference import scalar_mult_ref
 from uecc.vectors import BASE_U, SINGLE_SHOT
 
@@ -129,8 +130,8 @@ class TestInitialization:
             p = PARAMS[curve].p
             x_p = fe(9, curve)
             state = RegisterFile(curve)
-            prng = trivium.init(*SEED)
-            lam = randomize_initial_state(state, x_p, prng)
+            assert randomize_initial_state(state, x_p, trivium.init(*SEED)) == 2  # init cycles
+            lam = trivium.gen_lambda(trivium.init(*SEED), curve)  # the same draw again
             assert state.regs[X1] == lam.n * 9 % p
             assert state.regs[X3] == lam.n * 9 % p
             assert state.regs[X2] == lam.n
@@ -194,7 +195,7 @@ class TestScalarMult:
         rng = random.Random(55)
         cfg = EcsmConfig(clamp_mode=RAW)
         for curve in CURVES:
-            u = from_bytes(BASE_U[curve], curve)
+            u = decode_u(BASE_U[curve], curve, RAW)
             for _ in range(2):
                 a = rng.randrange(2, 1 << 16)
                 b = rng.randrange(2, 1 << 16)
@@ -249,6 +250,96 @@ class TestTrace:
         assert res.trace is None
 
 
+def executed_matches_recorded(monkeypatch, runs) -> bool:
+    """Run each (k, x_p, cfg) traced, with `ecsm.execute_compiled_wave` wrapped:
+    True when every ECSM executed, in order, exactly the ops of the wave events
+    in its trace, and the trace tallies to its cycle report."""
+    executed = []
+    real = ecsm.execute_compiled_wave
+
+    def execute_compiled_wave(regs, ops, curve):
+        executed.append(ops)
+        return real(regs, ops, curve)
+
+    monkeypatch.setattr(ecsm, "execute_compiled_wave", execute_compiled_wave)
+    ok = True
+    for k, x_p, cfg in runs:
+        executed.clear()
+        result = scalar_mult(k, x_p, cfg, want_trace=True)
+        recorded = [ev[2].compiled() for ev in result.trace if ev[0] == perf.EV_WAVE]
+        ok &= executed == recorded and perf.tally(result.trace) == result.cycles
+    return ok
+
+
+CONFIGS = [(curve, dpa) for curve in CURVES for dpa in (False, True)]
+
+
+def random_runs(rng, configs, n):
+    """`n` random (k, x_p, cfg) per (curve, dpa), each DPA run with its own seed."""
+    runs = []
+    for curve, dpa in configs:
+        params = PARAMS[curve]
+        for _ in range(n):
+            cfg = dpa_cfg((rng.randbytes(10), rng.randbytes(10))) if dpa else EcsmConfig()
+            runs.append((Scalar(rng.getrandbits(params.scalar_bits), curve),
+                         fe(rng.randrange(params.p), curve), cfg))
+    return runs
+
+
+# X2*Z2 into a ladder temporary, which every later phase writes before reading: x_Q is unchanged
+EXTRA_WAVE = Wave((mul_op(X2, Z2, R_AA),))
+
+
+def inject_on_one_bits(monkeypatch, through_seam):
+    """Issue one extra wave after each ladder step whose scalar bit is 1,
+    through the seam `ecsm._issue` or around it."""
+    real = ecsm._issue
+    extra = {curve: ScheduledProgram((EXTRA_WAVE,), "ladder", curve) for curve in CURVES}
+
+    def issue(prog, regs, events):
+        cycles = real(prog, regs, events)
+        if prog.phase_tag == "ladder" and sys._getframe(1).f_locals["bit"]:  # the ladder loop's bit
+            if through_seam:
+                cycles += real(extra[prog.curve], regs, events)
+            else:
+                ecsm.execute_compiled_wave(regs, EXTRA_WAVE.compiled(), prog.curve)
+        return cycles
+
+    monkeypatch.setattr(ecsm, "_issue", issue)
+
+
+class TestIssueSeam:
+    """`ecsm._issue` executes, records and counts every wave of an ECSM."""
+
+    def test_issue_runs_and_records_one_program(self):
+        for curve in CURVES:
+            prog = build_ladder_program(curve, True)
+            regs = RegisterFile(curve).regs
+            events = []
+            assert ecsm._issue(prog, regs, events) == len(prog.waves)
+            assert events == [(perf.EV_WAVE, "ladder", w) for w in prog.waves]
+            assert ecsm._issue(prog, regs, None) == len(prog.waves)
+
+    @pytest.mark.parametrize("curve,dpa", CONFIGS, ids=("25519", "25519-dpa", "448", "448-dpa"))
+    def test_executed_equals_recorded(self, monkeypatch, curve, dpa):
+        rng = random.Random(f"executed:{curve.value}:{dpa}")
+        assert executed_matches_recorded(monkeypatch, random_runs(rng, [(curve, dpa)], 3))
+
+    def test_wave_injected_through_the_seam_breaks_trace_constancy(self, monkeypatch):
+        inject_on_one_bits(monkeypatch, through_seam=True)
+        rng = random.Random(62)
+        assert selftest.ecsm_vs_reference(rng, 1)  # x_Q is still right
+        assert executed_matches_recorded(monkeypatch, random_runs(rng, CONFIGS, 1))
+        assert not selftest.trace_constancy(rng, 2)
+
+    def test_wave_injected_around_the_seam_is_caught(self, monkeypatch):
+        inject_on_one_bits(monkeypatch, through_seam=False)
+        rng = random.Random(63)
+        assert selftest.ecsm_vs_reference(rng, 1)
+        assert selftest.trace_constancy(rng, 2)  # the recording alone cannot see it
+        assert not executed_matches_recorded(monkeypatch, random_runs(rng, CONFIGS, 1))
+
+
 class TestConfig:
     def test_dpa_requires_seed(self):
         with pytest.raises(ValueError):
@@ -257,6 +348,11 @@ class TestConfig:
     def test_seed_length_checked(self):
         with pytest.raises(ValueError):
             EcsmConfig(dpa_enabled=True, prng_seed=(bytes(9), bytes(10)))
+
+    def test_seed_length_checked_without_dpa(self):
+        with pytest.raises(ValueError):
+            EcsmConfig(prng_seed=(bytes(10), bytes(11)))
+        assert EcsmConfig(prng_seed=SEED).prng_seed == SEED
 
     def test_clamp_mode_checked(self):
         with pytest.raises(ValueError):

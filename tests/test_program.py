@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from uecc.field import CurveId, PARAMS
+from uecc.field import INVERSION_CHAINS, CurveId, PARAMS, mul_int
 from uecc.ffau import RegisterFile, Wave, execute_wave, mul_op, write_register
 from uecc.program import (
     R_RND,
@@ -135,6 +135,32 @@ class TestInversionProgram:
             state = RegisterFile(curve)
             run_program(state, build_inversion_program(curve))
             assert state.regs[Z2] == 0
+
+    def test_random_self_check(self):
+        rng = random.Random(16)
+        for curve in CURVES:
+            p = PARAMS[curve].p
+            for _ in range(10):
+                a = rng.randrange(1, p)
+                state = RegisterFile(curve)
+                write_register(state, Z2, a)
+                run_program(state, build_inversion_program(curve))
+                assert mul_int(a, state.regs[Z2], curve) == 1
+
+    def test_chain_lengths(self):
+        # one multiplication per cycle: 254 + 11 and 447 + 15 chain steps
+        rng = random.Random(17)
+        for curve, cycles in ((CurveId.CURVE25519, 265), (CurveId.CURVE448, 462)):
+            state = RegisterFile(curve)
+            write_register(state, Z2, rng.randrange(1, PARAMS[curve].p))
+            assert run_program(state, build_inversion_program(curve)).cycles == cycles
+
+    def test_chain_is_fixed_sequence(self):
+        # data-independent: same step list regardless of operand
+        for curve, counts in ((CurveId.CURVE25519, (254, 11)), (CurveId.CURVE448, (447, 15))):
+            chain = INVERSION_CHAINS[curve]
+            assert chain is INVERSION_CHAINS[curve]
+            assert (sum(s[0] == "sq" for s in chain), sum(s[0] == "mul" for s in chain)) == counts
 
     def test_preserves_x2(self):
         state = RegisterFile(CurveId.CURVE25519)
