@@ -2,9 +2,12 @@
 
 One wave of quad-ops executes per simulated clock cycle against the 12-entry
 register file.  All operands are read from the pre-wave state, so ops inside
-a wave are simultaneous.  Because the schedule rules forbid an op from reading
-another op's destination in the same wave, the model writes each destination
-in place as its op completes and still reads only pre-wave values.
+a wave are simultaneous.  Each distinct wave runs as a generated
+straight-line function, its kernel: the kernel reads every distinct operand
+selector (A + B, A - B + p, or plain A) from the pre-wave registers into a
+local, then writes each product in place.  Every read precedes every write,
+so the pre-wave semantics hold by construction.  The selectors are left
+unreduced, below 2p, which the fused reductions in `field` absorb.
 Curve25519 issues up to four ops per wave (the four 256-bit multipliers run in
 parallel); Curve448 consumes all four multipliers for one full-width product
 per wave, optionally sharing the cycle with one short a24-constant
@@ -16,7 +19,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .field import PARAMS, CurveId, FieldElement, mul_int, mul_small_int
+# the generated kernels call mul_int and mul_small_int through these names
+from .field import PARAMS, CurveId, FieldElement, mul_int, mul_small_int  # noqa: F401
 
 NUM_REGISTERS = 12
 REGISTER_BITS = 448
@@ -155,13 +159,65 @@ class Wave:
                     f"register {min(clash)} read and written by different ops in one wave"
                 )
 
-    def compiled(self) -> tuple:
-        return tuple(op.compiled() for op in self.ops)
+    def compiled(self) -> CompiledWave:
+        return compile_ops(tuple(op.compiled() for op in self.ops))
 
     @functools.cached_property
     def text(self) -> str:
         """The wave's ops as trace text, rendered once per wave object."""
         return "; ".join(format_op(op) for op in self.ops)
+
+
+class CompiledWave(tuple):
+    """A wave's op tuples `(sl, sr, a, b, c, d, dst, const)`, carrying in
+    `kernel(regs, curve)` the generated function that executes them.  It
+    compares, hashes and unpacks as the plain tuple of op tuples."""
+
+
+def kernel_source(ops: tuple) -> str:
+    """Python source of the straight-line function executing the wave `ops`.
+
+    Each distinct operand selector is read once from the pre-wave registers:
+    `A + 0` as `r[a]`, a sum as `r[a] + r[b]` and a difference as
+    `r[a] - r[b] + p`, each below 2p and left unreduced.  Then the products
+    are written in op order, a square passing one local twice."""
+    reads, writes, names = [], [], {}
+
+    def selector(sub, x, y):
+        if y == ZERO:
+            key, expr = (x,), f"r[{x}]"
+        elif sub:
+            key, expr = (sub, x, y), f"r[{x}] - r[{y}] + p"
+        else:
+            key, expr = (sub, x, y), f"r[{x}] + r[{y}]"
+        if key not in names:
+            names[key] = f"s{len(names)}"
+            reads.append(f"    {names[key]} = {expr}")
+        return names[key]
+
+    for sl, sr, a, b, c, d, dst, const in ops:
+        lhs = selector(sl, a, b)
+        if const:
+            writes.append(f"    r[{dst}] = mul_small_int({lhs}, PARAMS[curve].a24, curve)")
+        else:
+            writes.append(f"    r[{dst}] = mul_int({lhs}, {selector(sr, c, d)}, curve)")
+    header = ["def kernel(r, curve):"]
+    if any(line.endswith(" + p") for line in reads):  # a difference reads p
+        header.append("    p = PARAMS[curve].p")
+    return "\n".join(header + reads + writes) + "\n"
+
+
+@functools.cache
+def compile_ops(ops: tuple) -> CompiledWave:
+    """The `CompiledWave` of `ops`, built once per distinct value.  The kernel
+    runs in this module's globals, so it looks up `mul_int` and
+    `mul_small_int` here at call time and a replacement of either (a timing
+    wrapper, a fault) reaches every product."""
+    namespace = {}
+    exec(compile(kernel_source(ops), "<ffau kernel>", "exec"), globals(), namespace)
+    wave = CompiledWave(ops)
+    wave.kernel = namespace["kernel"]
+    return wave
 
 
 class RegisterFile:
@@ -215,27 +271,12 @@ def execute_wave(state: RegisterFile, wave: Wave) -> RegisterFile:
     return state
 
 
-def execute_compiled_wave(regs: list[int], ops: tuple, curve: CurveId):
-    """Hot path shared with the scalar-multiplication engine (pre-validated ops).
+def execute_compiled_wave(regs: list[int], ops: CompiledWave, curve: CurveId):
+    """Hot path shared with the scalar-multiplication engine (pre-validated
+    ops): run the wave's generated kernel on `regs`.
 
-    Each op writes its destination as soon as it is computed.  That equals
-    reading every operand from the pre-wave registers, because `Wave.check`
-    forbids any op from reading another op's destination in the same wave:
-    an op only ever overwrites registers that no later op of the wave reads."""
-    params = PARAMS[curve]
-    p = params.p
-    for sl, sr, a, b, c, d, dst, const in ops:
-        lhs = regs[a] - regs[b] if sl else regs[a] + regs[b]
-        if lhs >= p:
-            lhs -= p
-        elif lhs < 0:
-            lhs += p
-        if const:
-            regs[dst] = mul_small_int(lhs, params.a24, curve)
-        else:
-            rhs = regs[c] - regs[d] if sr else regs[c] + regs[d]
-            if rhs >= p:
-                rhs -= p
-            elif rhs < 0:
-                rhs += p
-            regs[dst] = mul_int(lhs, rhs, curve)
+    The kernel reads every operand selector before it writes any destination,
+    so each op sees the pre-wave registers.  Its selectors are unreduced
+    (below 2p), and `mul_int`/`mul_small_int` return canonical values for
+    such operands, so registers stay canonical from wave to wave."""
+    ops.kernel(regs, curve)

@@ -6,8 +6,9 @@ Curve448 via the golden ratio split of its Solinas prime
 (p = phi^2 - phi - 1, phi = 2^224).  Reduction is fused into `mul_int` per
 curve: two folds of 2^255 = 19 for Curve25519; for Curve448 the partials
 folded once more by phi^2 = phi + 1, then one fold of 2^448 = 2^224 + 1.
-Either leaves the value below 2p, so one masked conditional subtraction
-finishes, and the sequence of operations never depends on operand values.
+For operands below 2p (the FFAU's unreduced operand selectors) either leaves
+the value below 2p, so one masked conditional subtraction finishes, and the
+sequence of operations never depends on operand values.
 
 The unit (`bigmul`) returns the native integer product, counted as one
 2-level Karatsuba product; the structural recursion is the reference that the
@@ -127,19 +128,22 @@ def reduce448_int(x: int) -> int:
 
 
 def mul_int(a: int, b: int, curve: CurveId) -> int:
-    """a * b mod p for operands below 2^256 (25519) or 2^448 (448), with the
-    curve's reduction fused in: fixed folds, then one masked subtraction."""
+    """a * b mod p, canonical, for operands below 2p (the FFAU's unreduced
+    selectors), with the curve's reduction fused in: fixed folds, then one
+    masked subtraction."""
     if curve is _C25519:
         x = kar256_int(a, b)
-        # 2^255 = 19 (mod p).  x < 2^512, so the first fold leaves x < 2^262
-        # and the second x < 2^255 + 19 * 2^7 < 2p.
+        # 2^255 = 19 (mod p).  Operands < 2p < 2^256, so x < 2^512: the first
+        # fold leaves x < 2^262 and the second x < 2^255 + 19 * 2^7 < 2p.
         x = (x & _M255) + 19 * (x >> 255)
         x = (x & _M255) + 19 * (x >> 255)
         return x - (P25519 & -(x >= P25519))
     # phi^2 = phi + 1 (mod p), so with A = a1*phi + a0, B = b1*phi + b0:
-    # A*B = p11 + p00 + H*phi with H = p10 + p01 + p11 < 3 * 2^448, four
-    # 256-bit partials.  Splitting H = h1*phi + h0 and folding phi^2 again:
-    # H*phi = h1 + (h0 + h1)*phi with h1 < 3 * 2^224, so x < 2^449 + 2^226 + 2^450 < 2^451.
+    # A*B = p11 + p00 + H*phi with H = p10 + p01 + p11, four 256-bit partials.
+    # Operands < 2p < 2^449, so the halves a1, b1 < 2^225 and a0, b0 < 2^224:
+    # p11 < 2^450, p10 + p01 < 2^450 and H < 2^451.  Splitting H = h1*phi + h0
+    # and folding phi^2 again: H*phi = h1 + (h0 + h1)*phi with h1 < 2^227, so
+    # x < 2^450 + 2^448 + 2^227 + (2^224 + 2^227) * 2^224 < 2^452.
     a1 = a >> 224
     a0 = a & _M224
     b1 = b >> 224
@@ -149,21 +153,22 @@ def mul_int(a: int, b: int, curve: CurveId) -> int:
     h = kar256_int(a1, b0) + kar256_int(a0, b1) + p11
     h1 = h >> 224
     x = p11 + p00 + h1 + (((h & _M224) + h1) << 224)
-    # 2^448 = 2^224 + 1 (mod p).  One fold of the top 3 bits leaves
-    # x < 2^448 + 2^227 + 8 < 2p.
+    # 2^448 = 2^224 + 1 (mod p).  One fold of the top 4 bits leaves
+    # x < 2^448 + 2^228 + 16 < 2p.
     h = x >> 448
     x = (x & _M448) + (h << 224) + h
     return x - (P448 & -(x >= P448))
 
 
 def mul_small_int(a: int, c: int, curve: CurveId) -> int:
-    """a * c mod p for the short constant c < 2^32 (the a24 path)."""
+    """a * c mod p, canonical, for an operand below 2p and the curve's a24
+    as c (the a24 path)."""
     x = a * c
     if curve is _C25519:
-        # one fold leaves x < 2^255 + 19 * 2^33 < 2p
+        # a < 2^256 and a24 < 2^17: one fold leaves x < 2^255 + 19 * 2^18 < 2p
         x = (x & _M255) + 19 * (x >> 255)
         return x - (P25519 & -(x >= P25519))
-    # one fold leaves x < 2^448 + 2^256 + 2^32 < 2p
+    # a < 2^449 and a24 < 2^16: one fold leaves x < 2^448 + 2^241 + 2^17 < 2p
     h = x >> 448
     x = (x & _M448) + (h << 224) + h
     return x - (P448 & -(x >= P448))

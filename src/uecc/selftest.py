@@ -69,10 +69,11 @@ def add_sub(curve: CurveId, a: int, b: int) -> tuple[int, int]:
 
 def _edge_operands(curve: CurveId) -> tuple[int, ...]:
     """Operands at the bounds of the fused reductions: 0, 1, 2, p-1, p-2,
-    (p-1)/2, and for Curve448 the values whose halves at phi = 2^224 are
-    all-ones or near-max (the largest golden-ratio partials)."""
+    (p-1)/2, the FFAU's unreduced selector values p, p+1, 2p-2 and 2p-1, and
+    for Curve448 the values whose halves at phi = 2^224 are all-ones or
+    near-max (the largest golden-ratio partials)."""
     p = PARAMS[curve].p
-    edges = (0, 1, 2, p - 1, p - 2, (p - 1) // 2)
+    edges = (0, 1, 2, p - 1, p - 2, (p - 1) // 2, p, p + 1, 2 * p - 2, 2 * p - 1)
     if curve is CurveId.CURVE448:
         edges += (field.PHI - 1, field.PHI, p - field.PHI)
     return edges

@@ -251,14 +251,21 @@ class TestInPlaceWrites:
     @pytest.mark.parametrize("curve", CURVES, ids=("25519", "448"))
     def test_every_program_wave_matches_snapshot_reference(self, curve):
         # the engine writes each destination as it goes; on every wave it issues
-        # that must equal reading all operands from the pre-wave registers
+        # that must equal reading all operands from the pre-wave registers.
+        # Besides random states, edge states drive the unreduced selectors to
+        # their extremes: every register at p - 1 gives sums of 2p - 2, and
+        # X2 = p - 1 with Z2 = 0 (and the reverse) differences of 2p - 1 and 1
         rng = random.Random(26)
         p = PARAMS[curve].p
+        edges = [[p - 1] * NUM_REGISTERS]
+        for zeroed in (program.Z2, program.X2):
+            edges.append([0 if addr == zeroed else p - 1 for addr in range(NUM_REGISTERS)])
         for wave in _every_wave(curve):
             wave.check(curve)
             ops = wave.compiled()
-            for _ in range(3):
-                regs = [rng.randrange(p) for _ in range(NUM_REGISTERS)] + [0]
+            states = [[rng.randrange(p) for _ in range(NUM_REGISTERS)] for _ in range(3)]
+            for state in states + edges:
+                regs = state + [0]
                 want = list(regs)
                 _snapshot_wave(want, ops, curve)
                 execute_compiled_wave(regs, ops, curve)

@@ -129,15 +129,19 @@ class TestMul:
 
 class TestReductionBounds:
     """The fused reductions end in one masked subtraction; operands at the
-    edges of the field drive each fold to its bound."""
+    edges of the field, and the FFAU's unreduced selectors up to 2p - 1,
+    drive each fold to its bound."""
 
     @staticmethod
     def grid(curve):
         p = PARAMS[curve].p
         edges = [0, 1, 2, p - 1, p - 2, (p - 1) // 2]
+        # unreduced operands: a sum A + B or a difference A - B + p is below 2p
+        edges += [p, p + 1, 2 * p - 2, 2 * p - 1]
         if curve is CurveId.CURVE448:
-            # halves at phi all-ones or near-max: the largest golden-ratio partials
-            edges += [PHI - 1, PHI, p - PHI]
+            # halves at phi all-ones or near-max: the largest golden-ratio partials,
+            # and the largest top half of an operand below 2p with a zero bottom half
+            edges += [PHI - 1, PHI, p - PHI, (2 * p - 1) // PHI * PHI]
         return edges
 
     @pytest.mark.parametrize("curve", CURVES, ids=("25519", "448"))

@@ -1,5 +1,6 @@
-"""Every module of the package compiles without a warning, and the engine
-issues its waves at one site."""
+"""Every module of the package compiles without a warning, the engine
+issues its waves at one site, and each wave runs as generated straight-line
+code."""
 
 import ast
 import pathlib
@@ -8,7 +9,8 @@ import warnings
 import pytest
 
 import uecc
-from uecc import ecsm
+from uecc import ecsm, ffau, program
+from uecc.field import CurveId
 
 SOURCES = sorted(pathlib.Path(uecc.__file__).parent.glob("*.py"))
 
@@ -42,3 +44,24 @@ def test_ecsm_executes_waves_only_in_the_seam():
     # else in the engine would run without appearing in the trace or cycles
     tree = ast.parse(pathlib.Path(ecsm.__file__).read_text())
     assert functions_referencing(tree, "execute_compiled_wave") == ["_issue"]
+
+
+def every_compiled_wave():
+    programs = [ecsm._INIT[c] for c in CurveId] + [ecsm._FINAL[c] for c in CurveId]
+    for curve in CurveId:
+        programs.append(program.build_inversion_program(curve))
+        programs += [program.build_ladder_program(curve, dpa) for dpa in (False, True)]
+    return [ops for prog in programs for ops in prog.compiled()]
+
+
+def test_wave_kernels_are_straight_line_and_built_once_per_distinct_wave():
+    waves = every_compiled_wave()
+    distinct = {tuple(ops) for ops in waves}
+    # one kernel per distinct op tuple, not one per wave: that caps the set-up cost
+    assert len({id(ops.kernel) for ops in waves}) == len(distinct) == 40
+    branching = (ast.If, ast.IfExp, ast.Compare, ast.BoolOp)
+    for ops in distinct:
+        (kernel,) = ast.parse(ffau.kernel_source(ops)).body
+        assert isinstance(kernel, ast.FunctionDef)
+        assert all(isinstance(stmt, ast.Assign) for stmt in kernel.body), ops
+        assert not any(isinstance(node, branching) for node in ast.walk(kernel)), ops
