@@ -4,15 +4,20 @@ Karatsuba structure, and a schoolbook oracle.
 The datapath's 256x256 multiplier is a 256-bit unit built from three 128-bit
 units, each built from three 64x64 products, so one 256-bit product costs
 exactly 9 base multiplications.  Only the output value and that cost are
-contractual.  The engine's unit, `kar256_int`, therefore computes the native
-integer product and charges it to `counters` as one Karatsuba product
-(9 base, 3 mid, 1 top, derived from its call count).  `kar256_structural_int`
-spells the recursion out (carry-save compressors and adder trees as plain
-additions); it is the reference that the tests and `uecc selftest` check
-against schoolbook.
+contractual.  The engine's unit, `kar256_int`, is therefore the builtin
+integer product, and the cost is charged per issued program rather than per
+call: `ecsm._issue` adds the program's product count (`perf.products`) to
+`counters`, each product standing for one Karatsuba product (9 base, 3 mid,
+1 top).  `kar256_structural_int` spells the recursion out (carry-save
+compressors and adder trees as plain additions); it is the reference that the
+tests and `uecc selftest` check against schoolbook.
 """
 
 from __future__ import annotations
+
+# The engine's 256-bit multiplier unit: the same value as
+# `kar256_structural_int`, with no Python frame per product.
+from operator import mul as kar256_int  # noqa: F401
 
 LIMB_BITS = 64
 LIMB_MASK = (1 << 64) - 1
@@ -23,8 +28,9 @@ _M128 = (1 << 128) - 1
 class MulCounters:
     """Running totals of multiplier-unit invocations (see `counters`).
 
-    The engine's unit `kar256_int` charges one increment of `units` per
-    256-bit product; each stands for one 2-level Karatsuba product, so its
+    `units` counts the engine's 256-bit products, charged by `ecsm._issue`
+    once per issued program from the count the program's ops imply
+    (`perf.products`); each stands for one 2-level Karatsuba product, so its
     9 base, 3 mid and 1 top multiplications are derived from that count when
     read.  The structural reference tallies each level in `ref64`, `ref128`
     and `ref256` as it recurses.  `mul64`, `mul128`, `mul256` and
@@ -111,13 +117,6 @@ def kar256_structural_int(x: int, y: int) -> int:
     if cx and cy:
         mid += 1 << 256
     return (z2 << 256) + ((mid - z0 - z2) << 128) + z0
-
-
-def kar256_int(x: int, y: int) -> int:
-    """The engine's 256-bit multiplier unit: the same value and counts as
-    `kar256_structural_int`, from one native product and one counter increment."""
-    counters.units += 1
-    return x * y
 
 
 def mul_schoolbook(x: int, y: int) -> int:

@@ -46,12 +46,15 @@ def _parse_hex(text: str, expected_len: int, what: str) -> bytes:
     return data
 
 
+def _seed_part(flag: str | None, env: str, what: str, default: bytes) -> bytes:
+    """A given flag, even an empty one, is parsed; an empty variable counts as unset."""
+    text = flag if flag is not None else os.environ.get(env) or None
+    return default if text is None else _parse_hex(text, 10, what)
+
+
 def _prng_seed(args) -> tuple[bytes, bytes]:
-    key_hex = args.prng_key or os.environ.get("UECC_PRNG_KEY")
-    iv_hex = args.prng_iv or os.environ.get("UECC_PRNG_IV")
-    key = _parse_hex(key_hex, 10, "PRNG key") if key_hex else DEFAULT_PRNG_KEY
-    iv = _parse_hex(iv_hex, 10, "PRNG IV") if iv_hex else DEFAULT_PRNG_IV
-    return key, iv
+    return (_seed_part(args.prng_key, "UECC_PRNG_KEY", "PRNG key", DEFAULT_PRNG_KEY),
+            _seed_part(args.prng_iv, "UECC_PRNG_IV", "PRNG IV", DEFAULT_PRNG_IV))
 
 
 def _config(args) -> EcsmConfig:

@@ -3,9 +3,9 @@
 The executed instruction stream for a given (curve, dpa) configuration is
 fixed: scalar bits only steer the masked conditional swaps, never which waves
 issue.  Every wave issues through `_issue`, which executes, records and counts
-one program, so the trace and the cycle report are what ran.  Layout and
-per-phase cycle charges follow the register map in `program` and the
-accounting in `perf`.
+one program, so the trace, the cycle report and the product count are what
+ran.  Layout and per-phase cycle charges follow the register map in `program`
+and the accounting in `perf`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import functools
 from dataclasses import dataclass
 
 from . import perf
+from .bigmul import counters
 from .field import PARAMS, CurveId, FieldElement, check_width, fe
 from .ffau import REGISTER_BITS, DatapathError, RegisterFile, execute_compiled_wave
 from .program import (
@@ -130,22 +131,26 @@ def initialize_state(state: RegisterFile, x_p: FieldElement, lam: int) -> None:
 
 
 def _issue(prog: ScheduledProgram, regs: list[int], events: list | None) -> int:
-    """Issue every wave of `prog` on `regs`, one cycle each, and append the
-    same program's wave events to `events` when tracing.  Returns the cycles
-    issued.  The engine issues waves nowhere else."""
+    """Issue every wave of `prog` on `regs`, one cycle each, charge its
+    multiplier-unit products to `counters`, and append the same program's
+    wave events to `events` when tracing.  Returns the cycles issued.  The
+    engine issues waves, and charges products, nowhere else."""
     curve = prog.curve
-    waves, recorded = _waves_and_events(prog)
+    waves, recorded, products = _waves_and_events(prog)
     for ops in waves:
         execute_compiled_wave(regs, ops, curve)
+    counters.units += products
     if events is not None:
         events.extend(recorded)
     return len(waves)
 
 
 @functools.cache
-def _waves_and_events(prog: ScheduledProgram) -> tuple[tuple, tuple]:
-    """The compiled waves of `prog` and their trace events, built once per program."""
-    return prog.compiled(), tuple((perf.EV_WAVE, prog.phase_tag, w) for w in prog.waves)
+def _waves_and_events(prog: ScheduledProgram) -> tuple[tuple, tuple, int]:
+    """The compiled waves of `prog`, their trace events and the program's
+    product count, built once per program."""
+    events = tuple((perf.EV_WAVE, prog.phase_tag, w) for w in prog.waves)
+    return prog.compiled(), events, perf.products(prog)
 
 
 def randomize_initial_state(state: RegisterFile, x_p: FieldElement, prng: TriviumState,

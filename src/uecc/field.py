@@ -10,11 +10,13 @@ For operands below 2p (the FFAU's unreduced operand selectors) either leaves
 the value below 2p, so one masked conditional subtraction finishes, and the
 sequence of operations never depends on operand values.
 
-The unit (`bigmul`) returns the native integer product, counted as one
-2-level Karatsuba product; the structural recursion is the reference that the
-tests check against schoolbook.  The multiplies look the unit up through this
-module's name `kar256_int`, so replacing `field.kar256_int` (with the
-reference kernel, or a timing wrapper) reaches every engine product.
+The unit (`bigmul.kar256_int`) is the builtin integer product; the
+structural Karatsuba recursion is the reference that the tests check against
+schoolbook.  Nothing here counts products: each stands for one 2-level
+Karatsuba product, and `ecsm._issue` charges a program's products
+(`perf.products`) when it issues the program.  The multiplies look the unit
+up through this module's name `kar256_int`, so replacing `field.kar256_int`
+(with the reference kernel, or a timing wrapper) reaches every engine product.
 """
 
 from __future__ import annotations

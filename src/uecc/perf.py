@@ -12,6 +12,9 @@ latches x_Q, and the PRNG words one lambda draw takes.  The design totals:
 
 The tests pin these totals as literals, so the programs are checked against
 the design rather than against themselves.
+
+`products` reads the 256-bit multiplier-unit products off a program the same
+way; `ecsm._issue` charges them to `bigmul.counters` once per issue.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import PARAMS, CurveId
-from .program import INIT_WAVES, build_inversion_program, build_ladder_program
+from .program import INIT_WAVES, ScheduledProgram, build_inversion_program, build_ladder_program
 from .trivium import lambda_words
 
 CLOCK_MHZ = 100
@@ -118,3 +121,11 @@ def expected(curve: CurveId, dpa: bool) -> CycleReport:
         prng_cycles=lambda_words(curve) if dpa else 0,
     )
 
+
+def products(prog: ScheduledProgram) -> int:
+    """256-bit multiplier-unit products of one issue of `prog`: a full-width
+    op is one on Curve25519 and four on Curve448 (`field.mul_int`'s
+    golden-ratio partials); an a24 op runs on the constant multiplier and
+    takes none."""
+    per_op = 1 if prog.curve is CurveId.CURVE25519 else 4
+    return per_op * sum(not op.const_tag for wave in prog.waves for op in wave.ops)

@@ -80,6 +80,23 @@ class TestScalarmult:
         monkeypatch.setenv("UECC_PRNG_KEY", "00" * 10)
         assert run_cli(*args) == (0, V25519[2] + "\n")
 
+    @pytest.mark.parametrize("flag, what", [("--prng-key", "PRNG key"), ("--prng-iv", "PRNG IV")])
+    def test_empty_prng_flag_is_an_error(self, monkeypatch, capsys, flag, what):
+        # an empty flag is a malformed seed, not a request for the default one
+        monkeypatch.delenv("UECC_PRNG_KEY", raising=False)
+        monkeypatch.delenv("UECC_PRNG_IV", raising=False)
+        args = ("scalarmult", "--curve", "25519", "--dpa", "--scalar", V25519[0], "--u", V25519[1])
+        assert run_cli(*args, flag, "") == (2, "")
+        assert capsys.readouterr().err == f"error: {what} must be 10 bytes (20 hex digits)\n"
+
+    def test_empty_prng_variable_counts_as_unset(self, monkeypatch):
+        argv = ["scalarmult", "--curve", "25519", "--dpa", "--scalar", V25519[0], "--u", V25519[1]]
+        monkeypatch.setenv("UECC_PRNG_KEY", "")
+        monkeypatch.setenv("UECC_PRNG_IV", "")
+        cfg = cli._config(cli.build_parser().parse_args(argv))
+        assert cfg.prng_seed == (cli.DEFAULT_PRNG_KEY, cli.DEFAULT_PRNG_IV)
+        assert run_cli(*argv) == (0, V25519[2] + "\n")
+
     def test_raw_scalar_one(self):
         one = "01" + "00" * 31
         u = "09" + "00" * 31

@@ -1,5 +1,7 @@
 import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -359,8 +361,30 @@ class TestConfig:
             EcsmConfig(clamp_mode="sideways")
 
 
+# 256-bit unit products per ECSM: the ladder program's per scalar bit, the
+# inversion's and the final multiplication's (+ the init program's with DPA)
+PRODUCTS_PER_ECSM = {
+    (CurveId.CURVE25519, False): 2816,
+    (CurveId.CURVE25519, True): 3073,
+    (CurveId.CURVE448, False): 19772,
+    (CurveId.CURVE448, True): 21572,
+}
+
+
+def counting(unit):
+    """`unit` wrapped to count its calls in the wrapper's `calls` attribute."""
+
+    def counted(x, y):
+        counted.calls += 1
+        return unit(x, y)
+
+    counted.calls = 0
+    return counted
+
+
 class TestMultiplierUnit:
-    """The engine's native 256-bit unit against the structural Karatsuba reference."""
+    """The engine's builtin 256-bit unit against the structural Karatsuba
+    reference, and the products executed against those charged per program."""
 
     def test_structural_kernel_gives_identical_results(self, monkeypatch):
         rng = random.Random(58)
@@ -381,34 +405,87 @@ class TestMultiplierUnit:
             runs += [(k, x_p, cfg) for k, x_p in inputs for cfg in cfgs]
         native = [scalar_mult(*run) for run in runs]
 
-        products = 0
-
-        def structural(x, y):
-            nonlocal products
-            products += 1
-            return kar256_structural_int(x, y)
-
+        structural = counting(kar256_structural_int)
         monkeypatch.setattr(field, "kar256_int", structural)
-        reference = [scalar_mult(*run) for run in runs]
-        assert products > 0  # the engine really multiplied through the replaced unit
+        reference = []
+        for k, x_p, cfg in runs:
+            structural.calls = 0
+            before = counters.units
+            reference.append(scalar_mult(k, x_p, cfg))
+            # the engine really multiplied through the replaced unit, as often as charged
+            want = PRODUCTS_PER_ECSM[k.curve, cfg.dpa_enabled]
+            assert structural.calls == counters.units - before == want
         assert [(r.x_q, r.cycles) for r in native] == [(r.x_q, r.cycles) for r in reference]
 
-    @pytest.mark.parametrize("curve,dpa,products", [
-        (CurveId.CURVE25519, False, 2816),
-        (CurveId.CURVE25519, True, 3073),
-        (CurveId.CURVE448, False, 19772),
-        (CurveId.CURVE448, True, 21572),
-    ])
-    def test_products_per_ecsm(self, curve, dpa, products):
-        # ladder ops x iterations + inversion chain + final (+ 2 randomization) multiplies
+    @pytest.mark.parametrize("curve,dpa,products", [(*key, n) for key, n in PRODUCTS_PER_ECSM.items()])
+    def test_products_per_ecsm(self, monkeypatch, curve, dpa, products):
+        # the products executed, counted through the replaced unit, against
+        # those `_issue` charges from the programs, each as one 2-level
+        # Karatsuba product (9 base, 3 mid, 1 top)
+        unit = counting(field.kar256_int)
+        monkeypatch.setattr(field, "kar256_int", unit)
         params = PARAMS[curve]
         rng = random.Random(59)
-        k = Scalar(rng.getrandbits(params.scalar_bits), curve)
-        x_p = fe(rng.randrange(params.p), curve)
-        before = counters.snapshot()
-        scalar_mult(k, x_p, dpa_cfg() if dpa else EcsmConfig())
-        got = tuple(b - a for a, b in zip(before, counters.snapshot()))
-        assert got == (9 * products, 3 * products, products)
+        for seed in (SEED, (bytes(10), bytes(10)), (rng.randbytes(10), rng.randbytes(10))):
+            k = Scalar(rng.getrandbits(params.scalar_bits), curve)
+            x_p = fe(rng.randrange(params.p), curve)
+            unit.calls = 0
+            before = counters.snapshot()
+            scalar_mult(k, x_p, dpa_cfg(seed) if dpa else EcsmConfig())
+            got = tuple(b - a for a, b in zip(before, counters.snapshot()))
+            assert unit.calls == got[2] == products
+            assert got == (9 * products, 3 * products, products)
+
+
+def openssl_exchange(curve):
+    """OpenSSL's X25519/X448 as `exchange(scalar, u) -> bytes`, which raises
+    ValueError on an all-zero shared secret."""
+    if curve is CurveId.CURVE25519:
+        mod = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.x25519")
+        private, public = mod.X25519PrivateKey, mod.X25519PublicKey
+    else:
+        mod = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.x448")
+        private, public = mod.X448PrivateKey, mod.X448PublicKey
+    return lambda scalar, u: private.from_private_bytes(scalar).exchange(public.from_public_bytes(u))
+
+
+class TestConcurrency:
+    """ECSMs running at once in several threads each get the right result and
+    cycle report.  `bigmul.counters` is still process-wide, so its totals
+    are not checked here."""
+
+    def test_threads_get_openssl_results_and_expected_reports(self):
+        rng = random.Random(63)
+        jobs = []
+        for curve in CURVES:
+            exchange = openssl_exchange(curve)
+            nbytes = PARAMS[curve].field_bytes
+            for dpa in (False, True):
+                for _ in range(2):
+                    scalar, u = rng.randbytes(nbytes), rng.randbytes(nbytes)
+                    cfg = dpa_cfg((rng.randbytes(10), rng.randbytes(10))) if dpa else EcsmConfig()
+                    jobs.append((scalar, u, curve, cfg, exchange(scalar, u)))
+        rng.shuffle(jobs)  # both curves and both modes in flight at once
+        barrier = threading.Barrier(4)
+
+        def run(job):
+            scalar, u, curve, cfg, _ = job
+            k = decode_scalar(scalar, curve, cfg.clamp_mode)
+            x_p = decode_u(u, curve, cfg.clamp_mode)
+            barrier.wait(timeout=60)  # each round of four ECSMs starts together
+            return scalar_mult(k, x_p, cfg)
+
+        assert len(jobs) % 4 == 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the waves
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, jobs))
+        finally:
+            sys.setswitchinterval(interval)
+        for (_, _, curve, cfg, want), res in zip(jobs, results):
+            assert res.x_q.n.to_bytes(PARAMS[curve].field_bytes, "little") == want
+            assert res.cycles == perf.expected(curve, cfg.dpa_enabled)
 
 
 class TestAllZeroOutput:
@@ -420,12 +497,7 @@ class TestAllZeroOutput:
     @pytest.mark.parametrize("curve", CURVES)
     @pytest.mark.parametrize("u", (0, 1))
     def test_model_returns_zero_where_openssl_raises(self, curve, u):
-        if curve is CurveId.CURVE25519:
-            mod = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.x25519")
-            private, public = mod.X25519PrivateKey, mod.X25519PublicKey
-        else:
-            mod = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.x448")
-            private, public = mod.X448PrivateKey, mod.X448PublicKey
+        exchange = openssl_exchange(curve)
         nbytes = PARAMS[curve].field_bytes
         u_bytes = u.to_bytes(nbytes, "little")
         rng = random.Random(f"all-zero:{curve.value}:{u}")
@@ -435,4 +507,53 @@ class TestAllZeroOutput:
             for cfg in configs:
                 assert scalar_mult_bytes(scalar, u_bytes, curve, cfg) == bytes(nbytes)
             with pytest.raises(ValueError):
-                private.from_private_bytes(scalar).exchange(public.from_public_bytes(u_bytes))
+                exchange(scalar, u_bytes)
+
+
+class TestNonCanonicalU:
+    """RFC 7748 edge inputs against OpenSSL: u at and above p (reduced mod p),
+    u = p - 1, and on Curve25519 the ignored top bit, each with DPA off and on.
+    Where OpenSSL rejects an all-zero result (u = p or p + 1, which reduce to
+    0 and 1), the model returns zero, as `TestAllZeroOutput` pins."""
+
+    @staticmethod
+    def edge_us(curve, rng):
+        p = PARAMS[curve].p
+        if curve is CurveId.CURVE25519:
+            top = 1 << 255
+            return [p, p + 1, top - 1, p - 1, 9 | top, (p - 1) | top, (p + 1) | top, (2 * top) - 1]
+        return [p, p + 1, p + 9, (1 << 448) - 1, rng.randrange(p, 1 << 448), p - 1]
+
+    @staticmethod
+    def configs(rng, clamp_mode=RFC_CLAMPED):
+        seeds = [(bytes(10), bytes(10)), (rng.randbytes(10), rng.randbytes(10))]
+        return [EcsmConfig(clamp_mode=clamp_mode)] + [EcsmConfig(True, clamp_mode, seed) for seed in seeds]
+
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_clamped_against_openssl(self, curve):
+        exchange = openssl_exchange(curve)
+        nbytes = PARAMS[curve].field_bytes
+        rng = random.Random(f"non-canonical:{curve.value}")
+        scalar = rng.randbytes(nbytes)
+        for u in self.edge_us(curve, rng):
+            u_bytes = u.to_bytes(nbytes, "little")
+            try:
+                want = exchange(scalar, u_bytes)
+            except ValueError:  # OpenSSL's all-zero check
+                want = bytes(nbytes)
+            for cfg in self.configs(rng):
+                assert scalar_mult_bytes(scalar, u_bytes, curve, cfg) == want, (hex(u), cfg)
+
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_raw_extreme_scalars_against_reference(self, curve):
+        # raw mode keeps every u bit and the scalar as given: 0 and all-ones
+        params = PARAMS[curve]
+        nbytes = params.field_bytes
+        rng = random.Random(f"non-canonical-raw:{curve.value}")
+        for scalar in (bytes(nbytes), b"\xff" * nbytes):
+            k = int.from_bytes(scalar, "little") & ((1 << params.scalar_bits) - 1)
+            for u in self.edge_us(curve, rng):
+                want = scalar_mult_ref(curve, k, u).to_bytes(nbytes, "little")
+                for cfg in self.configs(rng, RAW):
+                    got = scalar_mult_bytes(scalar, u.to_bytes(nbytes, "little"), curve, cfg)
+                    assert got == want, (k == 0, hex(u), cfg)

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from uecc import field
+from uecc import ecsm, field, perf
 from uecc.bigmul import counters, mul_schoolbook
 from uecc.ecsm import RAW, decode_u
 from uecc.field import CurveId, P25519, P448, PARAMS, PHI, fe, mul_int, mul_small_int
-from uecc.ffau import RegisterFile, write_register
+from uecc.ffau import NUM_REGISTERS, RegisterFile, write_register
+from uecc.program import build_inversion_program, build_ladder_program
 from uecc.selftest import add_sub
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
@@ -119,12 +120,43 @@ class TestMul:
             a, b = rng.randrange(P448), rng.randrange(P448)
             assert mul_int(a, b, CurveId.CURVE448) == field.reduce448_int(mul_schoolbook(a, b))
 
-    def test_multiplier_unit_counts(self):
-        # one 256-bit product per Curve25519 multiply, four per Curve448 multiply
-        for curve, want in ((CurveId.CURVE25519, (9, 3, 1)), (CurveId.CURVE448, (36, 12, 4))):
-            before = counters.snapshot()
-            mul_int(3, 5, curve)
-            assert tuple(b - a for a, b in zip(before, counters.snapshot())) == want
+    # 256-bit unit products charged per issue of each program: a full-width
+    # op is one on Curve25519 and four on Curve448, an a24 op none
+    PROGRAM_PRODUCTS = {
+        CurveId.CURVE25519: {"ladder": 10, "ladder-dpa": 11, "inversion": 265, "init": 2, "final": 1},
+        CurveId.CURVE448: {"ladder": 40, "ladder-dpa": 44, "inversion": 1848, "init": 8, "final": 4},
+    }
+
+    def test_multiplier_unit_counts(self, monkeypatch):
+        # each program's charge is pinned, and issuing the program makes
+        # exactly that many calls to the unit and charges exactly that many
+        # products, each as one 2-level Karatsuba product (9, 3, 1)
+        calls = 0
+
+        def unit(x, y):
+            nonlocal calls
+            calls += 1
+            return x * y
+
+        monkeypatch.setattr(field, "kar256_int", unit)
+        rng = random.Random(14)
+        for curve, want in self.PROGRAM_PRODUCTS.items():
+            p = PARAMS[curve].p
+            programs = {
+                "ladder": build_ladder_program(curve, False),
+                "ladder-dpa": build_ladder_program(curve, True),
+                "inversion": build_inversion_program(curve),
+                "init": ecsm._INIT[curve],
+                "final": ecsm._FINAL[curve],
+            }
+            for name, prog in programs.items():
+                regs = [rng.randrange(p) for _ in range(NUM_REGISTERS)] + [0]
+                calls = 0
+                before = counters.snapshot()
+                ecsm._issue(prog, regs, None)
+                charged = tuple(b - a for a, b in zip(before, counters.snapshot()))
+                assert perf.products(prog) == calls == want[name], (curve, name)
+                assert charged == (9 * calls, 3 * calls, calls), (curve, name)
 
 
 class TestReductionBounds:

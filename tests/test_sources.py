@@ -1,6 +1,6 @@
 """Every module of the package compiles without a warning, the engine
-issues its waves at one site, and each wave runs as generated straight-line
-code."""
+issues its waves and charges their products at one site, and each wave runs
+as generated straight-line code."""
 
 import ast
 import pathlib
@@ -44,6 +44,13 @@ def test_ecsm_executes_waves_only_in_the_seam():
     # else in the engine would run without appearing in the trace or cycles
     tree = ast.parse(pathlib.Path(ecsm.__file__).read_text())
     assert functions_referencing(tree, "execute_compiled_wave") == ["_issue"]
+
+
+def test_ecsm_charges_products_only_in_the_seam():
+    # `_issue` charges each issued program's products; a charge anywhere else
+    # in the engine could drift from the products the waves execute
+    tree = ast.parse(pathlib.Path(ecsm.__file__).read_text())
+    assert functions_referencing(tree, "counters") == ["_issue"]
 
 
 def every_compiled_wave():
