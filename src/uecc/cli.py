@@ -147,6 +147,8 @@ def cmd_vectors(args) -> int:
     curves = [_CURVES[args.curve]] if args.curve else list(_CURVES.values())
     ok = True
     if args.file:
+        if args.iterations is not None:
+            raise CliError("--file cannot be combined with --iterations")
         curve = curves[0] if args.curve else None
         if curve is None:
             raise CliError("--file requires --curve")

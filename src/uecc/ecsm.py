@@ -28,7 +28,8 @@ RAW = "raw"
 
 _M448 = (1 << 448) - 1
 
-# the randomization and output phases of each curve, issued like the ladder and inversion
+# the randomization and output phases of each curve, checked when built and issued like
+# the ladder and inversion
 _INIT = {c: ScheduledProgram(INIT_WAVES, "init", c, dpa=True) for c in CurveId}
 _FINAL = {c: ScheduledProgram((FINAL_WAVE,), "final", c) for c in CurveId}
 

@@ -41,34 +41,28 @@ class DatapathError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class OpSel:
-    add_or_sub_left: int = OP_ADD
-    add_or_sub_right: int = OP_ADD
-
-    def __post_init__(self):
-        if self.add_or_sub_left not in (OP_ADD, OP_SUB):
-            raise ValueError("left opsel must be 0 (add) or 1 (sub)")
-        if self.add_or_sub_right not in (OP_ADD, OP_SUB):
-            raise ValueError("right opsel must be 0 (add) or 1 (sub)")
-
-
-@dataclass(frozen=True)
 class QuadOpInstruction:
     """dst := ((A +/- B) * (C +/- D)) mod p, sources by register address.
 
-    With const_tag set, the right-hand factor is the curve constant a24 and
-    src_c/src_d are ignored.
+    `sub_left`/`sub_right` select the sum (OP_ADD) or the difference (OP_SUB)
+    of each factor.  With const_tag set, the right-hand factor is the curve
+    constant a24 and sub_right/src_c/src_d are ignored.
     """
 
-    opsel: OpSel
+    sub_left: int
     src_a: int
     src_b: int
+    sub_right: int
     src_c: int
     src_d: int
     dst: int
     const_tag: bool = False
 
     def __post_init__(self):
+        if self.sub_left not in (OP_ADD, OP_SUB):
+            raise ValueError("left opsel must be 0 (add) or 1 (sub)")
+        if self.sub_right not in (OP_ADD, OP_SUB):
+            raise ValueError("right opsel must be 0 (add) or 1 (sub)")
         for name in ("src_a", "src_b", "src_c", "src_d"):
             addr = getattr(self, name)
             if not 0 <= addr <= ZERO:
@@ -84,18 +78,6 @@ class QuadOpInstruction:
         srcs.discard(ZERO)
         return frozenset(srcs)
 
-    def compiled(self) -> tuple:
-        return (
-            self.opsel.add_or_sub_left,
-            self.opsel.add_or_sub_right,
-            self.src_a,
-            self.src_b,
-            self.src_c,
-            self.src_d,
-            self.dst,
-            self.const_tag,
-        )
-
 
 _OPSEL_CH = {OP_ADD: "+", OP_SUB: "-"}
 
@@ -106,26 +88,22 @@ def format_op(op: QuadOpInstruction) -> str:
     def src(addr):
         return "0" if addr == ZERO else f"r{addr}"
 
-    lhs = f"({src(op.src_a)} {_OPSEL_CH[op.opsel.add_or_sub_left]} {src(op.src_b)})"
+    lhs = f"({src(op.src_a)} {_OPSEL_CH[op.sub_left]} {src(op.src_b)})"
     if op.const_tag:
         rhs = "a24"
     else:
-        rhs = f"({src(op.src_c)} {_OPSEL_CH[op.opsel.add_or_sub_right]} {src(op.src_d)})"
+        rhs = f"({src(op.src_c)} {_OPSEL_CH[op.sub_right]} {src(op.src_d)})"
     return f"r{op.dst} <- {lhs} x {rhs}"
-
-
-def quad_op(sl, a, b, sr, c, d, dst, const=False) -> QuadOpInstruction:
-    return QuadOpInstruction(OpSel(sl, sr), a, b, c, d, dst, const)
 
 
 def mul_op(a, c, dst) -> QuadOpInstruction:
     """Two-operand multiplication, encoded as (A + 0) x (C + 0)."""
-    return QuadOpInstruction(OpSel(), a, ZERO, c, ZERO, dst)
+    return QuadOpInstruction(OP_ADD, a, ZERO, OP_ADD, c, ZERO, dst)
 
 
 def a24_op(sl, a, b, dst) -> QuadOpInstruction:
     """(A +/- B) x a24 with the constant multiplier."""
-    return QuadOpInstruction(OpSel(sl, OP_ADD), a, b, ZERO, ZERO, dst, const_tag=True)
+    return QuadOpInstruction(sl, a, b, OP_ADD, ZERO, ZERO, dst, const_tag=True)
 
 
 @dataclass(frozen=True)
@@ -160,7 +138,7 @@ class Wave:
                 )
 
     def compiled(self) -> CompiledWave:
-        return compile_ops(tuple(op.compiled() for op in self.ops))
+        return compile_ops(self.ops)
 
     @functools.cached_property
     def text(self) -> str:
@@ -169,12 +147,12 @@ class Wave:
 
 
 class CompiledWave(tuple):
-    """A wave's op tuples `(sl, sr, a, b, c, d, dst, const)`, carrying in
-    `kernel(regs, curve)` the generated function that executes them.  It
-    compares, hashes and unpacks as the plain tuple of op tuples."""
+    """A wave's ops, carrying in `kernel(regs, curve)` the generated function
+    that executes them.  It compares, hashes and unpacks as the wave's op
+    tuple."""
 
 
-def kernel_source(ops: tuple) -> str:
+def kernel_source(ops: tuple[QuadOpInstruction, ...]) -> str:
     """Python source of the straight-line function executing the wave `ops`.
 
     Each distinct operand selector is read once from the pre-wave registers:
@@ -195,12 +173,13 @@ def kernel_source(ops: tuple) -> str:
             reads.append(f"    {names[key]} = {expr}")
         return names[key]
 
-    for sl, sr, a, b, c, d, dst, const in ops:
-        lhs = selector(sl, a, b)
-        if const:
-            writes.append(f"    r[{dst}] = mul_small_int({lhs}, PARAMS[curve].a24, curve)")
+    for op in ops:
+        lhs = selector(op.sub_left, op.src_a, op.src_b)
+        if op.const_tag:
+            writes.append(f"    r[{op.dst}] = mul_small_int({lhs}, PARAMS[curve].a24, curve)")
         else:
-            writes.append(f"    r[{dst}] = mul_int({lhs}, {selector(sr, c, d)}, curve)")
+            rhs = selector(op.sub_right, op.src_c, op.src_d)
+            writes.append(f"    r[{op.dst}] = mul_int({lhs}, {rhs}, curve)")
     header = ["def kernel(r, curve):"]
     if any(line.endswith(" + p") for line in reads):  # a difference reads p
         header.append("    p = PARAMS[curve].p")
@@ -208,9 +187,9 @@ def kernel_source(ops: tuple) -> str:
 
 
 @functools.cache
-def compile_ops(ops: tuple) -> CompiledWave:
-    """The `CompiledWave` of `ops`, built once per distinct value.  The kernel
-    runs in this module's globals, so it looks up `mul_int` and
+def compile_ops(ops: tuple[QuadOpInstruction, ...]) -> CompiledWave:
+    """The `CompiledWave` of a wave's ops, built once per distinct op tuple.
+    The kernel runs in this module's globals, so it looks up `mul_int` and
     `mul_small_int` here at call time and a replacement of either (a timing
     wrapper, a fault) reaches every product."""
     namespace = {}

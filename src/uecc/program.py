@@ -34,7 +34,7 @@ import functools
 from dataclasses import dataclass
 
 from .field import CurveId, INVERSION_CHAINS
-from .ffau import OP_ADD, OP_SUB, ScheduleError, Wave, a24_op, format_op, mul_op, quad_op
+from .ffau import OP_ADD, OP_SUB, QuadOpInstruction, ScheduleError, Wave, a24_op, format_op, mul_op
 
 # register aliases
 X1, Z1, X2, Z2, X3, Z3 = range(6)
@@ -54,10 +54,21 @@ FINAL_WAVE = Wave((mul_op(X2, Z2, X2),))
 # without hashing every wave and op; nothing compares programs by value.
 @dataclass(frozen=True, eq=False)
 class ScheduledProgram:
+    """Waves issued in order, one per cycle.  Every wave is checked against
+    the curve's issue rules (`Wave.check`) when the program is built, so a
+    program that exists can issue."""
+
     waves: tuple[Wave, ...]
     phase_tag: str  # ladder | inversion | init | final
     curve: CurveId
     dpa: bool = False
+
+    def __post_init__(self):
+        for i, wave in enumerate(self.waves):
+            try:
+                wave.check(self.curve)
+            except ScheduleError as exc:
+                raise ScheduleError(f"wave {i}: {exc}") from None
 
     @property
     def op_count(self) -> int:
@@ -70,20 +81,20 @@ class ScheduledProgram:
 
 def _ladder_ops(dpa: bool):
     ops = [
-        quad_op(OP_ADD, X2, Z2, OP_ADD, X2, Z2, R_AA),   # AA = (X2+Z2)^2
-        quad_op(OP_SUB, X2, Z2, OP_SUB, X2, Z2, R_BB),   # BB = (X2-Z2)^2
-        quad_op(OP_ADD, X3, Z3, OP_SUB, X2, Z2, R_CB),   # CB = (X3+Z3)*(X2-Z2)
-        quad_op(OP_SUB, X3, Z3, OP_ADD, X2, Z2, R_DA),   # DA = (X3-Z3)*(X2+Z2)
-        mul_op(R_AA, R_BB, X2),                          # X2' = AA*BB
-        a24_op(OP_SUB, R_AA, R_BB, R_F),                 # F = a24*(AA-BB)
-        quad_op(OP_ADD, R_DA, R_CB, OP_ADD, R_DA, R_CB, X3),  # G = (DA+CB)^2
-        quad_op(OP_SUB, R_DA, R_CB, OP_SUB, R_DA, R_CB, Z3),  # H = (DA-CB)^2
-        quad_op(OP_SUB, R_AA, R_BB, OP_ADD, R_AA, R_F, Z2),   # Z2' = (AA-BB)*(AA+F)
-        mul_op(Z1, X3, X3),                              # X3' = Z1*G
-        mul_op(X1, Z3, Z3),                              # Z3' = X1*H
+        QuadOpInstruction(OP_ADD, X2, Z2, OP_ADD, X2, Z2, R_AA),        # AA = (X2+Z2)^2
+        QuadOpInstruction(OP_SUB, X2, Z2, OP_SUB, X2, Z2, R_BB),        # BB = (X2-Z2)^2
+        QuadOpInstruction(OP_ADD, X3, Z3, OP_SUB, X2, Z2, R_CB),        # CB = (X3+Z3)*(X2-Z2)
+        QuadOpInstruction(OP_SUB, X3, Z3, OP_ADD, X2, Z2, R_DA),        # DA = (X3-Z3)*(X2+Z2)
+        mul_op(R_AA, R_BB, X2),                                         # X2' = AA*BB
+        a24_op(OP_SUB, R_AA, R_BB, R_F),                                # F = a24*(AA-BB)
+        QuadOpInstruction(OP_ADD, R_DA, R_CB, OP_ADD, R_DA, R_CB, X3),  # G = (DA+CB)^2
+        QuadOpInstruction(OP_SUB, R_DA, R_CB, OP_SUB, R_DA, R_CB, Z3),  # H = (DA-CB)^2
+        QuadOpInstruction(OP_SUB, R_AA, R_BB, OP_ADD, R_AA, R_F, Z2),   # Z2' = (AA-BB)*(AA+F)
+        mul_op(Z1, X3, X3),                                             # X3' = Z1*G
+        mul_op(X1, Z3, Z3),                                             # Z3' = X1*H
     ]
     if dpa:
-        ops.append(mul_op(R_RND, Z1, R_RND))             # residue *= Z1
+        ops.append(mul_op(R_RND, Z1, R_RND))                            # residue *= Z1
     return ops
 
 
@@ -97,11 +108,7 @@ def build_ladder_program(curve: CurveId, dpa: bool = False) -> ScheduledProgram:
         waves = [Wave((op,)) for op in ops[0:4]]
         waves.append(Wave((ops[4], ops[5])))
         waves.extend(Wave((op,)) for op in ops[6:])
-    prog = ScheduledProgram(tuple(waves), "ladder", curve, dpa)
-    report = validate_schedule(prog)
-    if not report.valid:
-        raise ScheduleError(report.violations[0])
-    return prog
+    return ScheduledProgram(tuple(waves), "ladder", curve, dpa)
 
 
 @functools.cache
@@ -116,32 +123,7 @@ def build_inversion_program(curve: CurveId) -> ScheduledProgram:
             src_a = _INV_SLOT_REG[sa]
             src_c = _INV_SLOT_REG[sb]
         waves.append(Wave((mul_op(src_a, src_c, _INV_SLOT_REG[dst]),)))
-    prog = ScheduledProgram(tuple(waves), "inversion", curve)
-    report = validate_schedule(prog)
-    if not report.valid:
-        raise ScheduleError(report.violations[0])
-    return prog
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    violations: tuple[str, ...] = ()
-
-
-def validate_schedule(prog: ScheduledProgram) -> ValidationReport:
-    """Check issue-width limits and intra-wave hazards of every wave.
-
-    Address ranges need no check here: `QuadOpInstruction` rejects an
-    out-of-range source or destination when the op is built.
-    """
-    violations = []
-    for i, wave in enumerate(prog.waves):
-        try:
-            wave.check(prog.curve)
-        except ScheduleError as exc:
-            violations.append(f"wave {i}: {exc}")
-    return ValidationReport(not violations, tuple(violations))
+    return ScheduledProgram(tuple(waves), "inversion", curve)
 
 
 def dump_program(prog: ScheduledProgram) -> str:
@@ -152,6 +134,6 @@ def dump_program(prog: ScheduledProgram) -> str:
     ]
     for i, wave in enumerate(prog.waves):
         for op in wave.ops:
-            sel = f"{op.opsel.add_or_sub_left}{op.opsel.add_or_sub_right}"
+            sel = f"{op.sub_left}{op.sub_right}"
             lines.append(f"wave {i:3d}  opsel={sel}  {format_op(op)}")
     return "\n".join(lines)

@@ -13,7 +13,9 @@ from . import field, perf, program, reference, trivium
 from .bigmul import counters, kar256_structural_int, mul_schoolbook
 from .ecsm import EcsmConfig, Scalar, scalar_mult
 from .field import PARAMS, CurveId, fe
-from .ffau import OP_ADD, OP_SUB, ZERO, RegisterFile, Wave, execute_wave, quad_op, write_register
+from .ffau import (
+    OP_ADD, OP_SUB, ZERO, QuadOpInstruction, RegisterFile, Wave, execute_wave, write_register,
+)
 
 _SEED = 20240901
 PRNG_SEED = (bytes(range(10)), bytes(range(10, 20)))  # the CLI's default key and IV
@@ -53,8 +55,8 @@ def golden_ratio(rng, n) -> bool:
 
 
 # r3 = (r0 + r1) x (r2 + 0) and r4 = (r0 - r1) x (r2 + 0), with r2 = 1
-_ADD_SUB = (Wave((quad_op(OP_ADD, 0, 1, OP_ADD, 2, ZERO, 3),)),
-            Wave((quad_op(OP_SUB, 0, 1, OP_ADD, 2, ZERO, 4),)))
+_ADD_SUB = (Wave((QuadOpInstruction(OP_ADD, 0, 1, OP_ADD, 2, ZERO, 3),)),
+            Wave((QuadOpInstruction(OP_SUB, 0, 1, OP_ADD, 2, ZERO, 4),)))
 
 
 def add_sub(curve: CurveId, a: int, b: int) -> tuple[int, int]:
@@ -115,13 +117,13 @@ def inversion(rng, n) -> bool:
 
 
 def ladder(rng, n) -> bool:
-    """Valid schedules, ladders of 3/3 and 10/11 waves and 11/12 ops, and scheduled
-    step == straight-line step on `n` random register states per (curve, dpa)."""
-    ok = all(program.validate_schedule(program.build_inversion_program(c)).valid for c in CurveId)
+    """Ladders of 3/3 and 10/11 waves and 11/12 ops, and scheduled step ==
+    straight-line step on `n` random register states per (curve, dpa).  The
+    programs' issue rules are checked when they are built."""
+    ok = True
     for (curve, dpa), (*_, waves, ops) in DESIGN.items():
         prog = program.build_ladder_program(curve, dpa)
-        shape = (len(prog.waves), prog.op_count)
-        ok &= program.validate_schedule(prog).valid and shape == (waves, ops)
+        ok &= (len(prog.waves), prog.op_count) == (waves, ops)
     for curve in CurveId:
         p = PARAMS[curve].p
         for dpa in (False, True):

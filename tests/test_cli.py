@@ -173,6 +173,15 @@ class TestVectors:
         assert code == 1
         assert "bad.txt:1" in out
 
+    @pytest.mark.parametrize("count", ("1000", "7"))
+    def test_file_with_iterations_is_an_error(self, tmp_path, capsys, count):
+        # the file's vectors alone would run, silently dropping --iterations
+        good = tmp_path / "good.txt"
+        good.write_text(" ".join(V25519) + "\n")
+        code, out = run_cli("vectors", "--curve", "25519", "--file", str(good), "--iterations", count)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: --file cannot be combined with --iterations\n"
+
     def test_file_requires_curve(self, tmp_path):
         f = tmp_path / "v.txt"
         f.write_text("")

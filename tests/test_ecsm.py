@@ -449,6 +449,20 @@ def openssl_exchange(curve):
     return lambda scalar, u: private.from_private_bytes(scalar).exchange(public.from_public_bytes(u))
 
 
+def openssl_or_zero(exchange, scalar, u_bytes):
+    """OpenSSL's shared secret, or all-zero bytes where OpenSSL rejects it."""
+    try:
+        return exchange(scalar, u_bytes)
+    except ValueError:  # OpenSSL's all-zero check
+        return bytes(len(u_bytes))
+
+
+def edge_configs(rng, clamp_mode=RFC_CLAMPED):
+    """DPA off, and DPA on under an all-zero and a random Trivium key/IV."""
+    seeds = [(bytes(10), bytes(10)), (rng.randbytes(10), rng.randbytes(10))]
+    return [EcsmConfig(clamp_mode=clamp_mode)] + [EcsmConfig(True, clamp_mode, seed) for seed in seeds]
+
+
 class TestConcurrency:
     """ECSMs running at once in several threads each get the right result and
     cycle report.  `bigmul.counters` is still process-wide, so its totals
@@ -524,11 +538,6 @@ class TestNonCanonicalU:
             return [p, p + 1, top - 1, p - 1, 9 | top, (p - 1) | top, (p + 1) | top, (2 * top) - 1]
         return [p, p + 1, p + 9, (1 << 448) - 1, rng.randrange(p, 1 << 448), p - 1]
 
-    @staticmethod
-    def configs(rng, clamp_mode=RFC_CLAMPED):
-        seeds = [(bytes(10), bytes(10)), (rng.randbytes(10), rng.randbytes(10))]
-        return [EcsmConfig(clamp_mode=clamp_mode)] + [EcsmConfig(True, clamp_mode, seed) for seed in seeds]
-
     @pytest.mark.parametrize("curve", CURVES)
     def test_clamped_against_openssl(self, curve):
         exchange = openssl_exchange(curve)
@@ -537,11 +546,8 @@ class TestNonCanonicalU:
         scalar = rng.randbytes(nbytes)
         for u in self.edge_us(curve, rng):
             u_bytes = u.to_bytes(nbytes, "little")
-            try:
-                want = exchange(scalar, u_bytes)
-            except ValueError:  # OpenSSL's all-zero check
-                want = bytes(nbytes)
-            for cfg in self.configs(rng):
+            want = openssl_or_zero(exchange, scalar, u_bytes)
+            for cfg in edge_configs(rng):
                 assert scalar_mult_bytes(scalar, u_bytes, curve, cfg) == want, (hex(u), cfg)
 
     @pytest.mark.parametrize("curve", CURVES)
@@ -554,6 +560,48 @@ class TestNonCanonicalU:
             k = int.from_bytes(scalar, "little") & ((1 << params.scalar_bits) - 1)
             for u in self.edge_us(curve, rng):
                 want = scalar_mult_ref(curve, k, u).to_bytes(nbytes, "little")
-                for cfg in self.configs(rng, RAW):
+                for cfg in edge_configs(rng, RAW):
                     got = scalar_mult_bytes(scalar, u.to_bytes(nbytes, "little"), curve, cfg)
                     assert got == want, (k == 0, hex(u), cfg)
+
+
+class TestOpenSSLCorpus:
+    """A seeded random corpus and the low-order u against OpenSSL, each with
+    DPA off and on (`edge_configs`): the model returns all-zero bytes exactly
+    where OpenSSL rejects the shared secret, and OpenSSL's output elsewhere."""
+
+    # the two Curve25519 u of order 8 listed at cr.yp.to/ecdh.html
+    ORDER_8 = (
+        325606250916557431795983626356110631294008115727848805560023387167927233504,
+        39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    )
+
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_random_corpus(self, curve):
+        exchange = openssl_exchange(curve)
+        nbytes = PARAMS[curve].field_bytes
+        rng = random.Random(f"corpus:{curve.value}")
+        for _ in range(16):
+            scalar, u_bytes = rng.randbytes(nbytes), rng.randbytes(nbytes)
+            want = openssl_or_zero(exchange, scalar, u_bytes)
+            for cfg in edge_configs(rng):
+                got = scalar_mult_bytes(scalar, u_bytes, curve, cfg)
+                assert got == want, (scalar.hex(), u_bytes.hex(), cfg)
+
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_low_order_u(self, curve):
+        exchange = openssl_exchange(curve)
+        p, nbytes = PARAMS[curve].p, PARAMS[curve].field_bytes
+        low_order = [0, 1, p - 1] + list(self.ORDER_8 if curve is CurveId.CURVE25519 else ())
+        rng = random.Random(f"low-order:{curve.value}")
+        for u in low_order:
+            # x(8 * P) == 0 in the reference ladder: u has low order, so every
+            # clamped scalar (a multiple of the cofactor) gives the all-zero
+            # secret OpenSSL rejects
+            assert scalar_mult_ref(curve, 8, u) == 0, hex(u)
+            u_bytes = u.to_bytes(nbytes, "little")
+            for scalar in (bytes.fromhex(SINGLE_SHOT[curve][0][0]), rng.randbytes(nbytes)):
+                with pytest.raises(ValueError):
+                    exchange(scalar, u_bytes)
+                for cfg in edge_configs(rng):
+                    assert scalar_mult_bytes(scalar, u_bytes, curve, cfg) == bytes(nbytes), (hex(u), cfg)

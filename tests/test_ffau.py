@@ -10,7 +10,6 @@ from uecc.ffau import (
     NUM_REGISTERS,
     OP_ADD,
     OP_SUB,
-    OpSel,
     QuadOpInstruction,
     DatapathError,
     RegisterFile,
@@ -21,7 +20,6 @@ from uecc.ffau import (
     execute_compiled_wave,
     execute_wave,
     mul_op,
-    quad_op,
     read_register,
     write_register,
 )
@@ -63,13 +61,15 @@ class TestRegisterFile:
 class TestInstructionValidation:
     def test_address_bounds(self):
         with pytest.raises(ValueError):
-            quad_op(OP_ADD, 13, 0, OP_ADD, 0, 0, 0)
+            QuadOpInstruction(OP_ADD, 13, 0, OP_ADD, 0, 0, 0)
         with pytest.raises(ValueError):
-            quad_op(OP_ADD, 0, 0, OP_ADD, 0, 0, ZERO)  # dst can't be the zero slot
+            QuadOpInstruction(OP_ADD, 0, 0, OP_ADD, 0, 0, ZERO)  # dst can't be the zero slot
 
     def test_opsel_bits(self):
-        with pytest.raises(ValueError):
-            OpSel(2, 0)
+        with pytest.raises(ValueError, match="left opsel"):
+            QuadOpInstruction(2, 0, 0, OP_ADD, 0, 0, 1)
+        with pytest.raises(ValueError, match="right opsel"):
+            QuadOpInstruction(OP_ADD, 0, 0, 2, 0, 0, 1)
 
     def test_wave_size(self):
         op = mul_op(0, 1, 2)
@@ -107,7 +107,7 @@ class TestExecuteWave:
             state = RegisterFile(curve)
             write_register(state, 0, 2)
             write_register(state, 1, 1)
-            wave = Wave((quad_op(OP_ADD, 0, 1, OP_SUB, 0, 1, 2),))
+            wave = Wave((QuadOpInstruction(OP_ADD, 0, 1, OP_SUB, 0, 1, 2),))
             execute_wave(state, wave)
             assert read_register(state, 2).n == 3
 
@@ -128,10 +128,10 @@ class TestExecuteWave:
             for addr, v in enumerate(vals):
                 write_register(state, addr, v)
             ops = (
-                quad_op(OP_ADD, 0, 1, OP_SUB, 2, 3, 8),
-                quad_op(OP_SUB, 4, 5, OP_ADD, 6, 7, 9),
-                quad_op(OP_ADD, 0, 2, OP_ADD, 4, 6, 10),
-                quad_op(OP_SUB, 1, 3, OP_SUB, 5, 7, 11),
+                QuadOpInstruction(OP_ADD, 0, 1, OP_SUB, 2, 3, 8),
+                QuadOpInstruction(OP_SUB, 4, 5, OP_ADD, 6, 7, 9),
+                QuadOpInstruction(OP_ADD, 0, 2, OP_ADD, 4, 6, 10),
+                QuadOpInstruction(OP_SUB, 1, 3, OP_SUB, 5, 7, 11),
             )
             execute_wave(state, Wave(ops))
             assert state.regs[8] == (vals[0] + vals[1]) * (vals[2] - vals[3]) % p
@@ -177,10 +177,10 @@ class TestExecuteWave:
         p = PARAMS[CurveId.CURVE25519].p
         vals = [rng.randrange(p) for _ in range(6)]
         ops = (
-            quad_op(OP_ADD, 0, 1, OP_ADD, 0, 1, 6),
-            quad_op(OP_SUB, 0, 1, OP_SUB, 0, 1, 7),
-            quad_op(OP_ADD, 2, 3, OP_SUB, 0, 1, 8),
-            quad_op(OP_SUB, 2, 3, OP_ADD, 0, 1, 9),
+            QuadOpInstruction(OP_ADD, 0, 1, OP_ADD, 0, 1, 6),
+            QuadOpInstruction(OP_SUB, 0, 1, OP_SUB, 0, 1, 7),
+            QuadOpInstruction(OP_ADD, 2, 3, OP_SUB, 0, 1, 8),
+            QuadOpInstruction(OP_SUB, 2, 3, OP_ADD, 0, 1, 9),
         )
         results = []
         for perm in itertools.permutations(ops):
@@ -198,8 +198,8 @@ class TestExecuteWave:
             state = RegisterFile(curve)
             for addr in range(6):
                 write_register(state, addr, rng.randrange(p))
-            execute_wave(state, Wave((quad_op(OP_ADD, 0, 1, OP_ADD, 2, 3, 6),)))
-            execute_wave(state, Wave((quad_op(OP_SUB, 4, 5, OP_SUB, 0, 6, 7),)))
+            execute_wave(state, Wave((QuadOpInstruction(OP_ADD, 0, 1, OP_ADD, 2, 3, 6),)))
+            execute_wave(state, Wave((QuadOpInstruction(OP_SUB, 4, 5, OP_SUB, 0, 6, 7),)))
             assert all(0 <= v < p for v in state.regs[:NUM_REGISTERS])
 
     def test_hazardous_wave_rejected_at_execute(self):
@@ -234,10 +234,11 @@ def _snapshot_wave(regs, ops, curve):
     and all writes land after the last read."""
     p, a24 = PARAMS[curve].p, PARAMS[curve].a24
     pre = list(regs)
-    for sl, sr, a, b, c, d, dst, const in ops:
-        lhs = (pre[a] - pre[b] if sl else pre[a] + pre[b]) % p
-        rhs = a24 if const else (pre[c] - pre[d] if sr else pre[c] + pre[d]) % p
-        regs[dst] = lhs * rhs % p
+    for op in ops:
+        a, b, c, d = (pre[op.src_a], pre[op.src_b], pre[op.src_c], pre[op.src_d])
+        lhs = (a - b if op.sub_left else a + b) % p
+        rhs = a24 if op.const_tag else (c - d if op.sub_right else c + d) % p
+        regs[op.dst] = lhs * rhs % p
 
 
 def _every_wave(curve):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from uecc.field import INVERSION_CHAINS, CurveId, PARAMS, mul_int
-from uecc.ffau import RegisterFile, Wave, execute_wave, mul_op, write_register
+from uecc.ffau import RegisterFile, ScheduleError, Wave, execute_wave, mul_op, write_register
 from uecc.program import (
     R_RND,
     ScheduledProgram,
@@ -16,7 +16,6 @@ from uecc.program import (
     build_inversion_program,
     build_ladder_program,
     dump_program,
-    validate_schedule,
 )
 from uecc.reference import ladder_step
 
@@ -52,7 +51,8 @@ class TestLadderProgram:
     def test_programs_validate(self):
         for curve in CURVES:
             for dpa in (False, True):
-                assert validate_schedule(build_ladder_program(curve, dpa)).valid
+                for wave in build_ladder_program(curve, dpa).waves:
+                    wave.check(curve)
 
     def test_programs_cached(self):
         assert build_ladder_program(CurveId.CURVE448, False) is build_ladder_program(
@@ -111,7 +111,6 @@ class TestInversionProgram:
         for curve in CURVES:
             prog = build_inversion_program(curve)
             assert all(len(w.ops) == 1 for w in prog.waves)
-            assert validate_schedule(prog).valid
 
     def test_inverse_of_two(self):
         state = RegisterFile(CurveId.CURVE25519)
@@ -182,17 +181,18 @@ class TestScheduledProgram:
 
 
 class TestValidateSchedule:
+    # a program is checked when it is built, so an invalid one never exists
     def test_detects_hazard(self):
         wave = Wave((mul_op(0, 1, 6), mul_op(6, 2, 7)))
-        prog = ScheduledProgram((wave,), "ladder", CurveId.CURVE25519)
-        report = validate_schedule(prog)
-        assert not report.valid
-        assert "read and written" in report.violations[0]
+        with pytest.raises(ScheduleError, match="wave 0: register 6 read and written"):
+            ScheduledProgram((wave,), "ladder", CurveId.CURVE25519)
 
     def test_detects_issue_width(self):
+        single = Wave((mul_op(0, 1, 6),))
         wave = Wave((mul_op(0, 1, 6), mul_op(2, 3, 7)))
-        report = validate_schedule(ScheduledProgram((wave,), "ladder", CurveId.CURVE448))
-        assert not report.valid
+        ScheduledProgram((wave,), "ladder", CurveId.CURVE25519)
+        with pytest.raises(ScheduleError, match="wave 1: Curve448 wave is one full-width op"):
+            ScheduledProgram((single, wave), "ladder", CurveId.CURVE448)
 
     def test_five_op_wave_unconstructible(self):
         with pytest.raises(ValueError):
