@@ -73,7 +73,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--prng-iv", metavar="HEX", help="10-byte Trivium IV (hex)")
     p.add_argument("--scalar", metavar="HEX", required=True)
     p.add_argument("--u", metavar="HEX", required=True, help="input u-coordinate")
-    p.add_argument("--raw-scalar", action="store_true", help="skip clamping")
+    p.add_argument("--raw-scalar", action="store_true",
+                   help="take the scalar and the u-coordinate verbatim: no clamping, and"
+                        " the Curve25519 u keeps its top bit (reduced mod p)")
     p.add_argument("--format", choices=("text", "kv"), default="text")
 
 
@@ -100,17 +102,23 @@ def cmd_scalarmult(args) -> int:
     return 0
 
 
+@functools.cache
+def _cycle_prefixes(n: int) -> tuple[str, ...]:
+    """The `cycle N  ` prefix of each of a trace's `n` lines, built once per length."""
+    return tuple(f"cycle {cycle:5d}  " for cycle in range(n))
+
+
 def _print_trace(trace):
     """One line per executed event, written at once; wave text is memoised on the wave."""
     lines = []
-    for cycle, ev in enumerate(trace):
+    for prefix, ev in zip(_cycle_prefixes(len(trace)), trace):
         kind = ev[0]
         if kind == perf.EV_WAVE:
-            lines.append(f"cycle {cycle:5d}  {ev[1]:9s}  {ev[2].text}\n")
+            lines.append(f"{prefix}{ev[1]:9s}  {ev[2].text}\n")
         elif kind == perf.EV_PRNG:
-            lines.append(f"cycle {cycle:5d}  prng       next64\n")
+            lines.append(f"{prefix}prng       next64\n")
         else:
-            lines.append(f"cycle {cycle:5d}  overhead   load/store\n")
+            lines.append(f"{prefix}overhead   load/store\n")
     sys.stdout.write("".join(lines))
 
 
@@ -220,7 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (e.g. `| head`), which is not an error of
+        # the command; stdout goes to devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

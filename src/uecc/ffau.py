@@ -2,12 +2,13 @@
 
 One wave of quad-ops executes per simulated clock cycle against the 12-entry
 register file.  All operands are read from the pre-wave state, so ops inside
-a wave are simultaneous.  Each distinct wave runs as a generated
+a wave are simultaneous.  Each distinct wave runs, per curve, as a generated
 straight-line function, its kernel: the kernel reads every distinct operand
 selector (A + B, A - B + p, or plain A) from the pre-wave registers into a
-local, then writes each product in place.  Every read precedes every write,
-so the pre-wave semantics hold by construction.  The selectors are left
-unreduced, below 2p, which the fused reductions in `field` absorb.
+local, then computes each op's product, folds and masked subtraction inline,
+from the curve's text in `field`, and writes the result in place.  Every read
+precedes every write, so the pre-wave semantics hold by construction.  The
+selectors are left unreduced, below 2p, which the folds absorb.
 Curve25519 issues up to four ops per wave (the four 256-bit multipliers run in
 parallel); Curve448 consumes all four multipliers for one full-width product
 per wave, optionally sharing the cycle with one short a24-constant
@@ -19,7 +20,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-# the generated kernels call mul_int and mul_small_int through these names
+from . import field
+# mul_int and mul_small_int are not called here: the kernels inline them, and
+# the names stay for callers that wrap them (perfbench's tracer)
 from .field import PARAMS, CurveId, FieldElement, mul_int, mul_small_int  # noqa: F401
 
 NUM_REGISTERS = 12
@@ -137,8 +140,10 @@ class Wave:
                     f"register {min(clash)} read and written by different ops in one wave"
                 )
 
-    def compiled(self) -> CompiledWave:
-        return compile_ops(self.ops)
+    def compiled(self, curve: CurveId | None = None) -> tuple:
+        """The wave's `CompiledWave` on `curve`.  Without a curve, the op
+        tuple, which the wave compiled on every curve compares equal to."""
+        return self.ops if curve is None else compile_ops(self.ops, curve)
 
     @functools.cached_property
     def text(self) -> str:
@@ -147,53 +152,55 @@ class Wave:
 
 
 class CompiledWave(tuple):
-    """A wave's ops, carrying in `kernel(regs, curve)` the generated function
-    that executes them.  It compares, hashes and unpacks as the wave's op
-    tuple."""
+    """A wave's ops, carrying in `kernel(regs)` the generated function that
+    executes them on one curve.  It compares, hashes and unpacks as the
+    wave's op tuple."""
 
 
-def kernel_source(ops: tuple[QuadOpInstruction, ...]) -> str:
-    """Python source of the straight-line function executing the wave `ops`.
+def kernel_source(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> str:
+    """Python source of the straight-line function executing the wave `ops`
+    on `curve`.
 
     Each distinct operand selector is read once from the pre-wave registers:
     `A + 0` as `r[a]`, a sum as `r[a] + r[b]` and a difference as
-    `r[a] - r[b] + p`, each below 2p and left unreduced.  Then the products
-    are written in op order, a square passing one local twice."""
-    reads, writes, names = [], [], {}
+    `r[a] - r[b] + p`, each below 2p and left unreduced.  Then each op's
+    product, folds and masked subtraction (`field.mul_source`) run inline and
+    write its destination, in op order; a square passes one selector as both
+    factors."""
+    reads, names, split = [], {}, set()
+    p = field.PRIME[curve]
 
     def selector(sub, x, y):
         if y == ZERO:
             key, expr = (x,), f"r[{x}]"
         elif sub:
-            key, expr = (sub, x, y), f"r[{x}] - r[{y}] + p"
+            key, expr = (sub, x, y), f"r[{x}] - r[{y}] + {p}"
         else:
             key, expr = (sub, x, y), f"r[{x}] + r[{y}]"
         if key not in names:
             names[key] = f"s{len(names)}"
-            reads.append(f"    {names[key]} = {expr}")
+            reads.append(f"{names[key]} = {expr}\n")
         return names[key]
 
+    products = []
     for op in ops:
         lhs = selector(op.sub_left, op.src_a, op.src_b)
+        out = f"r[{op.dst}]"
         if op.const_tag:
-            writes.append(f"    r[{op.dst}] = mul_small_int({lhs}, PARAMS[curve].a24, curve)")
+            products.append(field.mul_small_source(curve, lhs, PARAMS[curve].a24, out))
         else:
             rhs = selector(op.sub_right, op.src_c, op.src_d)
-            writes.append(f"    r[{op.dst}] = mul_int({lhs}, {rhs}, curve)")
-    header = ["def kernel(r, curve):"]
-    if any(line.endswith(" + p") for line in reads):  # a difference reads p
-        header.append("    p = PARAMS[curve].p")
-    return "\n".join(header + reads + writes) + "\n"
+            products.append(field.mul_source(curve, lhs, rhs, out, split))
+    return field.function_source("kernel(r)", "".join(reads + products))
 
 
 @functools.cache
-def compile_ops(ops: tuple[QuadOpInstruction, ...]) -> CompiledWave:
-    """The `CompiledWave` of a wave's ops, built once per distinct op tuple.
-    The kernel runs in this module's globals, so it looks up `mul_int` and
-    `mul_small_int` here at call time and a replacement of either (a timing
-    wrapper, a fault) reaches every product."""
+def compile_ops(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> CompiledWave:
+    """The `CompiledWave` of a wave's ops on `curve`, built once per distinct
+    (op tuple, curve).  The kernel runs in `field`'s globals, so it looks up
+    the unit `kar256_int` there at call time."""
     namespace = {}
-    exec(compile(kernel_source(ops), "<ffau kernel>", "exec"), globals(), namespace)
+    exec(compile(kernel_source(ops, curve), "<ffau kernel>", "exec"), vars(field), namespace)
     wave = CompiledWave(ops)
     wave.kernel = namespace["kernel"]
     return wave
@@ -242,7 +249,7 @@ def execute_wave(state: RegisterFile, wave: Wave) -> RegisterFile:
     are untouched if it does not), and every value written must fit the
     448-bit registers, or `DatapathError` is raised."""
     wave.check(state.curve)
-    execute_compiled_wave(state.regs, wave.compiled(), state.curve)
+    execute_compiled_wave(state.regs, wave.compiled(state.curve), state.curve)
     state.cycles += 1
     for op in wave.ops:
         if state.regs[op.dst] >> REGISTER_BITS:
@@ -252,10 +259,10 @@ def execute_wave(state: RegisterFile, wave: Wave) -> RegisterFile:
 
 def execute_compiled_wave(regs: list[int], ops: CompiledWave, curve: CurveId):
     """Hot path shared with the scalar-multiplication engine (pre-validated
-    ops): run the wave's generated kernel on `regs`.
+    ops): run the wave's generated kernel, compiled for `curve`, on `regs`.
 
     The kernel reads every operand selector before it writes any destination,
     so each op sees the pre-wave registers.  Its selectors are unreduced
-    (below 2p), and `mul_int`/`mul_small_int` return canonical values for
-    such operands, so registers stay canonical from wave to wave."""
-    ops.kernel(regs, curve)
+    (below 2p), and the inlined products return canonical values for such
+    operands, so registers stay canonical from wave to wave."""
+    ops.kernel(regs)

@@ -3,20 +3,28 @@
 Multiplication always funnels through the 256-bit multiplier unit
 `kar256_int`: one product for Curve25519, four 224x224 partial products for
 Curve448 via the golden ratio split of its Solinas prime
-(p = phi^2 - phi - 1, phi = 2^224).  Reduction is fused into `mul_int` per
-curve: two folds of 2^255 = 19 for Curve25519; for Curve448 the partials
-folded once more by phi^2 = phi + 1, then one fold of 2^448 = 2^224 + 1.
-For operands below 2p (the FFAU's unreduced operand selectors) either leaves
-the value below 2p, so one masked conditional subtraction finishes, and the
-sequence of operations never depends on operand values.
+(p = phi^2 - phi - 1, phi = 2^224), where a square splits its operand once.
+Each product is reduced by a fixed number of folds: two of 2^255 = 19 for
+Curve25519; for Curve448 the partials folded once more by phi^2 = phi + 1,
+then one fold of 2^448 = 2^224 + 1.  For operands below 2p (the FFAU's
+unreduced operand selectors) either leaves the value below 2p, so one masked
+conditional subtraction finishes, and the sequence of operations never
+depends on operand values.
+
+Each curve's product and fold are written once, as statement text
+(`PRODUCT`, `FOLD`), and every multiply is generated from it: `mul_int`,
+`mul_small_int` and the `reduce*_int` functions here, and the FFAU's wave
+kernels (`ffau.kernel_source`), which inline one product per op.  So the
+checks that call `mul_int` run the arithmetic the engine runs.
 
 The unit (`bigmul.kar256_int`) is the builtin integer product; the
 structural Karatsuba recursion is the reference that the tests check against
 schoolbook.  Nothing here counts products: each stands for one 2-level
 Karatsuba product, and `ecsm._issue` charges a program's products
-(`perf.products`) when it issues the program.  The multiplies look the unit
-up through this module's name `kar256_int`, so replacing `field.kar256_int`
-(with the reference kernel, or a timing wrapper) reaches every engine product.
+(`perf.products`) when it issues the program.  Generated code looks the unit
+up through this module's name `kar256_int` at call time, so replacing
+`field.kar256_int` (with the reference kernel, a timing wrapper or a fault)
+reaches every engine product, the kernels' too.
 """
 
 from __future__ import annotations
@@ -100,80 +108,124 @@ def fe(n: int, curve: CurveId) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# int-level kernels
+# Multiply and reduce, as text
 #
-# Each reduction folds with the prime's special form a fixed number of times,
+# A reduction folds x with the prime's special form a fixed number of times,
 # which leaves x < 2p, so one masked subtraction finishes; the bound of each
-# step is noted beside it.  `mul_int` and `mul_small_int` are the engine's hot
-# path, with the folds fused in; the `reduce*_int` functions take a product of
-# any width up to 2 x 448 bits, and the checks reduce the schoolbook oracle's
-# products with them.
+# step is noted beside it.  The statements below are the only copy of each
+# curve's product and fold; the functions after them, and each FFAU wave
+# kernel, are generated from them and run in this module's globals.
 
-def reduce25519_int(x: int) -> int:
-    # 2^255 = 19 (mod p).  x < 2^512: the first fold leaves x < 2^262 and the
+# the name of each curve's prime in this module
+PRIME = {CurveId.CURVE25519: "P25519", CurveId.CURVE448: "P448"}
+
+# One fold of x by the prime's special form; x keeps its value mod p.
+FOLD = {
+    # 2^255 = 19 (mod p)
+    CurveId.CURVE25519: "x = (x & _M255) + 19 * (x >> 255)\n",
+    # 2^448 = 2^224 + 1 (mod p)
+    CurveId.CURVE448: "h = x >> 448\nx = (x & _M448) + (h << 224) + h\n",
+}
+
+# x = A * B (mod p) through the unit, for factors A = {a} and B = {b} below
+# 2p (the FFAU's unreduced selectors), and the folds that then leave x < 2p.
+PRODUCT = {
+    # A, B < 2^256, so x < 2^512: the first fold leaves x < 2^262 and the
     # second x < 2^255 + 19 * 2^7 < 2p.
-    x = (x & _M255) + 19 * (x >> 255)
-    x = (x & _M255) + 19 * (x >> 255)
-    return x - (P25519 & -(x >= P25519))
+    CurveId.CURVE25519: ("x = kar256_int({a}, {b})\n", 2),
+    # phi^2 = phi + 1 (mod p), so with A = ah*phi + al, B = bh*phi + bl
+    # (the halves that SPLIT448 names): A*B = p11 + p00 + H*phi with
+    # H = p10 + p01 + p11, four 256-bit partials.  A, B < 2^449, so ah, bh <
+    # 2^225 and al, bl < 2^224: p11 < 2^450, p10 + p01 < 2^450 and H < 2^451.
+    # Splitting H = h1*phi + h0 and folding phi^2 again: H*phi = h1 + (h0 +
+    # h1)*phi with h1 < 2^227, so x < 2^450 + 2^448 + 2^227 + (2^224 + 2^227)
+    # * 2^224 < 2^452, and one fold of the top 4 bits leaves x < 2^448 +
+    # 2^228 + 16 < 2p.
+    CurveId.CURVE448: ("""\
+p11 = kar256_int({a}h, {b}h)
+p00 = kar256_int({a}l, {b}l)
+h = kar256_int({a}h, {b}l) + kar256_int({a}l, {b}h) + p11
+h1 = h >> 224
+x = p11 + p00 + h1 + (((h & _M224) + h1) << 224)
+""", 1),
+}
+
+# A Curve448 factor {v} split at phi into {v}h and {v}l, once per name.
+SPLIT448 = "{v}h = {v} >> 224\n{v}l = {v} & _M224\n"
 
 
-def reduce448_int(x: int) -> int:
-    # 2^448 = 2^224 + 1 (mod p).  x < 2^896: the folds leave x < 2^673, then
-    # x < 2^450, then x < 2^448 + 2^226 + 4 < 2p.
-    h = x >> 448
-    x = (x & _M448) + (h << 224) + h
-    h = x >> 448
-    x = (x & _M448) + (h << 224) + h
-    h = x >> 448
-    x = (x & _M448) + (h << 224) + h
-    return x - (P448 & -(x >= P448))
+def reduce_source(curve: CurveId, folds: int, out: str) -> str:
+    """Statements that fold x `folds` times and put x mod p, canonical, in
+    `out`: once the folds leave x < 2p, one masked subtraction finishes."""
+    p = PRIME[curve]
+    return FOLD[curve] * folds + f"{out} = x - ({p} & -(x >= {p}))\n"
 
 
-def mul_int(a: int, b: int, curve: CurveId) -> int:
+def mul_source(curve: CurveId, a: str, b: str, out: str, split: set[str]) -> str:
+    """Statements that put a * b mod p, canonical, in `out`, for the factors
+    named `a` and `b`, each below 2p.  A Curve448 factor is split at phi
+    first unless its name is in `split`, which then gains it, so a square, or
+    a factor shared with an earlier product, is split once."""
+    halves = ""
+    if curve is CurveId.CURVE448:
+        for v in dict.fromkeys((a, b)):
+            if v not in split:
+                split.add(v)
+                halves += SPLIT448.format(v=v)
+    product, folds = PRODUCT[curve]
+    return halves + product.format(a=a, b=b) + reduce_source(curve, folds, out)
+
+
+def mul_small_source(curve: CurveId, a: str, c, out: str) -> str:
+    """Statements that put a * c mod p, canonical, in `out`, for `a` below 2p
+    and `c` the curve's a24.  On Curve25519 a < 2^256 and a24 < 2^17, and one
+    fold leaves x < 2^255 + 19 * 2^18 < 2p; on Curve448 a < 2^449 and
+    a24 < 2^16, and one fold leaves x < 2^448 + 2^241 + 2^17 < 2p."""
+    return f"x = {a} * {c}\n" + reduce_source(curve, 1, out)
+
+
+def _indent(text: str) -> str:
+    return "".join("    " + line for line in text.splitlines(True))
+
+
+def function_source(signature: str, body: str) -> str:
+    """`def signature:` over the statements `body`."""
+    return f"def {signature}:\n" + _indent(body)
+
+
+def _define(signature: str, body: str, doc: str):
+    """The function `def signature:` over `body`, statements that leave the
+    result in x, compiled in this module's globals."""
+    namespace = {}
+    exec(compile(function_source(signature, body + "return x\n"), "<field>", "exec"),
+         globals(), namespace)
+    (fn,) = namespace.values()
+    fn.__doc__ = doc
+    return fn
+
+
+def _per_curve(body: dict[CurveId, str]) -> str:
+    """Statements that run `body[curve]` for the argument `curve`; the
+    Curve448 body comes last, and `_define` adds its `return x`."""
+    return "if curve is _C25519:\n" + _indent(body[_C25519] + "return x\n") + body[CurveId.CURVE448]
+
+
+# x < 2^512: the folds leave x < 2^262, then x < 2^255 + 19 * 2^7 < 2p.
+reduce25519_int = _define("reduce25519_int(x)", reduce_source(_C25519, 2, "x"),
+                          "x mod 2^255 - 19, canonical, for x < 2^512.")
+# x < 2^896: the folds leave x < 2^673, then x < 2^450, then
+# x < 2^448 + 2^226 + 4 < 2p.
+reduce448_int = _define("reduce448_int(x)", reduce_source(CurveId.CURVE448, 3, "x"),
+                        "x mod 2^448 - 2^224 - 1, canonical, for x < 2^896.")
+mul_int = _define(
+    "mul_int(a, b, curve)", _per_curve({c: mul_source(c, "a", "b", "x", set()) for c in CurveId}),
     """a * b mod p, canonical, for operands below 2p (the FFAU's unreduced
-    selectors), with the curve's reduction fused in: fixed folds, then one
-    masked subtraction."""
-    if curve is _C25519:
-        x = kar256_int(a, b)
-        # 2^255 = 19 (mod p).  Operands < 2p < 2^256, so x < 2^512: the first
-        # fold leaves x < 2^262 and the second x < 2^255 + 19 * 2^7 < 2p.
-        x = (x & _M255) + 19 * (x >> 255)
-        x = (x & _M255) + 19 * (x >> 255)
-        return x - (P25519 & -(x >= P25519))
-    # phi^2 = phi + 1 (mod p), so with A = a1*phi + a0, B = b1*phi + b0:
-    # A*B = p11 + p00 + H*phi with H = p10 + p01 + p11, four 256-bit partials.
-    # Operands < 2p < 2^449, so the halves a1, b1 < 2^225 and a0, b0 < 2^224:
-    # p11 < 2^450, p10 + p01 < 2^450 and H < 2^451.  Splitting H = h1*phi + h0
-    # and folding phi^2 again: H*phi = h1 + (h0 + h1)*phi with h1 < 2^227, so
-    # x < 2^450 + 2^448 + 2^227 + (2^224 + 2^227) * 2^224 < 2^452.
-    a1 = a >> 224
-    a0 = a & _M224
-    b1 = b >> 224
-    b0 = b & _M224
-    p11 = kar256_int(a1, b1)
-    p00 = kar256_int(a0, b0)
-    h = kar256_int(a1, b0) + kar256_int(a0, b1) + p11
-    h1 = h >> 224
-    x = p11 + p00 + h1 + (((h & _M224) + h1) << 224)
-    # 2^448 = 2^224 + 1 (mod p).  One fold of the top 4 bits leaves
-    # x < 2^448 + 2^228 + 16 < 2p.
-    h = x >> 448
-    x = (x & _M448) + (h << 224) + h
-    return x - (P448 & -(x >= P448))
-
-
-def mul_small_int(a: int, c: int, curve: CurveId) -> int:
-    """a * c mod p, canonical, for an operand below 2p and the curve's a24
-    as c (the a24 path)."""
-    x = a * c
-    if curve is _C25519:
-        # a < 2^256 and a24 < 2^17: one fold leaves x < 2^255 + 19 * 2^18 < 2p
-        x = (x & _M255) + 19 * (x >> 255)
-        return x - (P25519 & -(x >= P25519))
-    # a < 2^449 and a24 < 2^16: one fold leaves x < 2^448 + 2^241 + 2^17 < 2p
-    h = x >> 448
-    x = (x & _M448) + (h << 224) + h
-    return x - (P448 & -(x >= P448))
+    selectors): the curve's product through the unit, fixed folds, then one
+    masked subtraction.""")
+mul_small_int = _define(
+    "mul_small_int(a, c, curve)", _per_curve({cv: mul_small_source(cv, "a", "c", "x") for cv in CurveId}),
+    """a * c mod p, canonical, for an operand below 2p and the curve's a24 as
+    c (the a24 path).""")
 
 
 # ---------------------------------------------------------------------------

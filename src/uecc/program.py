@@ -76,7 +76,7 @@ class ScheduledProgram:
 
     @functools.cache
     def compiled(self) -> tuple:
-        return tuple(w.compiled() for w in self.waves)
+        return tuple(w.compiled(self.curve) for w in self.waves)
 
 
 def _ladder_ops(dpa: bool):

@@ -1,12 +1,17 @@
 import hashlib
 import io
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 
 import pytest
 
-from uecc import cli, ffau, field, selftest
+from uecc import cli, field, selftest
 from uecc.cli import main
+from uecc.ecsm import clamp_scalar
 from uecc.vectors import SINGLE_SHOT
 from uecc.field import CurveId
 
@@ -106,6 +111,23 @@ class TestScalarmult:
         assert code == 0
         assert out.strip() == u
 
+    def test_raw_scalar_keeps_the_u_top_bit(self):
+        # --raw-scalar takes the u-coordinate verbatim too: its bit 255 stays
+        # and is reduced mod p (u + 2^255 = u + 19), where the default masks
+        # it.  The scalar is already clamped, so only u tells the runs apart
+        scalar = clamp_scalar(bytes.fromhex(V25519[0]), CurveId.CURVE25519).bits.to_bytes(32, "little")
+        u = int.from_bytes(bytes.fromhex(V25519[1]), "little")
+        assert u >> 255 == 0
+
+        def x_q(u, *flags):
+            code, out = run_cli("scalarmult", "--curve", "25519", *flags, "--scalar", scalar.hex(),
+                                "--u", u.to_bytes(32, "little").hex())
+            assert code == 0
+            return out.strip()
+
+        assert x_q(u | 1 << 255) == x_q(u) == V25519[2]
+        assert x_q(u | 1 << 255, "--raw-scalar") == x_q(u + 19) != V25519[2]
+
 
 def trace_argv(curve, dpa, command=("trace",)):
     scalar, u, _ = V25519 if curve == "25519" else V448
@@ -190,6 +212,22 @@ class TestVectors:
 
 
 class TestOtherCommands:
+    @pytest.mark.parametrize("argv", [
+        ("program-dump", "--curve", "448", "--dpa", "--phase", "ladder"),
+        tuple(trace_argv("25519", False)),
+    ], ids=("program-dump", "trace"))
+    def test_reader_closing_early_is_not_an_error(self, argv):
+        # `uecc ... | head -1`: the reader leaves before the output is written;
+        # the CLI prints no error and exits 1, like a command killed by SIGPIPE
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        with subprocess.Popen([sys.executable, "-m", "uecc.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read()
+        assert (code, err) == (1, b"")
+
     def test_program_dump(self):
         code, out = run_cli("program-dump", "--curve", "25519", "--phase", "ladder")
         assert code == 0
@@ -234,12 +272,15 @@ class TestOtherCommands:
         assert len(failed) + sum(line.startswith("PASS  ") for line in lines) == len(selftest.CHECKS)
 
     def test_selftest_fails_fast_on_an_unreduced_product(self, monkeypatch):
-        # the engine's multiply leaves its product unreduced: every check that
-        # multiplies through the FFAU stops at its first over-wide register
-        # and reports FAIL; the checks that call the field directly still pass.
-        # The FFAU's selectors do not reduce either, so the field check's
-        # add/sub waves (other factor 1) write an unreduced sum and fail too
-        monkeypatch.setattr(ffau, "mul_int", lambda a, b, curve: a * b)
+        # the unit returns a product too wide for the folds, so every product
+        # leaves an unreduced value: every check that multiplies through the
+        # FFAU stops at its first over-wide register and reports FAIL with a
+        # DatapathError.  The field check's add/sub waves (other factor 1)
+        # write an unreduced sum and fail too.  The golden-ratio check calls
+        # `field.mul_int`, built from the same fold text as the kernels, and
+        # fails on a wrong value without an error; the structural Karatsuba
+        # and Trivium checks multiply nothing through the unit and pass
+        monkeypatch.setattr(field, "kar256_int", lambda x, y: x * y << 512)
         t0 = time.perf_counter()
         code, out = run_cli("selftest", "--quick")
         assert time.perf_counter() - t0 < 5
@@ -248,7 +289,7 @@ class TestOtherCommands:
         assert lines[-1] == "selftest: FAILURES"
         failed = {line[len("FAIL  "):] for line in lines if line.startswith("FAIL  ")}
         passed = {line[len("PASS  "):] for line in lines if line.startswith("PASS  ")}
-        assert failed == {
+        datapath = {
             "field mul == native big-int mod p",
             "inversion program: a * 1/a == 1 in 265/462 cycles",
             "scheduled ladder == straight-line step",
@@ -257,5 +298,6 @@ class TestOtherCommands:
             "event stream independent of the scalar",
             "cycle totals = 1032/1038/4944/5401",
         }
+        assert failed == datapath | {"golden-ratio mul == wide mul + reduce"}
         assert passed == {name for name, *_ in selftest.CHECKS} - failed
-        assert sum("DatapathError" in line for line in lines) == len(failed)
+        assert sum("DatapathError" in line for line in lines) == len(datapath)

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from uecc import ecsm, ffau, field, perf, selftest, trivium
+from uecc import ecsm, field, perf, selftest, trivium
 from uecc.bigmul import counters, kar256_structural_int
 from uecc.ecsm import (
     EcsmConfig,
@@ -216,8 +216,9 @@ class TestScalarMult:
 
     @pytest.mark.parametrize("cfg", [EcsmConfig(), dpa_cfg()], ids=("plain", "dpa"))
     def test_unreduced_product_raises_at_the_first_bit(self, monkeypatch, cfg):
-        # a reduction fault stops the ladder before the excess width can grow
-        monkeypatch.setattr(ffau, "mul_int", lambda a, b, curve: a * b)
+        # a reduction fault stops the ladder before the excess width can grow:
+        # a unit product too wide for the folds leaves a register over 448 bits
+        monkeypatch.setattr(field, "kar256_int", lambda x, y: x * y << 512)
         rng = random.Random(60)
         for curve in CURVES:
             params = PARAMS[curve]
@@ -304,7 +305,7 @@ def inject_on_one_bits(monkeypatch, through_seam):
             if through_seam:
                 cycles += real(extra[prog.curve], regs, events)
             else:
-                ecsm.execute_compiled_wave(regs, EXTRA_WAVE.compiled(), prog.curve)
+                ecsm.execute_compiled_wave(regs, EXTRA_WAVE.compiled(prog.curve), prog.curve)
         return cycles
 
     monkeypatch.setattr(ecsm, "_issue", issue)

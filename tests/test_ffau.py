@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from uecc import ffau, program
+from uecc import field, program
 from uecc.ecsm import FINAL_WAVE, INIT_WAVES
 from uecc.field import CurveId, PARAMS, fe
 from uecc.ffau import (
@@ -213,7 +213,8 @@ class TestExecuteWave:
         assert state.regs == before and state.cycles == 0
 
     def test_unreduced_write_raises_datapath_error(self, monkeypatch):
-        monkeypatch.setattr(ffau, "mul_int", lambda a, b, curve: a * b)
+        # a unit product of 2^1024 or more: the kernel's folds leave it over 448 bits
+        monkeypatch.setattr(field, "kar256_int", lambda x, y: x * y << 512)
         for curve in CURVES:
             p = PARAMS[curve].p
             state = RegisterFile(curve)
@@ -263,7 +264,7 @@ class TestInPlaceWrites:
             edges.append([0 if addr == zeroed else p - 1 for addr in range(NUM_REGISTERS)])
         for wave in _every_wave(curve):
             wave.check(curve)
-            ops = wave.compiled()
+            ops = wave.compiled(curve)
             states = [[rng.randrange(p) for _ in range(NUM_REGISTERS)] for _ in range(3)]
             for state in states + edges:
                 regs = state + [0]

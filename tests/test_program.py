@@ -16,6 +16,7 @@ from uecc.program import (
     build_inversion_program,
     build_ladder_program,
     dump_program,
+    _ladder_ops,
 )
 from uecc.reference import ladder_step
 
@@ -47,6 +48,29 @@ class TestLadderProgram:
         assert len(build_ladder_program(CurveId.CURVE25519, True).waves) == 3
         assert len(build_ladder_program(CurveId.CURVE448, False).waves) == 10
         assert len(build_ladder_program(CurveId.CURVE448, True).waves) == 11
+
+    @pytest.mark.parametrize("curve, dpa, waves", [
+        (CurveId.CURVE25519, False, 3), (CurveId.CURVE25519, True, 3),
+        (CurveId.CURVE448, False, 10), (CurveId.CURVE448, True, 11),
+    ])
+    def test_wave_counts_meet_the_lower_bound(self, curve, dpa, waves):
+        # No schedule of the step's ops issues in fewer waves than the longest
+        # chain of ops each reading the previous one's result, nor than its
+        # issue slots over the slots of one wave: four ops on Curve25519, one
+        # full-width op on Curve448, where the a24 op rides along (Wave.check).
+        # Each ladder meets that bound, so its cycle total is minimal for its ops
+        ops = _ladder_ops(dpa)
+        depth_of, depth = {}, 0  # register -> chain depth of its latest writer
+        for op in ops:
+            depth_of[op.dst] = 1 + max((depth_of.get(reg, 0) for reg in op.reads()), default=0)
+            depth = max(depth, depth_of[op.dst])
+        if curve is CurveId.CURVE25519:
+            slots, per_wave = len(ops), 4
+        else:
+            slots, per_wave = sum(not op.const_tag for op in ops), 1
+        bound = max(depth, -(-slots // per_wave))
+        assert depth == 3
+        assert len(build_ladder_program(curve, dpa).waves) == bound == waves
 
     def test_programs_validate(self):
         for curve in CURVES:
