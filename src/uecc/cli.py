@@ -131,24 +131,27 @@ def cmd_program_dump(args) -> int:
     return 0
 
 
-def _compare(label: str, got_hex: str, expected_hex: str) -> bool:
-    ok = got_hex == expected_hex
+def _compare(label: str, got: bytes, expected: bytes) -> bool:
+    ok = got == expected
     print(f"{'PASS' if ok else 'FAIL'}  {label}")
     if not ok:
-        print(f"      expected {expected_hex}")
-        print(f"      got      {got_hex}")
+        print(f"      expected {expected.hex()}")
+        print(f"      got      {got.hex()}")
     return ok
 
 
 def _run_vector(curve: CurveId, scalar_hex: str, u_hex: str, expected_hex: str, label: str) -> bool:
-    got = scalar_mult_bytes(bytes.fromhex(scalar_hex), bytes.fromhex(u_hex), curve)
-    return _compare(label, got.hex(), expected_hex)
+    """One vector, its three fields parsed as field-wide hex; an error names `label`."""
+    n = PARAMS[curve].field_bytes
+    scalar = _parse_hex(scalar_hex, n, f"{label}: scalar")
+    u = _parse_hex(u_hex, n, f"{label}: u-coordinate")
+    expected = _parse_hex(expected_hex, n, f"{label}: expected value")
+    return _compare(label, scalar_mult_bytes(scalar, u, curve), expected)
 
 
 def _run_iteration(curve: CurveId, count: int) -> bool:
-    got = vectors.iterate(curve, count).hex()
     label = f"{curve.value} base-point iteration x{count}"
-    return _compare(label, got, vectors.ITERATED[curve][count])
+    return _compare(label, vectors.iterate(curve, count), bytes.fromhex(vectors.ITERATED[curve][count]))
 
 
 def cmd_vectors(args) -> int:

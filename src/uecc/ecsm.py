@@ -26,8 +26,6 @@ from .trivium import TriviumState, gen_lambda
 RFC_CLAMPED = "rfc_clamped"
 RAW = "raw"
 
-_M448 = (1 << 448) - 1
-
 # the randomization and output phases of each curve, checked when built and issued like
 # the ladder and inversion
 _INIT = {c: ScheduledProgram(INIT_WAVES, "init", c, dpa=True) for c in CurveId}
@@ -105,8 +103,10 @@ def decode_u(data: bytes, curve: CurveId, clamp_mode: str) -> FieldElement:
 
 
 def _cswap_running_pairs(regs: list[int], swap_bit: int) -> None:
-    """Masked swap of (X2,Z2) with (X3,Z3) in place; no data-dependent branches."""
-    mask = -swap_bit & _M448
+    """Masked swap of (X2,Z2) with (X3,Z3) in place; no data-dependent branches.
+    The mask -swap_bit is all zeros or all ones, and the registers are
+    non-negative, so the swapped values keep their width."""
+    mask = -swap_bit
     d = (regs[X2] ^ regs[X3]) & mask
     regs[X2] ^= d
     regs[X3] ^= d

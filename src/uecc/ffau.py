@@ -13,6 +13,10 @@ Curve25519 issues up to four ops per wave (the four 256-bit multipliers run in
 parallel); Curve448 consumes all four multipliers for one full-width product
 per wave, optionally sharing the cycle with one short a24-constant
 multiplication.
+
+`compile_ops` is the package's one code generator.  The field checks
+multiply through it too: `mul_int` and `mul_small_int` each issue one
+single-op wave through the checked `execute_wave`.
 """
 
 from __future__ import annotations
@@ -21,9 +25,7 @@ import functools
 from dataclasses import dataclass
 
 from . import field
-# mul_int and mul_small_int are not called here: the kernels inline them, and
-# the names stay for callers that wrap them (perfbench's tracer)
-from .field import PARAMS, CurveId, FieldElement, mul_int, mul_small_int  # noqa: F401
+from .field import PARAMS, CurveId, FieldElement
 
 NUM_REGISTERS = 12
 REGISTER_BITS = 448
@@ -191,14 +193,16 @@ def kernel_source(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> str:
         else:
             rhs = selector(op.sub_right, op.src_c, op.src_d)
             products.append(field.mul_source(curve, lhs, rhs, out, split))
-    return field.function_source("kernel(r)", "".join(reads + products))
+    body = "".join(reads + products)
+    return "def kernel(r):\n" + "".join("    " + line for line in body.splitlines(True))
 
 
 @functools.cache
 def compile_ops(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> CompiledWave:
     """The `CompiledWave` of a wave's ops on `curve`, built once per distinct
-    (op tuple, curve).  The kernel runs in `field`'s globals, so it looks up
-    the unit `kar256_int` there at call time."""
+    (op tuple, curve): the package's one code generator.  The kernel runs in
+    `field`'s globals, so it looks up the unit `kar256_int` there at call
+    time."""
     namespace = {}
     exec(compile(kernel_source(ops, curve), "<ffau kernel>", "exec"), vars(field), namespace)
     wave = CompiledWave(ops)
@@ -266,3 +270,26 @@ def execute_compiled_wave(regs: list[int], ops: CompiledWave, curve: CurveId):
     (below 2p), and the inlined products return canonical values for such
     operands, so registers stay canonical from wave to wave."""
     ops.kernel(regs)
+
+
+# the single-op waves of the field checks: r2 <- r0 x r1, and r1 <- r0 x a24
+_MUL = Wave((mul_op(0, 1, 2),))
+_MUL_SMALL = Wave((a24_op(OP_ADD, 0, ZERO, 1),))
+
+
+def mul_int(a: int, b: int, curve: CurveId) -> int:
+    """a * b mod p, canonical, for operands below 2p (the unreduced selector
+    range): one `mul_op` wave issued through `execute_wave` on a scratch
+    register file, so it runs the engine's kernel, and a reduction fault
+    raises `DatapathError`."""
+    state = RegisterFile(curve)
+    state.regs[:2] = a, b
+    return execute_wave(state, _MUL).regs[2]
+
+
+def mul_small_int(a: int, curve: CurveId) -> int:
+    """a * a24 mod p, canonical, for an operand below 2p: one `a24_op` wave
+    issued through `execute_wave`, like `mul_int`."""
+    state = RegisterFile(curve)
+    state.regs[0] = a
+    return execute_wave(state, _MUL_SMALL).regs[1]

@@ -12,19 +12,20 @@ conditional subtraction finishes, and the sequence of operations never
 depends on operand values.
 
 Each curve's product and fold are written once, as statement text
-(`PRODUCT`, `FOLD`), and every multiply is generated from it: `mul_int`,
-`mul_small_int` and the `reduce*_int` functions here, and the FFAU's wave
-kernels (`ffau.kernel_source`), which inline one product per op.  So the
-checks that call `mul_int` run the arithmetic the engine runs.
+(`PRODUCT`, `FOLD`, `SPLIT448`), and this module generates no code itself:
+the FFAU's wave kernels (`ffau.kernel_source`) inline one product per op
+from that text and run in this module's globals.  `ffau.mul_int` and
+`ffau.mul_small_int` issue one wave each, so the checks that call them run
+the engine's own kernels.
 
 The unit (`bigmul.kar256_int`) is the builtin integer product; the
 structural Karatsuba recursion is the reference that the tests check against
 schoolbook.  Nothing here counts products: each stands for one 2-level
 Karatsuba product, and `ecsm._issue` charges a program's products
-(`perf.products`) when it issues the program.  Generated code looks the unit
-up through this module's name `kar256_int` at call time, so replacing
+(`perf.products`) when it issues the program.  The kernels look the unit up
+through this module's name `kar256_int` at call time, so replacing
 `field.kar256_int` (with the reference kernel, a timing wrapper or a fault)
-reaches every engine product, the kernels' too.
+reaches every engine product.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ PARAMS = {
     ),
 }
 
-_C25519 = CurveId.CURVE25519  # module global: cheaper to load than the enum attribute
-
 _M224 = (1 << 224) - 1
 _M255 = (1 << 255) - 1
 _M448 = (1 << 448) - 1
@@ -113,8 +112,8 @@ def fe(n: int, curve: CurveId) -> FieldElement:
 # A reduction folds x with the prime's special form a fixed number of times,
 # which leaves x < 2p, so one masked subtraction finishes; the bound of each
 # step is noted beside it.  The statements below are the only copy of each
-# curve's product and fold; the functions after them, and each FFAU wave
-# kernel, are generated from them and run in this module's globals.
+# curve's product and fold; each FFAU wave kernel is generated from them and
+# runs in this module's globals.
 
 # the name of each curve's prime in this module
 PRIME = {CurveId.CURVE25519: "P25519", CurveId.CURVE448: "P448"}
@@ -182,149 +181,6 @@ def mul_small_source(curve: CurveId, a: str, c, out: str) -> str:
     fold leaves x < 2^255 + 19 * 2^18 < 2p; on Curve448 a < 2^449 and
     a24 < 2^16, and one fold leaves x < 2^448 + 2^241 + 2^17 < 2p."""
     return f"x = {a} * {c}\n" + reduce_source(curve, 1, out)
-
-
-def _indent(text: str) -> str:
-    return "".join("    " + line for line in text.splitlines(True))
-
-
-def function_source(signature: str, body: str) -> str:
-    """`def signature:` over the statements `body`."""
-    return f"def {signature}:\n" + _indent(body)
-
-
-def _define(signature: str, body: str, doc: str):
-    """The function `def signature:` over `body`, statements that leave the
-    result in x, compiled in this module's globals."""
-    namespace = {}
-    exec(compile(function_source(signature, body + "return x\n"), "<field>", "exec"),
-         globals(), namespace)
-    (fn,) = namespace.values()
-    fn.__doc__ = doc
-    return fn
-
-
-def _per_curve(body: dict[CurveId, str]) -> str:
-    """Statements that run `body[curve]` for the argument `curve`; the
-    Curve448 body comes last, and `_define` adds its `return x`."""
-    return "if curve is _C25519:\n" + _indent(body[_C25519] + "return x\n") + body[CurveId.CURVE448]
-
-
-# x < 2^512: the folds leave x < 2^262, then x < 2^255 + 19 * 2^7 < 2p.
-reduce25519_int = _define("reduce25519_int(x)", reduce_source(_C25519, 2, "x"),
-                          "x mod 2^255 - 19, canonical, for x < 2^512.")
-# x < 2^896: the folds leave x < 2^673, then x < 2^450, then
-# x < 2^448 + 2^226 + 4 < 2p.
-reduce448_int = _define("reduce448_int(x)", reduce_source(CurveId.CURVE448, 3, "x"),
-                        "x mod 2^448 - 2^224 - 1, canonical, for x < 2^896.")
-mul_int = _define(
-    "mul_int(a, b, curve)", _per_curve({c: mul_source(c, "a", "b", "x", set()) for c in CurveId}),
-    """a * b mod p, canonical, for operands below 2p (the FFAU's unreduced
-    selectors): the curve's product through the unit, fixed folds, then one
-    masked subtraction.""")
-mul_small_int = _define(
-    "mul_small_int(a, c, curve)", _per_curve({cv: mul_small_source(cv, "a", "c", "x") for cv in CurveId}),
-    """a * c mod p, canonical, for an operand below 2p and the curve's a24 as
-    c (the a24 path).""")
-
-
-# ---------------------------------------------------------------------------
-# Fermat inversion chains
-#
-# The chains compute a^(p-2) as a fixed sequence of squarings and
-# multiplications over five working slots; total step counts are exactly
-# 265 (Curve25519: 254 squarings + 11 multiplications) and 462 (Curve448:
-# 447 squarings + 15 multiplications).  Steps are ("sq", dst, src) or
-# ("mul", dst, src_a, src_b); slot "z" holds the input and, at the end,
-# the result.  The chains are data: `program.build_inversion_program` turns
-# them into the FFAU waves that compute every inverse.
-
-def _chain25519():
-    steps = []
-    sq = lambda d, s: steps.append(("sq", d, s))
-    mul = lambda d, a, b: steps.append(("mul", d, a, b))
-    sq("t0", "z")                    # 2
-    sq("t1", "t0")                   # 4
-    sq("t1", "t1")                   # 8
-    mul("t1", "z", "t1")             # 9
-    mul("t0", "t0", "t1")            # 11
-    sq("t2", "t0")                   # 22
-    mul("t1", "t1", "t2")            # 2^5 - 1
-    sq("t2", "t1")
-    for _ in range(4):
-        sq("t2", "t2")
-    mul("t1", "t2", "t1")            # 2^10 - 1
-    sq("t2", "t1")
-    for _ in range(9):
-        sq("t2", "t2")
-    mul("t2", "t2", "t1")            # 2^20 - 1
-    sq("t3", "t2")
-    for _ in range(19):
-        sq("t3", "t3")
-    mul("t2", "t3", "t2")            # 2^40 - 1
-    for _ in range(10):
-        sq("t2", "t2")
-    mul("t1", "t2", "t1")            # 2^50 - 1
-    sq("t2", "t1")
-    for _ in range(49):
-        sq("t2", "t2")
-    mul("t2", "t2", "t1")            # 2^100 - 1
-    sq("t3", "t2")
-    for _ in range(99):
-        sq("t3", "t3")
-    mul("t2", "t3", "t2")            # 2^200 - 1
-    for _ in range(50):
-        sq("t2", "t2")
-    mul("t1", "t2", "t1")            # 2^250 - 1
-    for _ in range(5):
-        sq("t1", "t1")
-    mul("z", "t1", "t0")             # 2^255 - 21 = p - 2
-    return tuple(steps)
-
-
-def _chain448():
-    steps = []
-    sq = lambda d, s: steps.append(("sq", d, s))
-    mul = lambda d, a, b: steps.append(("mul", d, a, b))
-
-    def tower(dst, src, doublings, mul_by):
-        # dst = src^(2^doublings) * mul_by
-        sq(dst, src)
-        for _ in range(doublings - 1):
-            sq(dst, dst)
-        mul(dst, dst, mul_by)
-
-    tower("t0", "z", 1, "z")         # 2^2 - 1
-    tower("t0", "t0", 1, "z")        # 2^3 - 1
-    tower("t1", "t0", 3, "t0")       # 2^6 - 1
-    tower("t2", "t1", 6, "t1")       # 2^12 - 1
-    tower("t2", "t2", 1, "z")        # 2^13 - 1
-    tower("t1", "t2", 13, "t2")      # 2^26 - 1
-    tower("t1", "t1", 1, "z")        # 2^27 - 1
-    tower("t2", "t1", 27, "t1")      # 2^54 - 1
-    tower("t2", "t2", 1, "z")        # 2^55 - 1
-    tower("t1", "t2", 55, "t2")      # 2^110 - 1
-    tower("t1", "t1", 1, "z")        # 2^111 - 1
-    tower("t2", "t1", 111, "t1")     # 2^222 - 1 (kept for the tail)
-    tower("t1", "t2", 1, "z")        # 2^223 - 1
-    # tail: ((2^223-1)*2 shifted 222, merge 2^222-1, shift 2, merge z)
-    sq("t1", "t1")                   # 2^224 - 2
-    for _ in range(222):
-        sq("t1", "t1")               # 2^446 - 2^223
-    mul("t1", "t1", "t2")            # 2^446 - 2^222 - 1
-    sq("t1", "t1")
-    sq("t1", "t1")                   # 2^448 - 2^224 - 4
-    mul("z", "t1", "z")              # 2^448 - 2^224 - 3 = p - 2
-    return tuple(steps)
-
-
-INVERSION_CHAINS = {
-    CurveId.CURVE25519: _chain25519(),
-    CurveId.CURVE448: _chain448(),
-}
-
-assert len(INVERSION_CHAINS[CurveId.CURVE25519]) == 265
-assert len(INVERSION_CHAINS[CurveId.CURVE448]) == 462
 
 
 def check_width(data: bytes, curve: CurveId, what: str) -> None:

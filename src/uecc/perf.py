@@ -124,8 +124,8 @@ def expected(curve: CurveId, dpa: bool) -> CycleReport:
 
 def products(prog: ScheduledProgram) -> int:
     """256-bit multiplier-unit products of one issue of `prog`: a full-width
-    op is one on Curve25519 and four on Curve448 (`field.mul_int`'s
-    golden-ratio partials); an a24 op runs on the constant multiplier and
+    op is one on Curve25519 and four on Curve448 (the golden-ratio partials
+    of `field.PRODUCT`); an a24 op runs on the constant multiplier and
     takes none."""
     per_op = 1 if prog.curve is CurveId.CURVE25519 else 4
     return per_op * sum(not op.const_tag for wave in prog.waves for op in wave.ops)

@@ -9,6 +9,7 @@ Register map (fixed for the whole scalar multiplication):
     r4  X3 \ running pair produced by the differential addition
     r5  Z3 /
     r6..r10  ladder temporaries (AA, BB, CB, DA, a24-term)
+    r6..r9   inversion temporaries (T0..T3; the inversion replaces Z2 by 1/Z2)
     r11      randomization residue (touched only by the DPA-mode ladder)
 
 One ladder step, written as quad-operations (11 of them, absorbing the 8
@@ -26,6 +27,10 @@ keeping the multiplier array busy on randomized data for one extra issue
 slot.  Curve25519 packs the step into 3 waves of four; Curve448 issues one
 op per wave except that the short a24 product shares a cycle with AA*BB,
 giving 10 waves (11 with DPA).
+
+The inversion chains are written directly as waves of one square or
+multiply each, so the waves that the engine issues are the only copy of
+each chain.
 """
 
 from __future__ import annotations
@@ -33,16 +38,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .field import CurveId, INVERSION_CHAINS
+from .field import CurveId
 from .ffau import OP_ADD, OP_SUB, QuadOpInstruction, ScheduleError, Wave, a24_op, format_op, mul_op
 
 # register aliases
 X1, Z1, X2, Z2, X3, Z3 = range(6)
 R_AA, R_BB, R_CB, R_DA, R_F = 6, 7, 8, 9, 10
 R_RND = 11
-
-# slot -> register map shared by both inversion chains ("z" is Z2 in place)
-_INV_SLOT_REG = {"z": Z2, "t0": 6, "t1": 7, "t2": 8, "t3": 9}
+T0, T1, T2, T3 = 6, 7, 8, 9  # inversion temporaries
 
 # randomization: X3 <- Z1*X1 (lambda*x_P), then X1 <- Z1*X1 in place
 INIT_WAVES = (Wave((mul_op(Z1, X1, X3),)), Wave((mul_op(Z1, X1, X1),)))
@@ -111,19 +114,76 @@ def build_ladder_program(curve: CurveId, dpa: bool = False) -> ScheduledProgram:
     return ScheduledProgram(tuple(waves), "ladder", curve, dpa)
 
 
+def _sq(src, dst, n=1):
+    """The waves of `n` squarings, dst = src^(2^n): the first reads src, the
+    rest square dst in place."""
+    return (Wave((mul_op(src, src, dst),)),) + (Wave((mul_op(dst, dst, dst),)),) * (n - 1)
+
+
+def _mul(a, b, dst):
+    """The wave of dst = a * b."""
+    return Wave((mul_op(a, b, dst),))
+
+
+def _tower(src, dst, n, mul_by):
+    """The waves of dst = src^(2^n) * mul_by."""
+    return (*_sq(src, dst, n), _mul(dst, mul_by, dst))
+
+
+# Fermat inversion: Z2 = a becomes a^(p-2) = 1/a in place, one square or
+# multiply per wave: 265 waves on Curve25519 (254 squarings and 11
+# multiplications) and 462 on Curve448 (447 and 15).  A comment gives the
+# exponent of a that its line leaves in the destination.
+_INVERSION_WAVES = {
+    CurveId.CURVE25519: (
+        *_sq(Z2, T0),                   # 2
+        *_sq(T0, T1, 2),                # 8
+        _mul(Z2, T1, T1),               # 9
+        _mul(T0, T1, T0),               # 11
+        *_sq(T0, T2),                   # 22
+        _mul(T1, T2, T1),               # 2^5 - 1
+        *_sq(T1, T2, 5),
+        _mul(T2, T1, T1),               # 2^10 - 1
+        *_sq(T1, T2, 10),
+        _mul(T2, T1, T2),               # 2^20 - 1
+        *_sq(T2, T3, 20),
+        _mul(T3, T2, T2),               # 2^40 - 1
+        *_sq(T2, T2, 10),
+        _mul(T2, T1, T1),               # 2^50 - 1
+        *_sq(T1, T2, 50),
+        _mul(T2, T1, T2),               # 2^100 - 1
+        *_sq(T2, T3, 100),
+        _mul(T3, T2, T2),               # 2^200 - 1
+        *_sq(T2, T2, 50),
+        _mul(T2, T1, T1),               # 2^250 - 1
+        *_sq(T1, T1, 5),
+        _mul(T1, T0, Z2),               # 2^255 - 21 = p - 2
+    ),
+    CurveId.CURVE448: (
+        *_tower(Z2, T0, 1, Z2),         # 2^2 - 1
+        *_tower(T0, T0, 1, Z2),         # 2^3 - 1
+        *_tower(T0, T1, 3, T0),         # 2^6 - 1
+        *_tower(T1, T2, 6, T1),         # 2^12 - 1
+        *_tower(T2, T2, 1, Z2),         # 2^13 - 1
+        *_tower(T2, T1, 13, T2),        # 2^26 - 1
+        *_tower(T1, T1, 1, Z2),         # 2^27 - 1
+        *_tower(T1, T2, 27, T1),        # 2^54 - 1
+        *_tower(T2, T2, 1, Z2),         # 2^55 - 1
+        *_tower(T2, T1, 55, T2),        # 2^110 - 1
+        *_tower(T1, T1, 1, Z2),         # 2^111 - 1
+        *_tower(T1, T2, 111, T1),       # 2^222 - 1, kept in T2 for the tail
+        *_tower(T2, T1, 1, Z2),         # 2^223 - 1
+        *_sq(T1, T1, 223),              # 2^446 - 2^223
+        _mul(T1, T2, T1),               # 2^446 - 2^222 - 1
+        *_sq(T1, T1, 2),                # 2^448 - 2^224 - 4
+        _mul(T1, Z2, Z2),               # 2^448 - 2^224 - 3 = p - 2
+    ),
+}
+
+
 @functools.cache
 def build_inversion_program(curve: CurveId) -> ScheduledProgram:
-    waves = []
-    for step in INVERSION_CHAINS[curve]:
-        if step[0] == "sq":
-            _, dst, src = step
-            src_a = src_c = _INV_SLOT_REG[src]
-        else:
-            _, dst, sa, sb = step
-            src_a = _INV_SLOT_REG[sa]
-            src_c = _INV_SLOT_REG[sb]
-        waves.append(Wave((mul_op(src_a, src_c, _INV_SLOT_REG[dst]),)))
-    return ScheduledProgram(tuple(waves), "inversion", curve)
+    return ScheduledProgram(_INVERSION_WAVES[curve], "inversion", curve)
 
 
 def dump_program(prog: ScheduledProgram) -> str:

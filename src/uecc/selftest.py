@@ -14,7 +14,8 @@ from .bigmul import counters, kar256_structural_int, mul_schoolbook
 from .ecsm import EcsmConfig, Scalar, scalar_mult
 from .field import PARAMS, CurveId, fe
 from .ffau import (
-    OP_ADD, OP_SUB, ZERO, QuadOpInstruction, RegisterFile, Wave, execute_wave, write_register,
+    OP_ADD, OP_SUB, ZERO, QuadOpInstruction, RegisterFile, Wave, execute_wave, mul_int, mul_small_int,
+    write_register,
 )
 
 _SEED = 20240901
@@ -46,12 +47,11 @@ def karatsuba(rng, n) -> bool:
 
 
 def golden_ratio(rng, n) -> bool:
-    """The engine's golden-ratio Curve448 `mul_int` == schoolbook product +
-    `reduce448_int`, `n` samples."""
+    """The engine's golden-ratio Curve448 multiply (`ffau.mul_int`) ==
+    schoolbook product mod p, `n` samples."""
     p = PARAMS[CurveId.CURVE448].p
     pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(n)]
-    return all(field.mul_int(a, b, CurveId.CURVE448) == field.reduce448_int(mul_schoolbook(a, b))
-               for a, b in pairs)
+    return all(mul_int(a, b, CurveId.CURVE448) == mul_schoolbook(a, b) % p for a, b in pairs)
 
 
 # r3 = (r0 + r1) x (r2 + 0) and r4 = (r0 - r1) x (r2 + 0), with r2 = 1
@@ -82,23 +82,19 @@ def _edge_operands(curve: CurveId) -> tuple[int, ...]:
 
 
 def field_ops(rng, n) -> bool:
-    """The FFAU add/sub selectors, `mul_int` and the curve's reduction == `% p`,
-    `n` samples per curve, plus `mul_int`/`mul_small_int` on every pair of
-    edge operands."""
+    """The FFAU add/sub selectors and `mul_int` == `% p`, `n` samples per
+    curve, plus `mul_int`/`mul_small_int` on every pair of edge operands."""
     ok = True
-    for curve, reduce, width in ((CurveId.CURVE25519, field.reduce25519_int, 512),
-                                 (CurveId.CURVE448, field.reduce448_int, 896)):
+    for curve in CurveId:
         p, a24 = PARAMS[curve].p, PARAMS[curve].a24
         for _ in range(n):
             a, b = rng.randrange(p), rng.randrange(p)
             ok &= add_sub(curve, a, b) == ((a + b) % p, (a - b) % p)
-            ok &= field.mul_int(a, b, curve) == a * b % p
-            x = rng.getrandbits(width)
-            ok &= reduce(x) == x % p
+            ok &= mul_int(a, b, curve) == a * b % p
         edges = _edge_operands(curve)
         for a in edges:
-            ok &= field.mul_small_int(a, a24, curve) == a * a24 % p
-            ok &= all(field.mul_int(a, b, curve) == a * b % p for b in edges)
+            ok &= mul_small_int(a, curve) == a * a24 % p
+            ok &= all(mul_int(a, b, curve) == a * b % p for b in edges)
     return ok
 
 

@@ -195,6 +195,26 @@ class TestVectors:
         assert code == 1
         assert "bad.txt:1" in out
 
+    def test_file_expected_value_compares_as_bytes(self, tmp_path):
+        f = tmp_path / "upper.txt"
+        f.write_text(" ".join((V25519[0], V25519[1], V25519[2].upper())) + "\n")
+        code, out = run_cli("vectors", "--curve", "25519", "--file", str(f))
+        assert code == 0 and out == f"PASS  {f}:1\n"
+
+    @pytest.mark.parametrize("field_index, what, text, error", [
+        (0, "scalar", "zz" * 32, "is not valid hex"),
+        (1, "u-coordinate", "09", "must be 32 bytes (64 hex digits)"),
+        (2, "expected value", "00" * 56, "must be 32 bytes (64 hex digits)"),
+    ], ids=("bad-hex", "short", "wide"))
+    def test_file_malformed_field_names_its_line(self, tmp_path, capsys, field_index, what, text, error):
+        f = tmp_path / "v.txt"
+        fields = list(V25519)
+        fields[field_index] = text
+        f.write_text("# comment\n" + " ".join(fields) + "\n")
+        code, out = run_cli("vectors", "--curve", "25519", "--file", str(f))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {f}:2: {what} {error}\n"
+
     @pytest.mark.parametrize("count", ("1000", "7"))
     def test_file_with_iterations_is_an_error(self, tmp_path, capsys, count):
         # the file's vectors alone would run, silently dropping --iterations
@@ -274,12 +294,11 @@ class TestOtherCommands:
     def test_selftest_fails_fast_on_an_unreduced_product(self, monkeypatch):
         # the unit returns a product too wide for the folds, so every product
         # leaves an unreduced value: every check that multiplies through the
-        # FFAU stops at its first over-wide register and reports FAIL with a
-        # DatapathError.  The field check's add/sub waves (other factor 1)
-        # write an unreduced sum and fail too.  The golden-ratio check calls
-        # `field.mul_int`, built from the same fold text as the kernels, and
-        # fails on a wrong value without an error; the structural Karatsuba
-        # and Trivium checks multiply nothing through the unit and pass
+        # FFAU, the field and golden-ratio checks included, stops at its first
+        # over-wide register and reports FAIL with a DatapathError.  The field
+        # check's add/sub waves (other factor 1) write an unreduced sum and
+        # fail too; the structural Karatsuba and Trivium checks multiply
+        # nothing through the unit and pass
         monkeypatch.setattr(field, "kar256_int", lambda x, y: x * y << 512)
         t0 = time.perf_counter()
         code, out = run_cli("selftest", "--quick")
@@ -291,6 +310,7 @@ class TestOtherCommands:
         passed = {line[len("PASS  "):] for line in lines if line.startswith("PASS  ")}
         datapath = {
             "field mul == native big-int mod p",
+            "golden-ratio mul == wide mul + reduce",
             "inversion program: a * 1/a == 1 in 265/462 cycles",
             "scheduled ladder == straight-line step",
             "engine ECSM == branching reference ladder",
@@ -298,6 +318,6 @@ class TestOtherCommands:
             "event stream independent of the scalar",
             "cycle totals = 1032/1038/4944/5401",
         }
-        assert failed == datapath | {"golden-ratio mul == wide mul + reduce"}
+        assert failed == datapath
         assert passed == {name for name, *_ in selftest.CHECKS} - failed
         assert sum("DatapathError" in line for line in lines) == len(datapath)

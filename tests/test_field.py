@@ -5,8 +5,8 @@ import pytest
 from uecc import ecsm, field, perf
 from uecc.bigmul import counters, mul_schoolbook
 from uecc.ecsm import RAW, decode_u
-from uecc.field import CurveId, P25519, P448, PARAMS, PHI, fe, mul_int, mul_small_int
-from uecc.ffau import NUM_REGISTERS, RegisterFile, write_register
+from uecc.field import CurveId, P25519, P448, PARAMS, PHI, fe
+from uecc.ffau import NUM_REGISTERS, DatapathError, RegisterFile, mul_int, mul_small_int, write_register
 from uecc.program import build_inversion_program, build_ladder_program
 from uecc.selftest import add_sub
 
@@ -34,8 +34,8 @@ class TestParams:
     def test_iteration_and_inversion_counts(self):
         assert PARAMS[CurveId.CURVE25519].scalar_bits == 255
         assert PARAMS[CurveId.CURVE448].scalar_bits == 448
-        assert len(field.INVERSION_CHAINS[CurveId.CURVE25519]) == 265
-        assert len(field.INVERSION_CHAINS[CurveId.CURVE448]) == 462
+        assert len(build_inversion_program(CurveId.CURVE25519).waves) == 265
+        assert len(build_inversion_program(CurveId.CURVE448).waves) == 462
 
 
 class TestAddSub:
@@ -74,32 +74,6 @@ class TestAddSub:
             write_register(RegisterFile(CurveId.CURVE25519), 0, fe(1, CurveId.CURVE448))
 
 
-class TestReduce:
-    def test_p25519_congruence(self):
-        assert field.reduce25519_int(2**256) == 38
-        assert field.reduce25519_int(P25519) == 0
-
-    def test_p448_congruence(self):
-        assert field.reduce448_int(2**448) == 2**224 + 1
-        assert field.reduce448_int(PHI * PHI) == PHI + 1
-
-    def test_random_against_oracle(self):
-        rng = random.Random(11)
-        for _ in range(1000):
-            x = rng.getrandbits(512)
-            assert field.reduce25519_int(x) == x % P25519
-            y = rng.getrandbits(896)
-            assert field.reduce448_int(y) == y % P448
-
-    def test_all_ones_inputs(self):
-        # the widest value of every bit length reaches each fold's bound
-        for bits in range(1, 897):
-            x = (1 << bits) - 1
-            if bits <= 512:
-                assert field.reduce25519_int(x) == x % P25519
-            assert field.reduce448_int(x) == x % P448
-
-
 class TestMul:
     def test_known_values(self):
         assert mul_int(2**128, 2**128, CurveId.CURVE25519) == 38
@@ -114,11 +88,20 @@ class TestMul:
                 assert mul_int(a, b, curve) == a * b % p
 
     def test_golden_ratio_path_equals_wide_mul(self):
-        # the engine's golden-ratio multiply against schoolbook + reduction
+        # the engine's golden-ratio multiply against schoolbook mod p
         rng = random.Random(13)
         for _ in range(500):
             a, b = rng.randrange(P448), rng.randrange(P448)
-            assert mul_int(a, b, CurveId.CURVE448) == field.reduce448_int(mul_schoolbook(a, b))
+            assert mul_int(a, b, CurveId.CURVE448) == mul_schoolbook(a, b) % P448
+
+    def test_reduction_fault_raises(self, monkeypatch):
+        # the checks multiply through the engine's checked wave path, so a
+        # product the folds cannot absorb fails at once, not as a wrong value
+        monkeypatch.setattr(field, "kar256_int", lambda x, y: x * y << 512)
+        for curve in CURVES:
+            p = PARAMS[curve].p
+            with pytest.raises(DatapathError):
+                mul_int(p - 1, p - 1, curve)
 
     # 256-bit unit products charged per issue of each program: a full-width
     # op is one on Curve25519 and four on Curve448, an a24 op none
@@ -202,7 +185,7 @@ class TestReductionBounds:
     def test_mul_small_int_on_edges(self, curve):
         p, a24 = PARAMS[curve].p, PARAMS[curve].a24
         for a in self.grid(curve) + [self.folds_to_at_least_p(curve)]:
-            got = mul_small_int(a, a24, curve)
+            got = mul_small_int(a, curve)
             assert got == a * a24 % p and got < p, hex(a)
 
 
@@ -227,12 +210,12 @@ class TestFieldAxioms:
 
 class TestMulA24:
     def test_unit(self):
-        assert mul_small_int(1, 121665, CurveId.CURVE25519) == 121665
-        assert mul_small_int(1, 39081, CurveId.CURVE448) == 39081
+        assert mul_small_int(1, CurveId.CURVE25519) == 121665
+        assert mul_small_int(1, CurveId.CURVE448) == 39081
 
     def test_zero(self):
         for curve in CURVES:
-            assert mul_small_int(0, PARAMS[curve].a24, curve) == 0
+            assert mul_small_int(0, curve) == 0
 
     def test_equals_full_multiplication(self):
         rng = random.Random(15)
@@ -241,7 +224,7 @@ class TestMulA24:
             a24 = PARAMS[curve].a24
             for _ in range(300):
                 a = rng.randrange(p)
-                assert mul_small_int(a, a24, curve) == mul_int(a, a24, curve)
+                assert mul_small_int(a, curve) == mul_int(a, a24, curve)
 
 
 class TestBytes:

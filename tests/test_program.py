@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from uecc.field import INVERSION_CHAINS, CurveId, PARAMS, mul_int
-from uecc.ffau import RegisterFile, ScheduleError, Wave, execute_wave, mul_op, write_register
+from uecc.field import CurveId, PARAMS
+from uecc.ffau import RegisterFile, ScheduleError, Wave, execute_wave, mul_int, mul_op, write_register
 from uecc.program import (
     R_RND,
     ScheduledProgram,
@@ -179,11 +179,13 @@ class TestInversionProgram:
             assert run_program(state, build_inversion_program(curve)).cycles == cycles
 
     def test_chain_is_fixed_sequence(self):
-        # data-independent: same step list regardless of operand
+        # data-independent: one fixed program of squarings (both factors one
+        # register) and multiplications, whatever the operand
         for curve, counts in ((CurveId.CURVE25519, (254, 11)), (CurveId.CURVE448, (447, 15))):
-            chain = INVERSION_CHAINS[curve]
-            assert chain is INVERSION_CHAINS[curve]
-            assert (sum(s[0] == "sq" for s in chain), sum(s[0] == "mul" for s in chain)) == counts
+            prog = build_inversion_program(curve)
+            assert prog is build_inversion_program(curve)
+            squares = sum(op.src_a == op.src_c for wave in prog.waves for op in wave.ops)
+            assert (squares, prog.op_count - squares) == counts
 
     def test_preserves_x2(self):
         state = RegisterFile(CurveId.CURVE25519)
