@@ -13,8 +13,10 @@ import argparse
 import functools
 import os
 import sys
+from itertools import chain
+from operator import attrgetter
 
-from . import perf, program, vectors
+from . import program, vectors
 from .ecsm import (
     RAW,
     RFC_CLAMPED,
@@ -109,17 +111,11 @@ def _cycle_prefixes(n: int) -> tuple[str, ...]:
 
 
 def _print_trace(trace):
-    """One line per executed event, written at once; wave text is memoised on the wave."""
-    lines = []
-    for prefix, ev in zip(_cycle_prefixes(len(trace)), trace):
-        kind = ev[0]
-        if kind == perf.EV_WAVE:
-            lines.append(f"{prefix}{ev[1]:9s}  {ev[2].text}\n")
-        elif kind == perf.EV_PRNG:
-            lines.append(f"{prefix}prng       next64\n")
-        else:
-            lines.append(f"{prefix}overhead   load/store\n")
-    sys.stdout.write("".join(lines))
+    """One line per executed event, written at once: each event carries its
+    rendered line (`perf.Event.line`), so this only joins the cached cycle
+    prefixes with them."""
+    prefixes = _cycle_prefixes(len(trace))
+    sys.stdout.write("".join(chain.from_iterable(zip(prefixes, map(attrgetter("line"), trace)))))
 
 
 def cmd_program_dump(args) -> int:

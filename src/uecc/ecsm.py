@@ -148,9 +148,9 @@ def _issue(prog: ScheduledProgram, regs: list[int], events: list | None) -> int:
 
 @functools.cache
 def _waves_and_events(prog: ScheduledProgram) -> tuple[tuple, tuple, int]:
-    """The compiled waves of `prog`, their trace events and the program's
-    product count, built once per program."""
-    events = tuple((perf.EV_WAVE, prog.phase_tag, w) for w in prog.waves)
+    """The compiled waves of `prog`, their trace events (each with its
+    rendered line) and the program's product count, built once per program."""
+    events = tuple(perf.wave_event(prog.phase_tag, w) for w in prog.waves)
     return prog.compiled(), events, perf.products(prog)
 
 
@@ -161,7 +161,7 @@ def randomize_initial_state(state: RegisterFile, x_p: FieldElement, prng: Triviu
     Records the PRNG words and the init waves when tracing; returns the init cycles."""
     lam = gen_lambda(prng, state.curve)
     if events is not None:
-        events.extend((perf.EV_PRNG,) for _ in range(prng.next64_calls))
+        events.extend([perf.PRNG_EVENT] * prng.next64_calls)
     initialize_state(state, x_p, lam.n)
     return _issue(_INIT[state.curve], state.regs, events)
 
@@ -212,7 +212,7 @@ def scalar_mult(
     inversion_cycles = _issue(build_inversion_program(curve), regs, events)
     overhead_cycles += _issue(_FINAL[curve], regs, events) + 1  # + the load/store cycle
     if events is not None:
-        events.append((perf.EV_LOADSTORE,))
+        events.append(perf.LOADSTORE_EVENT)
 
     return EcsmResult(
         x_q=FieldElement(regs[X2], curve),

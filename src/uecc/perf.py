@@ -15,6 +15,15 @@ the design rather than against themselves.
 
 `products` reads the 256-bit multiplier-unit products off a program the same
 way; `ecsm._issue` charges them to `bigmul.counters` once per issue.
+
+A traced run records one `Event` per cycle, of three kinds: a wave
+(`wave_event`: `EV_WAVE`, its program's phase tag and the `ffau.Wave`), a
+PRNG word (`PRNG_EVENT`) and the load/store cycle that latches x_Q
+(`LOADSTORE_EVENT`).  Each event is a tuple, so `tally` and trace
+comparisons read it as one, and carries its trace line in `Event.line`,
+rendered once when the event is built: `ecsm` builds a program's wave
+events once per process, so `uecc trace` joins cached lines and renders
+none.
 """
 
 from __future__ import annotations
@@ -79,6 +88,27 @@ EV_WAVE = "wave"
 EV_PRNG = "prng_next64"
 EV_LOADSTORE = "load_store"
 
+
+class Event(tuple):
+    """A trace event, carrying in `line` its rendered trace line (without the
+    `cycle N` prefix).  It compares, hashes and unpacks as the plain event
+    tuple."""
+
+
+def _event(fields: tuple, unit: str, text: str) -> Event:
+    ev = Event(fields)
+    ev.line = f"{unit:9s}  {text}\n"
+    return ev
+
+
+def wave_event(phase: str, wave) -> Event:
+    """The event of one issued `wave` of a `phase` program."""
+    return _event((EV_WAVE, phase, wave), phase, wave.text)
+
+
+PRNG_EVENT = _event((EV_PRNG,), "prng", "next64")
+LOADSTORE_EVENT = _event((EV_LOADSTORE,), "overhead", "load/store")
+
 _OVERHEAD_PHASES = ("init", "final")
 
 
@@ -87,7 +117,8 @@ def tally(trace) -> CycleReport:
 
     Events are tuples: ("wave", phase_tag, wave) for issued waves,
     ("prng_next64",) per PRNG word, and ("load_store",) for the output
-    latching cycle.  One cycle is charged per event.
+    latching cycle; an `Event` reads as the same tuple.  One cycle is
+    charged per event.
     """
     ladder = inversion = overhead = prng = 0
     for ev in trace:

@@ -41,13 +41,12 @@ class TriviumState:
             raise ValueError("Trivium key and IV must be 10 bytes (80 bits) each")
         kbits = int.from_bytes(key, "little")
         ivbits = int.from_bytes(iv, "little")
-        # A bit i holds s(93-i); key bit K_k = bit (80-k) of kbits lands at s_k
-        self.a = 0
-        self.b = 0
+        # A bit i holds s(93-i); key bit K_k = bit (80-k) of kbits lands at s_k,
+        # bit 93-k of A, so the whole key is kbits << 13.  Likewise IV bit IV_k
+        # lands at s(93+k), bit 84-k of B.
+        self.a = kbits << 13
+        self.b = ivbits << 4
         self.c = 7  # s286..s288 = 1
-        for k in range(1, 81):
-            self.a |= ((kbits >> (80 - k)) & 1) << (93 - k)
-            self.b |= ((ivbits >> (80 - k)) & 1) << (84 - k)
         self.next64_calls = 0
         for _ in range(WARMUP_STEPS // 64):
             self._step64()

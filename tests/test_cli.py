@@ -283,7 +283,7 @@ class TestOtherCommands:
         failed = {line[len("FAIL  "):] for line in lines if line.startswith("FAIL  ")}
         assert failed == {
             "field mul == native big-int mod p",
-            "golden-ratio mul == wide mul + reduce",
+            "golden-ratio mul == schoolbook mod p",
             "inversion program: a * 1/a == 1 in 265/462 cycles",
             "scheduled ladder == straight-line step",
             "engine ECSM == branching reference ladder",
@@ -310,7 +310,7 @@ class TestOtherCommands:
         passed = {line[len("PASS  "):] for line in lines if line.startswith("PASS  ")}
         datapath = {
             "field mul == native big-int mod p",
-            "golden-ratio mul == wide mul + reduce",
+            "golden-ratio mul == schoolbook mod p",
             "inversion program: a * 1/a == 1 in 265/462 cycles",
             "scheduled ladder == straight-line step",
             "engine ECSM == branching reference ladder",

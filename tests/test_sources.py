@@ -1,7 +1,8 @@
 """Every module of the package compiles without a warning, the engine
 issues its waves and charges their products at one site, each wave runs as
-generated straight-line code from the package's one code generator, and
-every seam the benchmark wraps exists."""
+generated straight-line code from the package's one code generator, the
+trace printer renders no line itself, and every seam the benchmark wraps
+exists."""
 
 import ast
 import importlib
@@ -11,7 +12,7 @@ import warnings
 import pytest
 
 import uecc
-from uecc import ecsm, ffau, perf, program
+from uecc import cli, ecsm, ffau, perf, program
 from uecc.field import CurveId, fe
 
 SOURCES = sorted(pathlib.Path(uecc.__file__).parent.glob("*.py"))
@@ -65,6 +66,18 @@ def test_the_wave_kernels_are_the_only_generated_code():
             for func in functions_referencing(tree, name):
                 sites.setdefault(name, []).append((path.stem, func))
     assert sites == {"exec": [("ffau", "compile_ops")], "compile": [("ffau", "compile_ops")]}
+
+
+def test_the_trace_printer_renders_no_line():
+    # each event's line is rendered once, in `perf`, when its program's events
+    # are built; a per-event loop or f-string here would render every line of
+    # every traced run again
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    (printer,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_print_trace"]
+    per_line = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+                ast.JoinedStr)
+    assert not [type(node).__name__ for node in ast.walk(printer) if isinstance(node, per_line)]
 
 
 def every_compiled_wave():
