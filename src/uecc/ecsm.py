@@ -2,10 +2,12 @@
 
 The executed instruction stream for a given (curve, dpa) configuration is
 fixed: scalar bits only steer the masked conditional swaps, never which waves
-issue.  Every wave issues through `_issue`, which executes, records and counts
-one program, so the trace, the cycle report and the product count are what
-ran.  Layout and per-phase cycle charges follow the register map in `program`
-and the accounting in `perf`.
+issue.  `scalar_mult` holds its registers in a plain list, loaded in one
+block (with DPA: lambda drawn from a fresh Trivium, then the init program).
+Every wave issues through `_issue`, which executes, records and counts one
+program, so the trace, the cycle report and the product count are what ran.
+Layout and per-phase cycle charges follow the register map in `program` and
+the accounting in `perf`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from . import perf
 from .bigmul import counters
 from .field import PARAMS, CurveId, FieldElement, check_width, fe
-from .ffau import REGISTER_BITS, DatapathError, RegisterFile, execute_compiled_wave
+from .ffau import NUM_REGISTERS, REGISTER_BITS, DatapathError, execute_compiled_wave
 from .program import (
     FINAL_WAVE, INIT_WAVES, R_RND, X1, X2, X3, Z1, Z2, Z3, ScheduledProgram, build_inversion_program,
     build_ladder_program,
@@ -115,22 +117,6 @@ def _cswap_running_pairs(regs: list[int], swap_bit: int) -> None:
     regs[Z3] ^= d
 
 
-def initialize_state(state: RegisterFile, x_p: FieldElement, lam: int) -> None:
-    """Load the ladder registers; with lam == 1 this is the plain initialization.
-
-    The two lambda*x_P products are issued as FFAU waves by the caller, so
-    here X1/X3 hold the raw x_P and Z-side registers hold lambda.
-    """
-    regs = state.regs
-    regs[X1] = x_p.n
-    regs[Z1] = lam
-    regs[X2] = lam
-    regs[Z2] = 0
-    regs[X3] = x_p.n
-    regs[Z3] = lam
-    regs[R_RND] = lam
-
-
 def _issue(prog: ScheduledProgram, regs: list[int], events: list | None) -> int:
     """Issue every wave of `prog` on `regs`, one cycle each, charge its
     multiplier-unit products to `counters`, and append the same program's
@@ -154,23 +140,11 @@ def _waves_and_events(prog: ScheduledProgram) -> tuple[tuple, tuple, int]:
     return prog.compiled(), events, perf.products(prog)
 
 
-def randomize_initial_state(state: RegisterFile, x_p: FieldElement, prng: TriviumState,
-                            events: list | None = None) -> int:
-    """Draw a nonzero lambda from a fresh `prng` and set X1 = lam*x_P, X2 = lam,
-    X3 = lam*x_P, Z1 = lam, Z2 = 0, Z3 = lam by issuing the init program.
-    Records the PRNG words and the init waves when tracing; returns the init cycles."""
-    lam = gen_lambda(prng, state.curve)
-    if events is not None:
-        events.extend([perf.PRNG_EVENT] * prng.next64_calls)
-    initialize_state(state, x_p, lam.n)
-    return _issue(_INIT[state.curve], state.regs, events)
-
-
 def scalar_mult(
     k: Scalar, x_p: FieldElement, cfg: EcsmConfig = EcsmConfig(), want_trace: bool = False
 ) -> EcsmResult:
-    """Algorithm: ladder init (randomized when dpa), t masked-swap ladder
-    iterations, Fermat inversion of Z2, final multiplication X2 * Z2.
+    """Algorithm: ladder init (randomized by lambda when dpa), t masked-swap
+    ladder iterations, Fermat inversion of Z2, final multiplication X2 * Z2.
 
     Every phase issues its waves through `_issue`, and the `CycleReport` sums
     the cycles it returns, plus the PRNG words and the load/store cycle that
@@ -181,18 +155,23 @@ def scalar_mult(
     if k.curve is not x_p.curve:
         raise ValueError("scalar and point curves differ")
     curve = k.curve
-    state = RegisterFile(curve)
-    regs = state.regs
+    regs = [0] * (NUM_REGISTERS + 1)
     events = [] if want_trace else None
 
+    # the plain initialization: X1 = X3 = x_P, Z1 = X2 = Z3 = 1, Z2 = 0.  With
+    # DPA, Z1 = X2 = Z3 = R_RND = lambda, drawn from a fresh PRNG, and the init
+    # program scales X1 and X3 by lambda.
+    regs[X1] = regs[X3] = x_p.n
+    regs[Z1] = regs[X2] = regs[Z3] = 1
     prng_cycles = overhead_cycles = 0
     if cfg.dpa_enabled:
         prng = TriviumState(*cfg.prng_seed)
-        overhead_cycles = randomize_initial_state(state, x_p, prng, events)
+        lam = gen_lambda(prng, curve).n
         prng_cycles = prng.next64_calls
-    else:
-        initialize_state(state, x_p, 1)
-        regs[R_RND] = 0
+        if events is not None:
+            events.extend([perf.PRNG_EVENT] * prng_cycles)
+        regs[Z1] = regs[X2] = regs[Z3] = regs[R_RND] = lam
+        overhead_cycles = _issue(_INIT[curve], regs, events)
 
     ladder = build_ladder_program(curve, cfg.dpa_enabled)
     ladder_cycles = 0

@@ -240,12 +240,6 @@ def write_register(state: RegisterFile, addr: int, value) -> RegisterFile:
     return state
 
 
-def read_register(state: RegisterFile, addr: int) -> FieldElement:
-    if not 0 <= addr < NUM_REGISTERS:
-        raise ValueError(f"register address {addr} out of range")
-    return FieldElement(state.regs[addr], state.curve)
-
-
 def execute_wave(state: RegisterFile, wave: Wave) -> RegisterFile:
     """Execute one wave in one cycle on the register file's curve.
 

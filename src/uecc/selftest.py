@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from . import field, perf, program, reference, trivium
-from .bigmul import counters, kar256_structural_int, mul_schoolbook
+from .bigmul import karatsuba_level, kar256_structural_int, mul_schoolbook
 from .ecsm import EcsmConfig, Scalar, scalar_mult
 from .field import PARAMS, CurveId, fe
 from .ffau import (
@@ -37,13 +37,28 @@ def _random_input(rng, curve: CurveId) -> tuple[Scalar, field.FieldElement]:
 
 
 def karatsuba(rng, n) -> bool:
-    """Structural Karatsuba == schoolbook == native, 9/3/1 unit counts, `n` products."""
+    """Structural Karatsuba == schoolbook == native, `n` products, and 9/3/1
+    sub-products per product of a two-level `karatsuba_level` composition
+    that tallies each level."""
+    tally = [0, 0, 0]  # 64-, 128- and 256-bit products
+
+    def base(x, y):
+        tally[0] += 1
+        return x * y
+
+    def mid(x, y):
+        tally[1] += 1
+        return karatsuba_level(x, y, 64, base)
+
+    def top(x, y):
+        tally[2] += 1
+        return karatsuba_level(x, y, 128, mid)
+
     ok = True
-    before = counters.snapshot()
     for _ in range(n):
         x, y = rng.getrandbits(256), rng.getrandbits(256)
-        ok &= kar256_structural_int(x, y) == mul_schoolbook(x, y) == x * y
-    return ok and tuple(a - b for a, b in zip(counters.snapshot(), before)) == (9 * n, 3 * n, n)
+        ok &= kar256_structural_int(x, y) == mul_schoolbook(x, y) == x * y == top(x, y)
+    return ok and tally == [9 * n, 3 * n, n]
 
 
 def golden_ratio(rng, n) -> bool:
@@ -73,11 +88,13 @@ def _edge_operands(curve: CurveId) -> tuple[int, ...]:
     """Operands at the bounds of the fused reductions: 0, 1, 2, p-1, p-2,
     (p-1)/2, the FFAU's unreduced selector values p, p+1, 2p-2 and 2p-1, and
     for Curve448 the values whose halves at phi = 2^224 are all-ones or
-    near-max (the largest golden-ratio partials)."""
+    near-max (the largest golden-ratio partials), and the largest top half of
+    an operand below 2p with a zero bottom half."""
     p = PARAMS[curve].p
     edges = (0, 1, 2, p - 1, p - 2, (p - 1) // 2, p, p + 1, 2 * p - 2, 2 * p - 1)
     if curve is CurveId.CURVE448:
-        edges += (field.PHI - 1, field.PHI, p - field.PHI)
+        phi = field.PHI
+        edges += (phi - 1, phi, p - phi, (2 * p - 1) // phi * phi)
     return edges
 
 
@@ -138,10 +155,10 @@ def ladder(rng, n) -> bool:
 
 def trivium_words(rng, n) -> bool:
     """All-zero key/IV keystream, and 64-wide == bit-serial on `n` words of a random key/IV."""
-    ok = trivium.keystream_bytes(trivium.init(bytes(10), bytes(10)), 16).hex() == (
+    ok = trivium.keystream_bytes(trivium.TriviumState(bytes(10), bytes(10)), 16).hex() == (
         "fbe0bf265859051b517a2e4e239fc97f")
     key, iv = rng.randbytes(10), rng.randbytes(10)
-    st = trivium.init(key, iv)
+    st = trivium.TriviumState(key, iv)
     return ok and [trivium.next64(st) for _ in range(n)] == reference.trivium_words(key, iv, n)
 
 

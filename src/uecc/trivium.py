@@ -68,11 +68,6 @@ class TriviumState:
         return z
 
 
-def init(key: bytes, iv: bytes) -> TriviumState:
-    """Load key/IV and run the 4x288 warm-up; no keystream is emitted."""
-    return TriviumState(key, iv)
-
-
 def next64(state: TriviumState) -> int:
     """Next 64 keystream bits (earliest bit in the LSB); one cycle."""
     state.next64_calls += 1

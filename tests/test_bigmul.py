@@ -1,6 +1,6 @@
 import random
 
-from uecc.bigmul import counters, kar128_int, kar256_int, kar256_structural_int, mul_schoolbook
+from uecc.bigmul import counters, kar128_int, kar256_int, kar256_structural_int, karatsuba_level, mul_schoolbook
 
 
 class TestKaratsuba:
@@ -47,12 +47,35 @@ class TestKaratsuba:
                 assert kar(x, y) == (z2 << (2 * b)) + (mid << b) + z0 == x * y
 
     def test_three_submuls_per_level(self):
-        # one 256-bit product = 3 x 128-bit units = 9 base 64x64 products
-        x = random.Random(7).getrandbits(256)
+        # one 256-bit product = 3 x 128-bit units = 9 base 64x64 products,
+        # counted on the two-level composition `kar256_structural_int` spells
+        calls = {64: 0, 128: 0, 256: 0}
+
+        def counted(bits, level):
+            def unit(x, y):
+                calls[bits] += 1
+                return level(x, y)
+
+            return unit
+
+        base = counted(64, lambda x, y: x * y)
+        mid = counted(128, lambda x, y: karatsuba_level(x, y, 64, base))
+        top = counted(256, lambda x, y: karatsuba_level(x, y, 128, mid))
+        rng = random.Random(7)
+        m = (1 << 256) - 1
+        for x, y in [(m, m), (rng.getrandbits(256), rng.getrandbits(256))]:
+            calls.update({64: 0, 128: 0, 256: 0})
+            assert top(x, y) == kar256_structural_int(x, y) == x * y
+            assert (calls[64], calls[128], calls[256]) == (9, 3, 1)
+
+    def test_structural_reference_writes_no_global(self):
+        # the reference keeps no tally: the process-wide counters are the
+        # engine's charges alone
+        rng = random.Random(11)
         before = counters.snapshot()
-        kar256_structural_int(x, x)
-        d64, d128, d256 = (a - b for a, b in zip(counters.snapshot(), before))
-        assert (d64, d128, d256) == (9, 3, 1)
+        for _ in range(20):
+            kar256_structural_int(rng.getrandbits(256), rng.getrandbits(256))
+        assert counters.snapshot() == before
 
     def test_engine_unit_matches_structural_reference(self):
         # the engine's unit is the builtin product: the same value as the

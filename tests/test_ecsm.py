@@ -16,8 +16,6 @@ from uecc.ecsm import (
     clamp_scalar,
     decode_scalar,
     decode_u,
-    initialize_state,
-    randomize_initial_state,
     raw_scalar,
     scalar_mult,
     scalar_mult_bytes,
@@ -117,30 +115,51 @@ class TestCswap:
 
 
 class TestInitialization:
-    def test_lambda_one_degenerate(self):
-        # lambda = 1 must reproduce the plain initialization exactly
-        for curve in CURVES:
-            x_p = fe(9, curve)
-            plain = RegisterFile(curve)
-            initialize_state(plain, x_p, 1)
-            assert plain.regs[X1] == 9 and plain.regs[X3] == 9
-            assert plain.regs[Z1] == plain.regs[X2] == plain.regs[Z3] == 1
-            assert plain.regs[Z2] == 0
+    """The registers each program of an ECSM is issued on, up to the first
+    ladder step, seen through a wrapped `ecsm._issue`.  The scalar's top bit
+    is 0, so the masked swap before the first ladder step is a no-op."""
 
-    def test_randomized_state(self):
+    @staticmethod
+    def issued_until_ladder(monkeypatch, curve, cfg):
+        """(phase, registers before the issue, cycles issued) of each program
+        issued before and including the first ladder step."""
+        real = ecsm._issue
+        issued = []
+
+        def issue(prog, regs, events):
+            before = list(regs)
+            cycles = real(prog, regs, events)
+            if not issued or issued[-1][0] != "ladder":
+                issued.append((prog.phase_tag, before, cycles))
+            return cycles
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ecsm, "_issue", issue)
+            scalar_mult(Scalar(1, curve), fe(9, curve), cfg)
+        return issued
+
+    @staticmethod
+    def registers(values):
+        regs = [0] * (NUM_REGISTERS + 1)
+        for addr, value in values.items():
+            regs[addr] = value
+        return regs
+
+    def test_lambda_one_degenerate(self, monkeypatch):
+        # the plain initialization is the randomized one with lambda = 1 and no
+        # init program: X1 = X3 = x_P, Z1 = X2 = Z3 = 1, Z2 = 0, and R_RND = 0
+        for curve in CURVES:
+            (ladder,) = self.issued_until_ladder(monkeypatch, curve, EcsmConfig())
+            assert ladder[:2] == ("ladder", self.registers({X1: 9, X3: 9, Z1: 1, X2: 1, Z3: 1}))
+
+    def test_randomized_state(self, monkeypatch):
         for curve in CURVES:
             p = PARAMS[curve].p
-            x_p = fe(9, curve)
-            state = RegisterFile(curve)
-            assert randomize_initial_state(state, x_p, trivium.init(*SEED)) == 2  # init cycles
-            lam = trivium.gen_lambda(trivium.init(*SEED), curve)  # the same draw again
-            assert state.regs[X1] == lam.n * 9 % p
-            assert state.regs[X3] == lam.n * 9 % p
-            assert state.regs[X2] == lam.n
-            assert state.regs[Z1] == lam.n
-            assert state.regs[Z3] == lam.n
-            assert state.regs[Z2] == 0
-            assert state.regs[R_RND] == lam.n
+            lam = trivium.gen_lambda(trivium.TriviumState(*SEED), curve).n  # the engine's draw
+            init, ladder = self.issued_until_ladder(monkeypatch, curve, dpa_cfg())
+            z_side = {Z1: lam, X2: lam, Z3: lam, R_RND: lam}
+            assert init == ("init", self.registers({X1: 9, X3: 9, **z_side}), 2)
+            assert ladder[:2] == ("ladder", self.registers({X1: lam * 9 % p, X3: lam * 9 % p, **z_side}))
 
 
 class TestScalarMult:

@@ -20,7 +20,6 @@ from uecc.ffau import (
     execute_compiled_wave,
     execute_wave,
     mul_op,
-    read_register,
     write_register,
 )
 
@@ -32,19 +31,19 @@ class TestRegisterFile:
         for curve in CURVES:
             state = RegisterFile(curve)
             write_register(state, 3, fe(777, curve))
-            assert read_register(state, 3) == fe(777, curve)
+            assert state.regs[3] == 777
 
     def test_write_isolation(self):
         state = RegisterFile(CurveId.CURVE25519)
         write_register(state, 4, 111)
         write_register(state, 3, 222)
-        assert read_register(state, 4).n == 111
+        assert state.regs[4] == 111
 
     def test_stray_high_bits_cleared(self):
         # canonical storage means bits 255..447 always read back zero
         state = RegisterFile(CurveId.CURVE25519)
         write_register(state, 0, (1 << 300) | 5)
-        assert read_register(state, 0).n >> 255 == 0
+        assert state.regs[0] >> 255 == 0
 
     def test_zero_slot_pinned(self):
         state = RegisterFile(CurveId.CURVE25519)
@@ -55,7 +54,7 @@ class TestRegisterFile:
         with pytest.raises(ValueError):
             write_register(state, 12, 1)
         with pytest.raises(ValueError):
-            read_register(state, -1)
+            write_register(state, -1, 1)
 
 
 class TestInstructionValidation:
@@ -109,7 +108,7 @@ class TestExecuteWave:
             write_register(state, 1, 1)
             wave = Wave((QuadOpInstruction(OP_ADD, 0, 1, OP_SUB, 0, 1, 2),))
             execute_wave(state, wave)
-            assert read_register(state, 2).n == 3
+            assert state.regs[2] == 3
 
     def test_identity_multiply(self):
         for curve in CURVES:
@@ -117,7 +116,7 @@ class TestExecuteWave:
             write_register(state, 0, 424242)
             write_register(state, 1, 1)
             execute_wave(state, Wave((mul_op(0, 1, 2),)))
-            assert read_register(state, 2).n == 424242
+            assert state.regs[2] == 424242
 
     def test_full_wave_against_per_op_oracle(self):
         rng = random.Random(21)
@@ -148,7 +147,7 @@ class TestExecuteWave:
             write_register(state, 0, a)
             write_register(state, 1, c)
             execute_wave(state, Wave((mul_op(0, 1, 2),)))
-            assert read_register(state, 2).n == a.n * c.n % p
+            assert state.regs[2] == a.n * c.n % p
 
     def test_a24_const_op(self):
         rng = random.Random(23)

@@ -8,7 +8,7 @@ from uecc.ecsm import RAW, decode_u
 from uecc.field import CurveId, P25519, P448, PARAMS, PHI, fe
 from uecc.ffau import NUM_REGISTERS, DatapathError, RegisterFile, mul_int, mul_small_int, write_register
 from uecc.program import build_inversion_program, build_ladder_program
-from uecc.selftest import add_sub
+from uecc.selftest import _edge_operands, add_sub
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
 
@@ -145,24 +145,13 @@ class TestMul:
 class TestReductionBounds:
     """The fused reductions end in one masked subtraction; operands at the
     edges of the field, and the FFAU's unreduced selectors up to 2p - 1,
-    drive each fold to its bound."""
-
-    @staticmethod
-    def grid(curve):
-        p = PARAMS[curve].p
-        edges = [0, 1, 2, p - 1, p - 2, (p - 1) // 2]
-        # unreduced operands: a sum A + B or a difference A - B + p is below 2p
-        edges += [p, p + 1, 2 * p - 2, 2 * p - 1]
-        if curve is CurveId.CURVE448:
-            # halves at phi all-ones or near-max: the largest golden-ratio partials,
-            # and the largest top half of an operand below 2p with a zero bottom half
-            edges += [PHI - 1, PHI, p - PHI, (2 * p - 1) // PHI * PHI]
-        return edges
+    drive each fold to its bound.  The operands are the ones `uecc selftest`
+    drives, `selftest._edge_operands`."""
 
     @pytest.mark.parametrize("curve", CURVES, ids=("25519", "448"))
     def test_mul_int_on_edge_grid(self, curve):
         p = PARAMS[curve].p
-        edges = self.grid(curve)
+        edges = _edge_operands(curve)
         for a in edges:
             for b in edges:
                 got = mul_int(a, b, curve)
@@ -184,7 +173,7 @@ class TestReductionBounds:
     @pytest.mark.parametrize("curve", CURVES, ids=("25519", "448"))
     def test_mul_small_int_on_edges(self, curve):
         p, a24 = PARAMS[curve].p, PARAMS[curve].a24
-        for a in self.grid(curve) + [self.folds_to_at_least_p(curve)]:
+        for a in (*_edge_operands(curve), self.folds_to_at_least_p(curve)):
             got = mul_small_int(a, curve)
             assert got == a * a24 % p and got < p, hex(a)
 

@@ -25,31 +25,31 @@ KAT = [
 class TestInit:
     def test_key_iv_length_checked(self):
         with pytest.raises(ValueError):
-            trivium.init(bytes(9), bytes(10))
+            trivium.TriviumState(bytes(9), bytes(10))
         with pytest.raises(ValueError):
-            trivium.init(bytes(10), bytes(11))
+            trivium.TriviumState(bytes(10), bytes(11))
 
     def test_determinism(self):
         key, iv = bytes(range(10)), bytes(range(10, 20))
-        a = trivium.init(key, iv)
-        b = trivium.init(key, iv)
+        a = trivium.TriviumState(key, iv)
+        b = trivium.TriviumState(key, iv)
         assert [trivium.next64(a) for _ in range(8)] == [trivium.next64(b) for _ in range(8)]
 
     def test_single_iv_bit_changes_first_128_bits(self):
         key = bytes(10)
-        base = trivium.init(key, bytes(10))
+        base = trivium.TriviumState(key, bytes(10))
         base_words = [trivium.next64(base) for _ in range(2)]
         for bit in (0, 37, 79):
             iv = bytearray(10)
             iv[bit // 8] |= 1 << (bit % 8)
-            other = trivium.init(key, bytes(iv))
+            other = trivium.TriviumState(key, bytes(iv))
             assert [trivium.next64(other) for _ in range(2)] != base_words
 
 
 class TestKeystream:
     def test_reference_vectors(self):
         for key_hex, iv_hex, want_hex in KAT:
-            st = trivium.init(bytes.fromhex(key_hex), bytes.fromhex(iv_hex))
+            st = trivium.TriviumState(bytes.fromhex(key_hex), bytes.fromhex(iv_hex))
             got = trivium.keystream_bytes(st, len(want_hex) // 2)
             assert got.hex() == want_hex, (key_hex, iv_hex)
 
@@ -63,7 +63,7 @@ class TestKeystream:
         rng = random.Random(41)
         for _ in range(6):
             key, iv = rng.randbytes(10), rng.randbytes(10)
-            st = trivium.init(key, iv)
+            st = trivium.TriviumState(key, iv)
             wide = [trivium.next64(st) for _ in range(32)]
             assert wide == trivium_words(key, iv, 32)
 
@@ -74,11 +74,11 @@ class TestKeystream:
 
     def test_consecutive_calls_are_disjoint_segments(self):
         key, iv = bytes(range(10)), bytes(range(10, 20))
-        st = trivium.init(key, iv)
+        st = trivium.TriviumState(key, iv)
         assert [trivium.next64(st) for _ in range(4)] == trivium_words(key, iv, 4)
 
     def test_call_counter(self):
-        st = trivium.init(bytes(10), bytes(10))
+        st = trivium.TriviumState(bytes(10), bytes(10))
         assert st.next64_calls == 0  # warm-up emits nothing
         trivium.next64(st)
         trivium.next64(st)
@@ -87,7 +87,7 @@ class TestKeystream:
 
 class TestGenLambda:
     def test_word_budget(self):
-        st = trivium.init(bytes(range(10)), bytes(range(10, 20)))
+        st = trivium.TriviumState(bytes(range(10)), bytes(range(10, 20)))
         trivium.gen_lambda(st, CurveId.CURVE25519)
         assert st.next64_calls == 4
         trivium.gen_lambda(st, CurveId.CURVE448)
@@ -100,7 +100,7 @@ class TestGenLambda:
         for curve in (CurveId.CURVE25519, CurveId.CURVE448):
             p = PARAMS[curve].p
             for _ in range(10):
-                st = trivium.init(rng.randbytes(10), rng.randbytes(10))
+                st = trivium.TriviumState(rng.randbytes(10), rng.randbytes(10))
                 lam = trivium.gen_lambda(st, curve)
                 assert 1 <= lam.n < p
                 assert lam.curve is curve
@@ -134,7 +134,7 @@ class TestGenLambda:
 
     def test_truncation_keeps_low_bits(self):
         key, iv = bytes(range(10)), bytes(range(10, 20))
-        st = trivium.init(key, iv)
+        st = trivium.TriviumState(key, iv)
         lam = trivium.gen_lambda(st, CurveId.CURVE448)
         value = 0
         for i, w in enumerate(trivium_words(key, iv, 7)):
@@ -143,7 +143,7 @@ class TestGenLambda:
 
     def test_curve25519_mask_to_255_bits(self):
         key, iv = bytes(range(10)), bytes(range(10, 20))
-        st = trivium.init(key, iv)
+        st = trivium.TriviumState(key, iv)
         lam = trivium.gen_lambda(st, CurveId.CURVE25519)
         value = 0
         for i, w in enumerate(trivium_words(key, iv, 4)):
