@@ -44,6 +44,14 @@ class Scalar:
             raise ValueError("scalar out of range")
 
 
+def _clamps(clamp_mode: str) -> bool:
+    """Whether `clamp_mode` clamps (RFC_CLAMPED) or not (RAW); any other
+    mode raises ValueError rather than decode the input some third way."""
+    if clamp_mode not in (RFC_CLAMPED, RAW):
+        raise ValueError(f"unknown clamp mode {clamp_mode!r}")
+    return clamp_mode == RFC_CLAMPED
+
+
 @dataclass(frozen=True)
 class EcsmConfig:
     dpa_enabled: bool = False
@@ -51,8 +59,7 @@ class EcsmConfig:
     prng_seed: tuple[bytes, bytes] | None = None
 
     def __post_init__(self):
-        if self.clamp_mode not in (RFC_CLAMPED, RAW):
-            raise ValueError(f"unknown clamp mode {self.clamp_mode!r}")
+        _clamps(self.clamp_mode)
         if self.dpa_enabled and self.prng_seed is None:
             raise ValueError("dpa_enabled requires a prng_seed (key, iv)")
         if self.prng_seed is not None:
@@ -90,7 +97,7 @@ def raw_scalar(data: bytes, curve: CurveId) -> Scalar:
 
 
 def decode_scalar(data: bytes, curve: CurveId, clamp_mode: str) -> Scalar:
-    if clamp_mode == RFC_CLAMPED:
+    if _clamps(clamp_mode):
         return clamp_scalar(data, curve)
     return raw_scalar(data, curve)
 
@@ -99,7 +106,7 @@ def decode_u(data: bytes, curve: CurveId, clamp_mode: str) -> FieldElement:
     """u-coordinate decoding; the ignored Curve25519 top bit is masked when clamping."""
     check_width(data, curve, "u-coordinate")
     value = int.from_bytes(data, "little")
-    if clamp_mode == RFC_CLAMPED and curve is CurveId.CURVE25519:
+    if _clamps(clamp_mode) and curve is CurveId.CURVE25519:
         value &= (1 << 255) - 1
     return fe(value, curve)
 
@@ -166,7 +173,7 @@ def scalar_mult(
     prng_cycles = overhead_cycles = 0
     if cfg.dpa_enabled:
         prng = TriviumState(*cfg.prng_seed)
-        lam = gen_lambda(prng, curve).n
+        lam = gen_lambda(prng, curve)
         prng_cycles = prng.next64_calls
         if events is not None:
             events.extend([perf.PRNG_EVENT] * prng_cycles)

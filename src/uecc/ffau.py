@@ -1,7 +1,10 @@
 """Finite field arithmetic unit: (A +/- B) x (C +/- D) quad-operations.
 
 One wave of quad-ops executes per simulated clock cycle against the 12-entry
-register file.  All operands are read from the pre-wave state, so ops inside
+register file: a plain list of 13 ints, the last the hardwired zero source
+`regs[ZERO]`, which no op writes.  Registers hold canonical values, so on
+Curve25519 bits 255..447 are always zero (the hardware clock-gates the top
+193 bits).  All operands are read from the pre-wave state, so ops inside
 a wave are simultaneous.  Each distinct wave runs, per curve, as a generated
 straight-line function, its kernel: the kernel reads every distinct operand
 selector (A + B, A - B + p, or plain A) from the pre-wave registers into a
@@ -14,9 +17,10 @@ parallel); Curve448 consumes all four multipliers for one full-width product
 per wave, optionally sharing the cycle with one short a24-constant
 multiplication.
 
-`compile_ops` is the package's one code generator.  The field checks
-multiply through it too: `mul_int` and `mul_small_int` each issue one
-single-op wave through the checked `execute_wave`.
+`compile_ops` is the package's one code generator.  The engine runs its
+kernels through `execute_compiled_wave`; the checks run them through the
+checked `execute_wave`, on the same kind of register list.  `mul_int` and
+`mul_small_int` each issue one single-op wave that way.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import functools
 from dataclasses import dataclass
 
 from . import field
-from .field import PARAMS, CurveId, FieldElement
+from .field import PARAMS, CurveId
 
 NUM_REGISTERS = 12
 REGISTER_BITS = 448
@@ -210,49 +214,17 @@ def compile_ops(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> CompiledW
     return wave
 
 
-class RegisterFile:
-    """12 x 448-bit working registers plus the hardwired zero source.
-
-    `regs[ZERO]` is pinned to 0.  In Curve25519 mode every register value is
-    canonical mod 2^255-19, so bits 255..447 are always zero (the hardware
-    clock-gates the top 193 bits).
-    """
-
-    __slots__ = ("regs", "curve", "cycles")
-
-    def __init__(self, curve: CurveId):
-        self.curve = curve
-        self.regs = [0] * (NUM_REGISTERS + 1)
-        self.cycles = 0
-
-
-def write_register(state: RegisterFile, addr: int, value) -> RegisterFile:
-    """Store a value; out-of-range values are reduced into canonical form."""
-    if not 0 <= addr < NUM_REGISTERS:
-        raise ValueError(f"register address {addr} out of range")
-    if isinstance(value, FieldElement):
-        if value.curve is not state.curve:
-            raise ValueError("curve mismatch")
-        n = value.n
-    else:
-        n = int(value) % PARAMS[state.curve].p
-    state.regs[addr] = n
-    return state
-
-
-def execute_wave(state: RegisterFile, wave: Wave) -> RegisterFile:
-    """Execute one wave in one cycle on the register file's curve.
+def execute_wave(regs: list[int], wave: Wave, curve: CurveId):
+    """Execute one wave in one cycle on `regs`, the engine's register list.
 
     This is the checked path: the wave must pass `Wave.check` (the registers
     are untouched if it does not), and every value written must fit the
     448-bit registers, or `DatapathError` is raised."""
-    wave.check(state.curve)
-    execute_compiled_wave(state.regs, wave.compiled(state.curve), state.curve)
-    state.cycles += 1
+    wave.check(curve)
+    execute_compiled_wave(regs, wave.compiled(curve), curve)
     for op in wave.ops:
-        if state.regs[op.dst] >> REGISTER_BITS:
+        if regs[op.dst] >> REGISTER_BITS:
             raise DatapathError(f"r{op.dst} exceeds {REGISTER_BITS} bits: a reduction fault")
-    return state
 
 
 def execute_compiled_wave(regs: list[int], ops: CompiledWave, curve: CurveId):
@@ -274,16 +246,16 @@ _MUL_SMALL = Wave((a24_op(OP_ADD, 0, ZERO, 1),))
 def mul_int(a: int, b: int, curve: CurveId) -> int:
     """a * b mod p, canonical, for operands below 2p (the unreduced selector
     range): one `mul_op` wave issued through `execute_wave` on a scratch
-    register file, so it runs the engine's kernel, and a reduction fault
+    register list, so it runs the engine's kernel, and a reduction fault
     raises `DatapathError`."""
-    state = RegisterFile(curve)
-    state.regs[:2] = a, b
-    return execute_wave(state, _MUL).regs[2]
+    regs = [a, b] + [0] * (NUM_REGISTERS - 1)
+    execute_wave(regs, _MUL, curve)
+    return regs[2]
 
 
 def mul_small_int(a: int, curve: CurveId) -> int:
     """a * a24 mod p, canonical, for an operand below 2p: one `a24_op` wave
     issued through `execute_wave`, like `mul_int`."""
-    state = RegisterFile(curve)
-    state.regs[0] = a
-    return execute_wave(state, _MUL_SMALL).regs[1]
+    regs = [a] + [0] * NUM_REGISTERS
+    execute_wave(regs, _MUL_SMALL, curve)
+    return regs[1]

@@ -2,7 +2,9 @@
 
 Each `check(rng, n) -> bool` pits the model against an independent route or
 against the published figures, which stay literals here and are never read
-off the programs.  `CHECKS` holds the sample counts `uecc selftest` uses.
+off the programs.  A check that runs waves loads a plain register list, as
+the engine does, and issues each wave through the checked `ffau.execute_wave`.
+`CHECKS` holds the sample counts `uecc selftest` uses.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from .bigmul import karatsuba_level, kar256_structural_int, mul_schoolbook
 from .ecsm import EcsmConfig, Scalar, scalar_mult
 from .field import PARAMS, CurveId, fe
 from .ffau import (
-    OP_ADD, OP_SUB, ZERO, QuadOpInstruction, RegisterFile, Wave, execute_wave, mul_int, mul_small_int,
-    write_register,
+    NUM_REGISTERS, OP_ADD, OP_SUB, ZERO, QuadOpInstruction, Wave, execute_wave, mul_int,
+    mul_small_int,
 )
 
 _SEED = 20240901
@@ -77,11 +79,10 @@ _ADD_SUB = (Wave((QuadOpInstruction(OP_ADD, 0, 1, OP_ADD, 2, ZERO, 3),)),
 def add_sub(curve: CurveId, a: int, b: int) -> tuple[int, int]:
     """(a + b, a - b) mod p from the FFAU's add/sub operand selectors, run
     through `execute_wave` with the other factor held at 1."""
-    state = RegisterFile(curve)
-    state.regs[:3] = a, b, 1
+    regs = [a, b, 1] + [0] * (NUM_REGISTERS - 2)
     for wave in _ADD_SUB:
-        execute_wave(state, wave)
-    return state.regs[3], state.regs[4]
+        execute_wave(regs, wave, curve)
+    return regs[3], regs[4]
 
 
 def _edge_operands(curve: CurveId) -> tuple[int, ...]:
@@ -122,10 +123,11 @@ def inversion(rng, n) -> bool:
         p = PARAMS[curve].p
         for _ in range(n):
             a = rng.randrange(1, p)
-            state = write_register(RegisterFile(curve), program.Z2, a)
-            for wave in program.build_inversion_program(curve).waves:
-                execute_wave(state, wave)
-            ok &= a * state.regs[program.Z2] % p == 1 and state.cycles == cycles
+            regs = [0] * (NUM_REGISTERS + 1)
+            regs[program.Z2] = a
+            for issued, wave in enumerate(program.build_inversion_program(curve).waves, 1):
+                execute_wave(regs, wave, curve)
+            ok &= a * regs[program.Z2] % p == 1 and issued == cycles
     return ok
 
 
@@ -141,14 +143,12 @@ def ladder(rng, n) -> bool:
         p = PARAMS[curve].p
         for dpa in (False, True):
             for _ in range(n):
-                vals = [rng.randrange(p) for _ in range(6)]
-                state = RegisterFile(curve)
-                for addr, v in enumerate(vals):  # X1, Z1, X2, Z2, X3, Z3
-                    write_register(state, addr, v)
-                write_register(state, program.R_RND, rng.randrange(p))
+                vals = [rng.randrange(p) for _ in range(6)]  # X1, Z1, X2, Z2, X3, Z3
+                regs = vals + [0] * (NUM_REGISTERS + 1 - len(vals))
+                regs[program.R_RND] = rng.randrange(p)
                 for wave in program.build_ladder_program(curve, dpa).waves:
-                    execute_wave(state, wave)
-                got = tuple(state.regs[program.X2:program.Z3 + 1])  # X2, Z2, X3, Z3
+                    execute_wave(regs, wave, curve)
+                got = tuple(regs[program.X2:program.Z3 + 1])  # X2, Z2, X3, Z3
                 ok &= got == reference.ladder_step(curve, *vals)
     return ok
 

@@ -18,7 +18,7 @@ matching the published reference vectors.
 
 from __future__ import annotations
 
-from .field import PARAMS, CurveId, FieldElement
+from .field import PARAMS, CurveId
 
 _M64 = (1 << 64) - 1
 _MA = (1 << 93) - 1
@@ -87,8 +87,9 @@ def lambda_words(curve: CurveId) -> int:
     return -(-PARAMS[curve].scalar_bits // 64)
 
 
-def gen_lambda(state: TriviumState, curve: CurveId) -> FieldElement:
-    """Nonzero randomization scalar: ceil(bits/64) draws, truncate, reduce.
+def gen_lambda(state: TriviumState, curve: CurveId) -> int:
+    """Nonzero randomization scalar lambda < p: ceil(bits/64) draws, truncate,
+    reduce.
 
     A draw that reduces to 0 is redrawn; after MAX_LAMBDA_DRAWS such draws in
     a row the PRNG is taken to be stuck and RuntimeError is raised.
@@ -102,7 +103,7 @@ def gen_lambda(state: TriviumState, curve: CurveId) -> FieldElement:
             value |= next64(state) << (64 * i)
         value = (value & mask) % params.p
         if value:
-            return FieldElement(value, curve)
+            return value
     raise RuntimeError(
         f"PRNG produced {MAX_LAMBDA_DRAWS} zero lambda draws in a row; it is stuck"
     )

@@ -23,8 +23,18 @@ V448 = SINGLE_SHOT[CurveId.CURVE448][0]
 TRACE_SHA256 = {
     ("25519", False): "e11ca30a56938790ac507d628ae32464b17013703745e70761f3f6628aae3f37",
     ("25519", True): "06518d923415caa2bb43601be27161ae7ce1946e23c83b3c32d76917bd2da97e",
+    ("448", False): "e8386882d5fb8112fd561b22b641f8caf2e9113ed147fbaec31079eeb6755581",
     ("448", True): "eef0656f934ae692df7f27eab66381b5bf53e33739c2591196e60a7ce78a017c",
 }
+# SHA-256 of the whole `uecc program-dump --curve C [--dpa]` stdout (every phase)
+PROGRAM_DUMP_SHA256 = {
+    ("25519", False): "219ee27d8f8750bf0d6267c5dde8d6bf3d12184f087d3bff954c9c1565d79871",
+    ("25519", True): "612ff5a6224e9d1b0fc05e6af0732bc07b3ce2afb5efe80d21efed7220ce89b0",
+    ("448", False): "ca04f4d03cb7e52f3ebe6110406bea297f19c526661ba259b57ed3fd2d2c41e5",
+    ("448", True): "9d4deb881e44115ce3bce5d0503cc6a1e073e1f57c719c039ed2d7c271c83dd6",
+}
+# SHA-256 of the whole `uecc selftest --quick` stdout
+SELFTEST_QUICK_SHA256 = "1da68f715129a2ed985e82cfe803e71c894ff17fdb703074fb940d4531643ba0"
 
 
 def run_cli(*argv):
@@ -270,6 +280,13 @@ class TestOtherCommands:
         code, out = run_cli("selftest", "--quick")
         assert code == 0
         assert "all checks passed" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_QUICK_SHA256
+
+    @pytest.mark.parametrize("curve, dpa", list(PROGRAM_DUMP_SHA256))
+    def test_program_dump_stdout_pinned(self, curve, dpa):
+        code, out = run_cli("program-dump", "--curve", curve, *(["--dpa"] if dpa else []))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PROGRAM_DUMP_SHA256[curve, dpa]
 
     def test_selftest_reports_a_faulty_multiplier(self, monkeypatch):
         # a wrong engine product: every check that multiplies through the

@@ -21,7 +21,7 @@ from uecc.ecsm import (
     scalar_mult_bytes,
 )
 from uecc.field import CurveId, PARAMS, fe
-from uecc.ffau import NUM_REGISTERS, DatapathError, RegisterFile, Wave, mul_op
+from uecc.ffau import NUM_REGISTERS, DatapathError, Wave, mul_op
 from uecc.program import R_AA, R_RND, X1, X2, X3, Z1, Z2, Z3, ScheduledProgram, build_ladder_program
 from uecc.reference import scalar_mult_ref
 from uecc.vectors import BASE_U, SINGLE_SHOT
@@ -155,7 +155,7 @@ class TestInitialization:
     def test_randomized_state(self, monkeypatch):
         for curve in CURVES:
             p = PARAMS[curve].p
-            lam = trivium.gen_lambda(trivium.TriviumState(*SEED), curve).n  # the engine's draw
+            lam = trivium.gen_lambda(trivium.TriviumState(*SEED), curve)  # the engine's draw
             init, ladder = self.issued_until_ladder(monkeypatch, curve, dpa_cfg())
             z_side = {Z1: lam, X2: lam, Z3: lam, R_RND: lam}
             assert init == ("init", self.registers({X1: 9, X3: 9, **z_side}), 2)
@@ -336,7 +336,7 @@ class TestIssueSeam:
     def test_issue_runs_and_records_one_program(self):
         for curve in CURVES:
             prog = build_ladder_program(curve, True)
-            regs = RegisterFile(curve).regs
+            regs = [0] * (NUM_REGISTERS + 1)
             events = []
             assert ecsm._issue(prog, regs, events) == len(prog.waves)
             assert events == [(perf.EV_WAVE, "ladder", w) for w in prog.waves]
@@ -379,6 +379,17 @@ class TestConfig:
     def test_clamp_mode_checked(self):
         with pytest.raises(ValueError):
             EcsmConfig(clamp_mode="sideways")
+
+    @pytest.mark.parametrize("mode", ["rfc-clamped", ""])
+    def test_decoders_reject_an_unknown_clamp_mode(self, mode):
+        # a misspelled mode must not decode some third way: unclamped, or
+        # with the Curve25519 top bit of u kept
+        for curve in CURVES:
+            nbytes = PARAMS[curve].field_bytes
+            with pytest.raises(ValueError, match="unknown clamp mode"):
+                decode_scalar(bytes(nbytes), curve, mode)
+            with pytest.raises(ValueError, match="unknown clamp mode"):
+                decode_u(bytes(nbytes), curve, mode)
 
 
 # 256-bit unit products per ECSM: the ladder program's per scalar bit, the

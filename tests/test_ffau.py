@@ -5,14 +5,13 @@ import pytest
 
 from uecc import field, program
 from uecc.ecsm import FINAL_WAVE, INIT_WAVES
-from uecc.field import CurveId, PARAMS, fe
+from uecc.field import CurveId, PARAMS
 from uecc.ffau import (
     NUM_REGISTERS,
     OP_ADD,
     OP_SUB,
     QuadOpInstruction,
     DatapathError,
-    RegisterFile,
     ScheduleError,
     Wave,
     ZERO,
@@ -20,41 +19,15 @@ from uecc.ffau import (
     execute_compiled_wave,
     execute_wave,
     mul_op,
-    write_register,
 )
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
 
 
-class TestRegisterFile:
-    def test_write_read_round_trip(self):
-        for curve in CURVES:
-            state = RegisterFile(curve)
-            write_register(state, 3, fe(777, curve))
-            assert state.regs[3] == 777
-
-    def test_write_isolation(self):
-        state = RegisterFile(CurveId.CURVE25519)
-        write_register(state, 4, 111)
-        write_register(state, 3, 222)
-        assert state.regs[4] == 111
-
-    def test_stray_high_bits_cleared(self):
-        # canonical storage means bits 255..447 always read back zero
-        state = RegisterFile(CurveId.CURVE25519)
-        write_register(state, 0, (1 << 300) | 5)
-        assert state.regs[0] >> 255 == 0
-
-    def test_zero_slot_pinned(self):
-        state = RegisterFile(CurveId.CURVE25519)
-        assert state.regs[ZERO] == 0
-
-    def test_address_range(self):
-        state = RegisterFile(CurveId.CURVE25519)
-        with pytest.raises(ValueError):
-            write_register(state, 12, 1)
-        with pytest.raises(ValueError):
-            write_register(state, -1, 1)
+def registers(*vals):
+    """A register list as the engine holds it: `vals` from r0 up, the rest 0,
+    and the hardwired zero source last."""
+    return list(vals) + [0] * (NUM_REGISTERS + 1 - len(vals))
 
 
 class TestInstructionValidation:
@@ -103,51 +76,42 @@ class TestExecuteWave:
     def test_sum_times_difference(self):
         # (A+B)*(A-B) with A=2, B=1 -> 3
         for curve in CURVES:
-            state = RegisterFile(curve)
-            write_register(state, 0, 2)
-            write_register(state, 1, 1)
-            wave = Wave((QuadOpInstruction(OP_ADD, 0, 1, OP_SUB, 0, 1, 2),))
-            execute_wave(state, wave)
-            assert state.regs[2] == 3
+            regs = registers(2, 1)
+            execute_wave(regs, Wave((QuadOpInstruction(OP_ADD, 0, 1, OP_SUB, 0, 1, 2),)), curve)
+            assert regs[2] == 3
 
     def test_identity_multiply(self):
         for curve in CURVES:
-            state = RegisterFile(curve)
-            write_register(state, 0, 424242)
-            write_register(state, 1, 1)
-            execute_wave(state, Wave((mul_op(0, 1, 2),)))
-            assert state.regs[2] == 424242
+            regs = registers(424242, 1)
+            execute_wave(regs, Wave((mul_op(0, 1, 2),)), curve)
+            assert regs[2] == 424242
 
     def test_full_wave_against_per_op_oracle(self):
         rng = random.Random(21)
         p = PARAMS[CurveId.CURVE25519].p
         for _ in range(50):
-            state = RegisterFile(CurveId.CURVE25519)
             vals = [rng.randrange(p) for _ in range(8)]
-            for addr, v in enumerate(vals):
-                write_register(state, addr, v)
+            regs = registers(*vals)
             ops = (
                 QuadOpInstruction(OP_ADD, 0, 1, OP_SUB, 2, 3, 8),
                 QuadOpInstruction(OP_SUB, 4, 5, OP_ADD, 6, 7, 9),
                 QuadOpInstruction(OP_ADD, 0, 2, OP_ADD, 4, 6, 10),
                 QuadOpInstruction(OP_SUB, 1, 3, OP_SUB, 5, 7, 11),
             )
-            execute_wave(state, Wave(ops))
-            assert state.regs[8] == (vals[0] + vals[1]) * (vals[2] - vals[3]) % p
-            assert state.regs[9] == (vals[4] - vals[5]) * (vals[6] + vals[7]) % p
-            assert state.regs[10] == (vals[0] + vals[2]) * (vals[4] + vals[6]) % p
-            assert state.regs[11] == (vals[1] - vals[3]) * (vals[5] - vals[7]) % p
+            execute_wave(regs, Wave(ops), CurveId.CURVE25519)
+            assert regs[8] == (vals[0] + vals[1]) * (vals[2] - vals[3]) % p
+            assert regs[9] == (vals[4] - vals[5]) * (vals[6] + vals[7]) % p
+            assert regs[10] == (vals[0] + vals[2]) * (vals[4] + vals[6]) % p
+            assert regs[11] == (vals[1] - vals[3]) * (vals[5] - vals[7]) % p
 
     def test_single_mul_op_equals_field_mul(self):
         rng = random.Random(22)
         for curve in CURVES:
             p = PARAMS[curve].p
-            a, c = fe(rng.randrange(p), curve), fe(rng.randrange(p), curve)
-            state = RegisterFile(curve)
-            write_register(state, 0, a)
-            write_register(state, 1, c)
-            execute_wave(state, Wave((mul_op(0, 1, 2),)))
-            assert state.regs[2] == a.n * c.n % p
+            a, c = rng.randrange(p), rng.randrange(p)
+            regs = registers(a, c)
+            execute_wave(regs, Wave((mul_op(0, 1, 2),)), curve)
+            assert regs[2] == a * c % p
 
     def test_a24_const_op(self):
         rng = random.Random(23)
@@ -155,21 +119,22 @@ class TestExecuteWave:
             p = PARAMS[curve].p
             a24 = PARAMS[curve].a24
             x, y = rng.randrange(p), rng.randrange(p)
-            state = RegisterFile(curve)
-            write_register(state, 0, x)
-            write_register(state, 1, y)
-            execute_wave(state, Wave((a24_op(OP_SUB, 0, 1, 2),)))
-            assert state.regs[2] == (x - y) % p * a24 % p
+            regs = registers(x, y)
+            execute_wave(regs, Wave((a24_op(OP_SUB, 0, 1, 2),)), curve)
+            assert regs[2] == (x - y) % p * a24 % p
 
     def test_ops_read_pre_wave_state(self):
         # an op may overwrite its own source; the read sees the pre-wave value
-        state = RegisterFile(CurveId.CURVE25519)
-        write_register(state, 0, 3)
-        write_register(state, 1, 5)
-        write_register(state, 2, 7)
-        wave = Wave((mul_op(0, 1, 0), mul_op(2, 2, 3)))
-        execute_wave(state, wave)
-        assert state.regs[0] == 15 and state.regs[3] == 49
+        regs = registers(3, 5, 7)
+        execute_wave(regs, Wave((mul_op(0, 1, 0), mul_op(2, 2, 3))), CurveId.CURVE25519)
+        assert regs[0] == 15 and regs[3] == 49
+
+    def test_wave_writes_only_its_destinations(self):
+        for curve in CURVES:
+            regs = registers(*range(10, 10 + NUM_REGISTERS))
+            before = list(regs)
+            execute_wave(regs, Wave((mul_op(0, 1, 3), a24_op(OP_ADD, 4, 5, 6))), curve)
+            assert [i for i, (a, b) in enumerate(zip(before, regs)) if a != b] == [3, 6]
 
     def test_wave_permutation_invariance(self):
         rng = random.Random(24)
@@ -183,50 +148,35 @@ class TestExecuteWave:
         )
         results = []
         for perm in itertools.permutations(ops):
-            state = RegisterFile(CurveId.CURVE25519)
-            for addr, v in enumerate(vals):
-                write_register(state, addr, v)
-            execute_wave(state, Wave(perm))
-            results.append(list(state.regs))
+            regs = registers(*vals)
+            execute_wave(regs, Wave(perm), CurveId.CURVE25519)
+            results.append(regs)
         assert all(r == results[0] for r in results)
 
     def test_registers_stay_canonical(self):
         rng = random.Random(25)
         for curve in CURVES:
             p = PARAMS[curve].p
-            state = RegisterFile(curve)
-            for addr in range(6):
-                write_register(state, addr, rng.randrange(p))
-            execute_wave(state, Wave((QuadOpInstruction(OP_ADD, 0, 1, OP_ADD, 2, 3, 6),)))
-            execute_wave(state, Wave((QuadOpInstruction(OP_SUB, 4, 5, OP_SUB, 0, 6, 7),)))
-            assert all(0 <= v < p for v in state.regs[:NUM_REGISTERS])
+            regs = registers(*(rng.randrange(p) for _ in range(6)))
+            execute_wave(regs, Wave((QuadOpInstruction(OP_ADD, 0, 1, OP_ADD, 2, 3, 6),)), curve)
+            execute_wave(regs, Wave((QuadOpInstruction(OP_SUB, 4, 5, OP_SUB, 0, 6, 7),)), curve)
+            assert all(0 <= v < p for v in regs[:NUM_REGISTERS])
 
     def test_hazardous_wave_rejected_at_execute(self):
         # op2 reads r2, which op1 writes: rejected before any register changes
-        state = RegisterFile(CurveId.CURVE25519)
-        for addr in range(5):
-            write_register(state, addr, 10 + addr)
-        before = list(state.regs)
+        regs = registers(*range(10, 15))
+        before = list(regs)
         with pytest.raises(ScheduleError):
-            execute_wave(state, Wave((mul_op(0, 1, 2), mul_op(2, 3, 4))))
-        assert state.regs == before and state.cycles == 0
+            execute_wave(regs, Wave((mul_op(0, 1, 2), mul_op(2, 3, 4))), CurveId.CURVE25519)
+        assert regs == before
 
     def test_unreduced_write_raises_datapath_error(self, monkeypatch):
         # a unit product of 2^1024 or more: the kernel's folds leave it over 448 bits
         monkeypatch.setattr(field, "kar256_int", lambda x, y: x * y << 512)
         for curve in CURVES:
             p = PARAMS[curve].p
-            state = RegisterFile(curve)
-            write_register(state, 0, p - 1)
             with pytest.raises(DatapathError):
-                execute_wave(state, Wave((mul_op(0, 0, 1),)))
-
-    def test_cycle_charge(self):
-        state = RegisterFile(CurveId.CURVE25519)
-        write_register(state, 1, 1)
-        execute_wave(state, Wave((mul_op(0, 1, 2),)))
-        execute_wave(state, Wave((mul_op(0, 1, 3),)))
-        assert state.cycles == 2
+                execute_wave(registers(p - 1), Wave((mul_op(0, 0, 1),)), curve)
 
 
 def _snapshot_wave(regs, ops, curve):

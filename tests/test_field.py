@@ -5,8 +5,8 @@ import pytest
 from uecc import ecsm, field, perf
 from uecc.bigmul import counters, mul_schoolbook
 from uecc.ecsm import RAW, decode_u
-from uecc.field import CurveId, P25519, P448, PARAMS, PHI, fe
-from uecc.ffau import NUM_REGISTERS, DatapathError, RegisterFile, mul_int, mul_small_int, write_register
+from uecc.field import CurveId, P25519, P448, PARAMS, PHI
+from uecc.ffau import NUM_REGISTERS, DatapathError, mul_int, mul_small_int
 from uecc.program import build_inversion_program, build_ladder_program
 from uecc.selftest import _edge_operands, add_sub
 
@@ -66,12 +66,6 @@ class TestAddSub:
             for _ in range(1000):
                 a, b = rng.randrange(p), rng.randrange(p)
                 assert add_sub(curve, a, b) == ((a + b) % p, (a - b) % p)
-
-    def test_curve_mismatch(self):
-        # operands reach the selectors only through the register file,
-        # which rejects an element of the other curve
-        with pytest.raises(ValueError):
-            write_register(RegisterFile(CurveId.CURVE25519), 0, fe(1, CurveId.CURVE448))
 
 
 class TestMul:

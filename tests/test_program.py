@@ -3,7 +3,7 @@ import random
 import pytest
 
 from uecc.field import CurveId, PARAMS
-from uecc.ffau import RegisterFile, ScheduleError, Wave, execute_wave, mul_int, mul_op, write_register
+from uecc.ffau import NUM_REGISTERS, ScheduleError, Wave, execute_wave, mul_int, mul_op
 from uecc.program import (
     R_RND,
     ScheduledProgram,
@@ -23,18 +23,25 @@ from uecc.reference import ladder_step
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
 
 
-def run_program(state, prog):
-    for wave in prog.waves:
-        execute_wave(state, wave)
-    return state
+def run_program(regs, prog):
+    """Execute `prog` on the register list `regs`, one checked wave per
+    cycle, and return the cycles executed."""
+    for cycles, wave in enumerate(prog.waves, 1):
+        execute_wave(regs, wave, prog.curve)
+    return cycles
 
 
-def ladder_state(curve, vals, rnd=0):
-    state = RegisterFile(curve)
-    for addr, v in enumerate(vals):
-        write_register(state, addr, v)
-    write_register(state, R_RND, rnd)
-    return state
+def ladder_state(vals, rnd=0):
+    """X1, Z1, X2, Z2, X3, Z3 = vals, and R_RND = rnd."""
+    regs = list(vals) + [0] * (NUM_REGISTERS + 1 - len(vals))
+    regs[R_RND] = rnd
+    return regs
+
+
+def inversion_state(z2, x2=0):
+    regs = [0] * (NUM_REGISTERS + 1)
+    regs[X2], regs[Z2] = x2, z2
+    return regs
 
 
 class TestLadderProgram:
@@ -91,16 +98,11 @@ class TestLadderProgram:
                 prog = build_ladder_program(curve, dpa)
                 for _ in range(50):
                     vals = [rng.randrange(p) for _ in range(6)]
-                    state = run_program(ladder_state(curve, vals), prog)
-                    want = ladder_step(curve, *vals)
-                    assert (
-                        state.regs[X2],
-                        state.regs[Z2],
-                        state.regs[X3],
-                        state.regs[Z3],
-                    ) == want
+                    regs = ladder_state(vals)
+                    run_program(regs, prog)
+                    assert (regs[X2], regs[Z2], regs[X3], regs[Z3]) == ladder_step(curve, *vals)
                     # difference point is never written
-                    assert state.regs[X1] == vals[0] and state.regs[Z1] == vals[1]
+                    assert regs[X1] == vals[0] and regs[Z1] == vals[1]
 
     def test_dpa_variant_equivalence_at_z1_one(self):
         # with Z1 = 1 the 12-op program leaves the full register file identical
@@ -111,19 +113,21 @@ class TestLadderProgram:
                 vals = [rng.randrange(p) for _ in range(6)]
                 vals[1] = 1  # Z1
                 rnd = rng.randrange(p)
-                plain = run_program(ladder_state(curve, vals, rnd), build_ladder_program(curve, False))
-                dpa = run_program(ladder_state(curve, vals, rnd), build_ladder_program(curve, True))
-                assert plain.regs == dpa.regs
+                plain, dpa = ladder_state(vals, rnd), ladder_state(vals, rnd)
+                run_program(plain, build_ladder_program(curve, False))
+                run_program(dpa, build_ladder_program(curve, True))
+                assert plain == dpa
 
     def test_dpa_residue_register_only_difference(self):
         rng = random.Random(33)
         curve = CurveId.CURVE25519
         p = PARAMS[curve].p
         vals = [rng.randrange(p) for _ in range(6)]
-        plain = run_program(ladder_state(curve, vals, rnd=7), build_ladder_program(curve, False))
-        dpa = run_program(ladder_state(curve, vals, rnd=7), build_ladder_program(curve, True))
-        assert plain.regs[:R_RND] == dpa.regs[:R_RND]
-        assert dpa.regs[R_RND] == 7 * vals[1] % p
+        plain, dpa = ladder_state(vals, rnd=7), ladder_state(vals, rnd=7)
+        run_program(plain, build_ladder_program(curve, False))
+        run_program(dpa, build_ladder_program(curve, True))
+        assert plain[:R_RND] == dpa[:R_RND]
+        assert dpa[R_RND] == 7 * vals[1] % p
 
 
 class TestInversionProgram:
@@ -137,27 +141,25 @@ class TestInversionProgram:
             assert all(len(w.ops) == 1 for w in prog.waves)
 
     def test_inverse_of_two(self):
-        state = RegisterFile(CurveId.CURVE25519)
-        write_register(state, Z2, 2)
-        run_program(state, build_inversion_program(CurveId.CURVE25519))
-        assert state.regs[Z2] == 2**254 - 9
+        regs = inversion_state(2)
+        run_program(regs, build_inversion_program(CurveId.CURVE25519))
+        assert regs[Z2] == 2**254 - 9
 
     def test_matches_pow(self):
         rng = random.Random(34)
         for curve in CURVES:
             p = PARAMS[curve].p
             for a in (1, 2, p - 1, *(rng.randrange(1, p) for _ in range(3))):
-                state = RegisterFile(curve)
-                write_register(state, Z2, a)
-                run_program(state, build_inversion_program(curve))
-                assert state.regs[Z2] == pow(a, -1, p)
+                regs = inversion_state(a)
+                run_program(regs, build_inversion_program(curve))
+                assert regs[Z2] == pow(a, -1, p)
 
     def test_zero_maps_to_zero(self):
         # branch-free handling of the point at infinity
         for curve in CURVES:
-            state = RegisterFile(curve)
-            run_program(state, build_inversion_program(curve))
-            assert state.regs[Z2] == 0
+            regs = inversion_state(0)
+            run_program(regs, build_inversion_program(curve))
+            assert regs[Z2] == 0
 
     def test_random_self_check(self):
         rng = random.Random(16)
@@ -165,18 +167,16 @@ class TestInversionProgram:
             p = PARAMS[curve].p
             for _ in range(10):
                 a = rng.randrange(1, p)
-                state = RegisterFile(curve)
-                write_register(state, Z2, a)
-                run_program(state, build_inversion_program(curve))
-                assert mul_int(a, state.regs[Z2], curve) == 1
+                regs = inversion_state(a)
+                run_program(regs, build_inversion_program(curve))
+                assert mul_int(a, regs[Z2], curve) == 1
 
     def test_chain_lengths(self):
         # one multiplication per cycle: 254 + 11 and 447 + 15 chain steps
         rng = random.Random(17)
         for curve, cycles in ((CurveId.CURVE25519, 265), (CurveId.CURVE448, 462)):
-            state = RegisterFile(curve)
-            write_register(state, Z2, rng.randrange(1, PARAMS[curve].p))
-            assert run_program(state, build_inversion_program(curve)).cycles == cycles
+            regs = inversion_state(rng.randrange(1, PARAMS[curve].p))
+            assert run_program(regs, build_inversion_program(curve)) == cycles
 
     def test_chain_is_fixed_sequence(self):
         # data-independent: one fixed program of squarings (both factors one
@@ -188,11 +188,9 @@ class TestInversionProgram:
             assert (squares, prog.op_count - squares) == counts
 
     def test_preserves_x2(self):
-        state = RegisterFile(CurveId.CURVE25519)
-        write_register(state, X2, 123456)
-        write_register(state, Z2, 2)
-        run_program(state, build_inversion_program(CurveId.CURVE25519))
-        assert state.regs[X2] == 123456
+        regs = inversion_state(2, x2=123456)
+        run_program(regs, build_inversion_program(CurveId.CURVE25519))
+        assert regs[X2] == 123456
 
 
 class TestScheduledProgram:
