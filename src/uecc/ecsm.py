@@ -12,12 +12,12 @@ the accounting in `perf`.
 
 from __future__ import annotations
 
+import collections
 import functools
-from dataclasses import dataclass
 
 from . import perf
 from .bigmul import counters
-from .field import PARAMS, CurveId, FieldElement, check_width, fe
+from .field import PARAMS, CurveId, FieldElement, check_width, curve_params, fe
 from .ffau import NUM_REGISTERS, REGISTER_BITS, DatapathError, execute_compiled_wave
 from .program import (
     FINAL_WAVE, INIT_WAVES, R_RND, X1, X2, X3, Z1, Z2, Z3, ScheduledProgram, build_inversion_program,
@@ -34,14 +34,13 @@ _INIT = {c: ScheduledProgram(INIT_WAVES, "init", c, dpa=True) for c in CurveId}
 _FINAL = {c: ScheduledProgram((FINAL_WAVE,), "final", c) for c in CurveId}
 
 
-@dataclass(frozen=True)
-class Scalar:
-    bits: int
-    curve: CurveId
+class Scalar(collections.namedtuple("Scalar", "bits curve")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << PARAMS[self.curve].scalar_bits):
+    def __new__(cls, bits, curve):
+        if not 0 <= bits < (1 << curve_params(curve).scalar_bits):
             raise ValueError("scalar out of range")
+        return super().__new__(cls, bits, curve)
 
 
 def _clamps(clamp_mode: str) -> bool:
@@ -52,27 +51,27 @@ def _clamps(clamp_mode: str) -> bool:
     return clamp_mode == RFC_CLAMPED
 
 
-@dataclass(frozen=True)
-class EcsmConfig:
-    dpa_enabled: bool = False
-    clamp_mode: str = RFC_CLAMPED
-    prng_seed: tuple[bytes, bytes] | None = None
+class EcsmConfig(collections.namedtuple("EcsmConfig", "dpa_enabled clamp_mode prng_seed")):
+    """`prng_seed` is None or the Trivium (key, iv), 10 bytes each."""
 
-    def __post_init__(self):
-        _clamps(self.clamp_mode)
-        if self.dpa_enabled and self.prng_seed is None:
+    __slots__ = ()
+
+    def __new__(cls, dpa_enabled=False, clamp_mode=RFC_CLAMPED, prng_seed=None):
+        _clamps(clamp_mode)
+        if dpa_enabled and prng_seed is None:
             raise ValueError("dpa_enabled requires a prng_seed (key, iv)")
-        if self.prng_seed is not None:
-            key, iv = self.prng_seed
+        if prng_seed is not None:
+            if not (isinstance(prng_seed, tuple) and len(prng_seed) == 2
+                    and all(isinstance(part, (bytes, bytearray)) for part in prng_seed)):
+                raise ValueError("prng_seed must be a (key, iv) tuple of bytes")
+            key, iv = prng_seed
             if len(key) != 10 or len(iv) != 10:
                 raise ValueError("prng_seed parts must be 10 bytes each")
+        return super().__new__(cls, dpa_enabled, clamp_mode, prng_seed)
 
 
-@dataclass(frozen=True)
-class EcsmResult:
-    x_q: FieldElement
-    cycles: perf.CycleReport
-    trace: tuple | None = None
+# x_q: FieldElement; cycles: perf.CycleReport; trace: the events, when asked for
+EcsmResult = collections.namedtuple("EcsmResult", "x_q cycles trace", defaults=(None,))
 
 
 def clamp_scalar(data: bytes, curve: CurveId) -> Scalar:

@@ -25,8 +25,8 @@ checked `execute_wave`, on the same kind of register list.  `mul_int` and
 
 from __future__ import annotations
 
+import collections
 import functools
-from dataclasses import dataclass
 
 from . import field
 from .field import PARAMS, CurveId
@@ -49,8 +49,8 @@ class DatapathError(ArithmeticError):
     left it non-canonical, and every further product would double its width."""
 
 
-@dataclass(frozen=True)
-class QuadOpInstruction:
+class QuadOpInstruction(collections.namedtuple(
+        "QuadOpInstruction", "sub_left src_a src_b sub_right src_c src_d dst const_tag")):
     """dst := ((A +/- B) * (C +/- D)) mod p, sources by register address.
 
     `sub_left`/`sub_right` select the sum (OP_ADD) or the difference (OP_SUB)
@@ -58,26 +58,19 @@ class QuadOpInstruction:
     constant a24 and sub_right/src_c/src_d are ignored.
     """
 
-    sub_left: int
-    src_a: int
-    src_b: int
-    sub_right: int
-    src_c: int
-    src_d: int
-    dst: int
-    const_tag: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sub_left not in (OP_ADD, OP_SUB):
+    def __new__(cls, sub_left, src_a, src_b, sub_right, src_c, src_d, dst, const_tag=False):
+        if sub_left not in (OP_ADD, OP_SUB):
             raise ValueError("left opsel must be 0 (add) or 1 (sub)")
-        if self.sub_right not in (OP_ADD, OP_SUB):
+        if sub_right not in (OP_ADD, OP_SUB):
             raise ValueError("right opsel must be 0 (add) or 1 (sub)")
-        for name in ("src_a", "src_b", "src_c", "src_d"):
-            addr = getattr(self, name)
+        for name, addr in (("src_a", src_a), ("src_b", src_b), ("src_c", src_c), ("src_d", src_d)):
             if not 0 <= addr <= ZERO:
                 raise ValueError(f"{name} address {addr} out of range")
-        if not 0 <= self.dst < NUM_REGISTERS:
-            raise ValueError(f"dst address {self.dst} out of range")
+        if not 0 <= dst < NUM_REGISTERS:
+            raise ValueError(f"dst address {dst} out of range")
+        return super().__new__(cls, sub_left, src_a, src_b, sub_right, src_c, src_d, dst, const_tag)
 
     def reads(self) -> frozenset[int]:
         srcs = {self.src_a, self.src_b}
@@ -115,15 +108,15 @@ def a24_op(sl, a, b, dst) -> QuadOpInstruction:
     return QuadOpInstruction(sl, a, b, OP_ADD, ZERO, ZERO, dst, const_tag=True)
 
 
-@dataclass(frozen=True)
-class Wave:
-    """Quad-ops issued in one clock cycle."""
+class Wave(collections.namedtuple("Wave", "ops")):
+    """Quad-ops issued in one clock cycle: `ops`, a tuple of 1-4
+    `QuadOpInstruction`s.  A wave keeps an instance dict, where `text`
+    caches its rendered line."""
 
-    ops: tuple[QuadOpInstruction, ...]
-
-    def __post_init__(self):
-        if not 1 <= len(self.ops) <= 4:
-            raise ValueError(f"wave must hold 1-4 ops, got {len(self.ops)}")
+    def __new__(cls, ops):
+        if not 1 <= len(ops) <= 4:
+            raise ValueError(f"wave must hold 1-4 ops, got {len(ops)}")
+        return super().__new__(cls, ops)
 
     def check(self, curve: CurveId):
         """Raise ScheduleError if this wave cannot issue for the given curve."""

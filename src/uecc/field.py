@@ -30,8 +30,8 @@ reaches every engine product.
 
 from __future__ import annotations
 
+import collections
 import enum
-from dataclasses import dataclass
 
 from .bigmul import kar256_int
 
@@ -45,12 +45,7 @@ class CurveId(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class CurveParams:
-    p: int
-    a24: int
-    scalar_bits: int
-    field_bytes: int
+CurveParams = collections.namedtuple("CurveParams", "p a24 scalar_bits field_bytes")
 
 
 P25519 = 2**255 - 19
@@ -72,6 +67,15 @@ PARAMS = {
     ),
 }
 
+
+def curve_params(curve: CurveId) -> CurveParams:
+    """`PARAMS[curve]`, or TypeError if `curve` is not a `CurveId`."""
+    try:
+        return PARAMS[curve]
+    except (KeyError, TypeError):
+        raise TypeError(f"curve must be a CurveId, got {curve!r}") from None
+
+
 _M224 = (1 << 224) - 1
 _M255 = (1 << 255) - 1
 _M448 = (1 << 448) - 1
@@ -83,8 +87,7 @@ class FieldElement:
     __slots__ = ("n", "curve")
 
     def __init__(self, n: int, curve: CurveId):
-        p = PARAMS[curve].p
-        if not 0 <= n < p:
+        if not 0 <= n < curve_params(curve).p:
             raise ValueError("value not canonical")
         self.n = n
         self.curve = curve
@@ -103,7 +106,7 @@ class FieldElement:
 
 def fe(n: int, curve: CurveId) -> FieldElement:
     """Element from any integer, reduced into canonical range."""
-    return FieldElement(n % PARAMS[curve].p, curve)
+    return FieldElement(n % curve_params(curve).p, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +188,6 @@ def mul_small_source(curve: CurveId, a: str, c, out: str) -> str:
 
 def check_width(data: bytes, curve: CurveId, what: str) -> None:
     """Reject an octet string that is not exactly one field element wide."""
-    n = PARAMS[curve].field_bytes
+    n = curve_params(curve).field_bytes
     if len(data) != n:
         raise ValueError(f"{curve.value} {what} must be {n} bytes, got {len(data)}")

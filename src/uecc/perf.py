@@ -28,7 +28,7 @@ none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 
 from .field import PARAMS, CurveId
 from .program import INIT_WAVES, ScheduledProgram, build_inversion_program, build_ladder_program
@@ -37,26 +37,20 @@ from .trivium import lambda_words
 CLOCK_MHZ = 100
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    ladder_cycles: int
-    inversion_cycles: int
-    overhead_cycles: int
-    prng_cycles: int
+class CycleReport(collections.namedtuple(
+        "CycleReport", "ladder_cycles inversion_cycles overhead_cycles prng_cycles")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("ladder_cycles", "inversion_cycles", "overhead_cycles", "prng_cycles"):
-            if getattr(self, name) < 0:
+    def __new__(cls, ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles):
+        self = super().__new__(cls, ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles)
+        for name, cycles in zip(self._fields, self):
+            if cycles < 0:
                 raise ValueError(f"{name} must be non-negative")
+        return self
 
     @property
     def total(self) -> int:
-        return (
-            self.ladder_cycles
-            + self.inversion_cycles
-            + self.overhead_cycles
-            + self.prng_cycles
-        )
+        return sum(self)
 
     @property
     def latency_us(self) -> float:

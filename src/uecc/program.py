@@ -36,7 +36,6 @@ each chain.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .field import CurveId
 from .ffau import OP_ADD, OP_SUB, QuadOpInstruction, ScheduleError, Wave, a24_op, format_op, mul_op
@@ -53,25 +52,24 @@ INIT_WAVES = (Wave((mul_op(Z1, X1, X3),)), Wave((mul_op(Z1, X1, X1),)))
 FINAL_WAVE = Wave((mul_op(X2, Z2, X2),))
 
 
-# eq=False: programs hash by identity, so the cached `compiled` finds its tuple
-# without hashing every wave and op; nothing compares programs by value.
-@dataclass(frozen=True, eq=False)
+# A plain class, so programs hash and compare by identity: the cached
+# `compiled` finds its tuple without hashing every wave and op, and nothing
+# compares programs by value.
 class ScheduledProgram:
     """Waves issued in order, one per cycle.  Every wave is checked against
     the curve's issue rules (`Wave.check`) when the program is built, so a
     program that exists can issue."""
 
-    waves: tuple[Wave, ...]
-    phase_tag: str  # ladder | inversion | init | final
-    curve: CurveId
-    dpa: bool = False
-
-    def __post_init__(self):
-        for i, wave in enumerate(self.waves):
+    def __init__(self, waves: tuple[Wave, ...], phase_tag: str, curve: CurveId, dpa: bool = False):
+        for i, wave in enumerate(waves):
             try:
-                wave.check(self.curve)
+                wave.check(curve)
             except ScheduleError as exc:
                 raise ScheduleError(f"wave {i}: {exc}") from None
+        self.waves = waves
+        self.phase_tag = phase_tag  # ladder | inversion | init | final
+        self.curve = curve
+        self.dpa = dpa
 
     @property
     def op_count(self) -> int:

@@ -376,9 +376,23 @@ class TestConfig:
             EcsmConfig(prng_seed=(bytes(10), bytes(11)))
         assert EcsmConfig(prng_seed=SEED).prng_seed == SEED
 
+    @pytest.mark.parametrize("seed", [b"x" * 20, ("a" * 10, "b" * 10), (bytes(10),),
+                                      (bytes(10), bytes(10), bytes(10)), [bytes(10), bytes(10)]],
+                             ids=("bytes", "str-parts", "one-part", "three-parts", "list"))
+    def test_malformed_seed_rejected_when_built(self, seed):
+        # caught here, not as an unpacking error or inside Trivium at the first DPA run
+        for dpa in (False, True):
+            with pytest.raises(ValueError, match="prng_seed"):
+                EcsmConfig(dpa_enabled=dpa, prng_seed=seed)
+
     def test_clamp_mode_checked(self):
         with pytest.raises(ValueError):
             EcsmConfig(clamp_mode="sideways")
+
+    def test_scalar_curve_must_be_a_curve_id(self):
+        for curve in ("curve25519", "25519", None, [CurveId.CURVE25519]):
+            with pytest.raises(TypeError, match="curve must be a CurveId"):
+                Scalar(5, curve)
 
     @pytest.mark.parametrize("mode", ["rfc-clamped", ""])
     def test_decoders_reject_an_unknown_clamp_mode(self, mode):

@@ -246,3 +246,13 @@ class TestBytes:
     def test_canonical_required(self):
         with pytest.raises(ValueError):
             field.FieldElement(P25519, CurveId.CURVE25519)
+
+    def test_curve_must_be_a_curve_id(self):
+        # a clear error, not a bare KeyError from the PARAMS lookup
+        for curve in ("25519", CurveId.CURVE25519.value, 448, None):
+            with pytest.raises(TypeError, match="curve must be a CurveId"):
+                field.FieldElement(9, curve)
+            with pytest.raises(TypeError, match="curve must be a CurveId"):
+                field.fe(9, curve)
+            with pytest.raises(TypeError, match="curve must be a CurveId"):
+                field.check_width(bytes(32), curve, "u-coordinate")

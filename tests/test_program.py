@@ -187,6 +187,18 @@ class TestInversionProgram:
             squares = sum(op.src_a == op.src_c for wave in prog.waves for op in wave.ops)
             assert (squares, prog.op_count - squares) == counts
 
+    @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.value)
+    def test_chain_computes_p_minus_2_for_every_input(self, curve):
+        # a proof, not a sample: track the exponent of a in each register
+        # over the whole chain.  Every op is a plain mul_op, so dst = a * c
+        # adds the exponents, and Z2 = a^(p-2) = 1/a (0 for a = 0).
+        exp = {Z2: 1}
+        for wave in build_inversion_program(curve).waves:
+            (op,) = wave.ops
+            assert op == mul_op(op.src_a, op.src_c, op.dst), op
+            exp[op.dst] = exp[op.src_a] + exp[op.src_c]
+        assert exp[Z2] == PARAMS[curve].p - 2
+
     def test_preserves_x2(self):
         regs = inversion_state(2, x2=123456)
         run_program(regs, build_inversion_program(CurveId.CURVE25519))

@@ -1,12 +1,16 @@
 """Every module of the package compiles without a warning, the engine
 issues its waves and charges their products at one site, each wave runs as
 generated straight-line code from the package's one code generator, the
-trace printer renders no line itself, and every seam the benchmark wraps
-exists."""
+trace printer renders no line itself, every seam the benchmark wraps
+exists, and importing the package loads neither `dataclasses` nor
+`inspect`."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -24,6 +28,18 @@ def test_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=("site", "no-site"))
+def test_import_loads_neither_dataclasses_nor_inspect(flags):
+    # the records are namedtuples: importing `dataclasses`, which imports
+    # `inspect`, and decorating the records was most of a cold start's set-up
+    code = ("import sys; import uecc, uecc.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(pathlib.Path(uecc.__file__).parents[1])
+    out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def functions_referencing(tree, name):
