@@ -42,6 +42,8 @@ class Scalar(collections.namedtuple("Scalar", "bits curve")):
             raise ValueError("scalar out of range")
         return super().__new__(cls, bits, curve)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
+
 
 def _clamps(clamp_mode: str) -> bool:
     """Whether `clamp_mode` clamps (RFC_CLAMPED) or not (RAW); any other
@@ -68,6 +70,8 @@ class EcsmConfig(collections.namedtuple("EcsmConfig", "dpa_enabled clamp_mode pr
             if len(key) != 10 or len(iv) != 10:
                 raise ValueError("prng_seed parts must be 10 bytes each")
         return super().__new__(cls, dpa_enabled, clamp_mode, prng_seed)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
 
 # x_q: FieldElement; cycles: perf.CycleReport; trace: the events, when asked for

@@ -72,6 +72,8 @@ class QuadOpInstruction(collections.namedtuple(
             raise ValueError(f"dst address {dst} out of range")
         return super().__new__(cls, sub_left, src_a, src_b, sub_right, src_c, src_d, dst, const_tag)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
+
     def reads(self) -> frozenset[int]:
         srcs = {self.src_a, self.src_b}
         if not self.const_tag:
@@ -117,6 +119,8 @@ class Wave(collections.namedtuple("Wave", "ops")):
         if not 1 <= len(ops) <= 4:
             raise ValueError(f"wave must hold 1-4 ops, got {len(ops)}")
         return super().__new__(cls, ops)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
     def check(self, curve: CurveId):
         """Raise ScheduleError if this wave cannot issue for the given curve."""

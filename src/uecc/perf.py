@@ -48,6 +48,8 @@ class CycleReport(collections.namedtuple(
                 raise ValueError(f"{name} must be non-negative")
         return self
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
+
     @property
     def total(self) -> int:
         return sum(self)

@@ -133,8 +133,9 @@ def inversion(rng, n) -> bool:
 
 def ladder(rng, n) -> bool:
     """Ladders of 3/3 and 10/11 waves and 11/12 ops, and scheduled step ==
-    straight-line step on `n` random register states per (curve, dpa).  The
-    programs' issue rules are checked when they are built."""
+    straight-line step on `n` random register states per (curve, dpa), with
+    X1 and Z1 never written.  The programs' issue rules are checked when they
+    are built."""
     ok = True
     for (curve, dpa), (*_, waves, ops) in DESIGN.items():
         prog = program.build_ladder_program(curve, dpa)
@@ -148,8 +149,8 @@ def ladder(rng, n) -> bool:
                 regs[program.R_RND] = rng.randrange(p)
                 for wave in program.build_ladder_program(curve, dpa).waves:
                     execute_wave(regs, wave, curve)
-                got = tuple(regs[program.X2:program.Z3 + 1])  # X2, Z2, X3, Z3
-                ok &= got == reference.ladder_step(curve, *vals)
+                got = tuple(regs[:program.Z3 + 1])  # X1, Z1, X2, Z2, X3, Z3
+                ok &= got == (*vals[:2], *reference.ladder_step(curve, *vals))
     return ok
 
 

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 2-7 run the oracle checks of `uecc.selftest` (the checks behind
-`uecc selftest`) with this suite's seeds and sample counts.
+`uecc selftest`) with this suite's seeds and sample counts.  Those functions
+are each check's one implementation: the unit tests do not repeat them.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The optional
 million-iteration test is gated behind UECC_RUN_1M=1 (hours in pure Python).

