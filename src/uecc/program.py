@@ -24,13 +24,17 @@ The Z1 multiplication is issued unconditionally (Z1 is 1 when randomization
 is off), which is what lets one fixed LUT serve both modes; with the DPA
 countermeasure enabled a 12th op multiplies the residue register by Z1,
 keeping the multiplier array busy on randomized data for one extra issue
-slot.  Curve25519 packs the step into 3 waves of four; Curve448 issues one
-op per wave except that the short a24 product shares a cycle with AA*BB,
-giving 10 waves (11 with DPA).
+slot.  The step is written once, as its list of ops in program order, and
+`pack` derives its waves: each op joins the last wave unless the curve's
+issue rules (`ffau.Wave`) reject it.  Curve25519 issues the step as waves
+of 4+4+3 ops (4+4+4 with DPA); Curve448 issues one full-width op per wave,
+with the short a24 product sharing AA*BB's cycle, giving 10 waves (11 with
+DPA).
 
-The inversion chains are written directly as waves of one square or
-multiply each, so the waves that the engine issues are the only copy of
-each chain.
+The inversion chains, and the init and final programs, are written directly
+as waves of one square or multiply each, so the waves that the engine issues
+are the only copy of each chain.  Each op reads the result of the op before
+it or overwrites one of its operands, so `pack` gives back the same waves.
 """
 
 from __future__ import annotations
@@ -99,17 +103,29 @@ def _ladder_ops(dpa: bool):
     return ops
 
 
+def pack(ops, curve: CurveId) -> tuple[Wave, ...]:
+    """The waves that issue `ops` in program order on `curve`: each op joins
+    the last wave unless the issue rules (`Wave`'s size, `Wave.check`)
+    reject the result, and then opens a new wave.  No op moves ahead of an
+    op before it, so the waves compute what the ops do one at a time."""
+    waves = []
+    for op in ops:
+        if waves:
+            try:
+                wave = Wave(waves[-1].ops + (op,))
+                wave.check(curve)
+            except ValueError:  # a size error, or a ScheduleError
+                pass
+            else:
+                waves[-1] = wave
+                continue
+        waves.append(Wave((op,)))
+    return tuple(waves)
+
+
 @functools.cache
 def build_ladder_program(curve: CurveId, dpa: bool = False) -> ScheduledProgram:
-    ops = _ladder_ops(dpa)
-    if curve is CurveId.CURVE25519:
-        waves = [Wave(tuple(ops[0:4])), Wave(tuple(ops[4:8])), Wave(tuple(ops[8:]))]
-    else:
-        # a24 product rides along with AA*BB; everything else is one op per cycle
-        waves = [Wave((op,)) for op in ops[0:4]]
-        waves.append(Wave((ops[4], ops[5])))
-        waves.extend(Wave((op,)) for op in ops[6:])
-    return ScheduledProgram(tuple(waves), "ladder", curve, dpa)
+    return ScheduledProgram(pack(_ladder_ops(dpa), curve), "ladder", curve, dpa)
 
 
 def _sq(src, dst, n=1):

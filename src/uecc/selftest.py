@@ -87,12 +87,20 @@ def add_sub(curve: CurveId, a: int, b: int) -> tuple[int, int]:
 
 def _edge_operands(curve: CurveId) -> tuple[int, ...]:
     """Operands at the bounds of the fused reductions: 0, 1, 2, p-1, p-2,
-    (p-1)/2, the FFAU's unreduced selector values p, p+1, 2p-2 and 2p-1, and
-    for Curve448 the values whose halves at phi = 2^224 are all-ones or
-    near-max (the largest golden-ratio partials), and the largest top half of
-    an operand below 2p with a zero bottom half."""
-    p = PARAMS[curve].p
-    edges = (0, 1, 2, p - 1, p - 2, (p - 1) // 2, p, p + 1, 2 * p - 2, 2 * p - 1)
+    (p-1)/2, the FFAU's unreduced selector values p, p+1, 2p-2 and 2p-1, an
+    operand a < p whose product with a24 folds into [p, 2p), so that the
+    masked subtraction must act, and for Curve448 the values whose halves at
+    phi = 2^224 are all-ones or near-max (the largest golden-ratio partials),
+    and the largest top half of an operand below 2p with a zero bottom half.
+
+    The a24 operand: with 2^w = p + k and a*a24 = m*2^w - t, one fold gives
+    p + k*m - t, which is at least p for the least m with t <= k*m."""
+    p, c = PARAMS[curve].p, PARAMS[curve].a24
+    w = p.bit_length()
+    k = 2**w - p
+    m = next(m for m in range(1, c) if (m << w) % c <= k * m)
+    edges = (0, 1, 2, p - 1, p - 2, (p - 1) // 2, p, p + 1, 2 * p - 2, 2 * p - 1,
+             ((m << w) - (m << w) % c) // c)
     if curve is CurveId.CURVE448:
         phi = field.PHI
         edges += (phi - 1, phi, p - phi, (2 * p - 1) // phi * phi)

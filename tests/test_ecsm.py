@@ -501,10 +501,14 @@ class TestConcurrency:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, inside the waves
         try:
+            # every job runs before any result is read: `pool.map` would
+            # cancel the queued jobs at the first failure, and the threads
+            # already at the barrier would then wait out its timeout
             with ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(pool.map(run, jobs))
+                futures = [pool.submit(run, job) for job in jobs]
         finally:
             sys.setswitchinterval(interval)
+        results = [future.result() for future in futures]
         for (_, _, curve, cfg, want), res in zip(jobs, results):
             assert res.x_q.n.to_bytes(PARAMS[curve].field_bytes, "little") == want
             assert res.cycles == perf.expected(curve, cfg.dpa_enabled)

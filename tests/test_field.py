@@ -8,7 +8,7 @@ from uecc.ecsm import RAW, decode_u
 from uecc.field import CurveId, P25519, P448, PARAMS, PHI
 from uecc.ffau import NUM_REGISTERS, DatapathError, mul_int, mul_small_int
 from uecc.program import build_inversion_program, build_ladder_program
-from uecc.selftest import _edge_operands, add_sub
+from uecc.selftest import add_sub
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
 
@@ -88,6 +88,9 @@ class TestMul:
         calls = 0
 
         def unit(x, y):
+            # the modelled unit is 256 bits wide: a wider operand is a
+            # reduction fault, which must fail here, not grow on each wave
+            assert x >> 256 == 0 and y >> 256 == 0, "operand wider than the 256-bit unit"
             nonlocal calls
             calls += 1
             return x * y
@@ -111,35 +114,6 @@ class TestMul:
                 charged = tuple(b - a for a, b in zip(before, counters.snapshot()))
                 assert perf.products(prog) == calls == want[name], (curve, name)
                 assert charged == (9 * calls, 3 * calls, calls), (curve, name)
-
-
-class TestReductionBounds:
-    """The fused reductions end in one masked subtraction; operands at the
-    edges of the field, and the FFAU's unreduced selectors up to 2p - 1,
-    drive each fold to its bound.  `selftest.field_ops` runs `mul_int` and
-    `mul_small_int` on every pair of `selftest._edge_operands`; this class
-    adds an operand whose product with a24 folds into [p, 2p), so that the
-    final subtraction acts."""
-
-    @staticmethod
-    def folds_to_at_least_p(curve):
-        """An operand a < p whose product with a24 folds into [p, 2p), so the
-        masked subtraction must act: with 2^w = p + k and a*a24 = m*2^w - t,
-        one fold gives p + k*m - t."""
-        p, c = PARAMS[curve].p, PARAMS[curve].a24
-        w = p.bit_length()
-        k = 2**w - p
-        m = next(m for m in range(1, c) if (m << w) % c <= k * m)
-        a = ((m << w) - (m << w) % c) // c
-        assert a < p
-        return a
-
-    @pytest.mark.parametrize("curve", CURVES, ids=("25519", "448"))
-    def test_mul_small_int_on_edges(self, curve):
-        p, a24 = PARAMS[curve].p, PARAMS[curve].a24
-        for a in (*_edge_operands(curve), self.folds_to_at_least_p(curve)):
-            got = mul_small_int(a, curve)
-            assert got == a * a24 % p and got < p, hex(a)
 
 
 class TestFieldAxioms:

@@ -4,8 +4,12 @@ import random
 import pytest
 
 from uecc.field import CurveId, PARAMS
-from uecc.ffau import NUM_REGISTERS, OP_SUB, ScheduleError, Wave, execute_wave, mul_op
+from uecc.ffau import (
+    NUM_REGISTERS, OP_ADD, OP_SUB, ZERO, ScheduleError, Wave, a24_op, execute_wave, mul_op,
+)
 from uecc.program import (
+    FINAL_WAVE,
+    INIT_WAVES,
     R_RND,
     ScheduledProgram,
     X1,
@@ -16,6 +20,7 @@ from uecc.program import (
     build_inversion_program,
     build_ladder_program,
     dump_program,
+    pack,
     _ladder_ops,
 )
 from uecc.reference import ladder_step
@@ -241,6 +246,28 @@ class TestValidateSchedule:
     def test_five_op_wave_unconstructible(self):
         with pytest.raises(ValueError):
             Wave((mul_op(0, 1, 6),) * 5)
+
+    # `pack` keeps program order and opens a new wave exactly where the
+    # issue rules reject the op: (curve, ops, ops per packed wave)
+    @pytest.mark.parametrize("curve, ops, sizes", [
+        (CurveId.CURVE25519, (mul_op(0, 1, 6), mul_op(6, 2, 7)), [1, 1]),
+        (CurveId.CURVE25519, (mul_op(0, 1, 6), mul_op(2, 3, 0)), [1, 1]),
+        (CurveId.CURVE25519, tuple(mul_op(0, 1, dst) for dst in range(6, 11)), [4, 1]),
+        (CurveId.CURVE448, (mul_op(0, 1, 6), mul_op(2, 3, 7)), [1, 1]),
+        (CurveId.CURVE448, (mul_op(0, 1, 6), a24_op(OP_ADD, 2, ZERO, 7)), [2]),
+    ], ids=["reads-last-dst", "writes-a-read", "fifth-op", "448-second-full-width",
+            "448-a24-joins"])
+    def test_pack_opens_a_wave_where_the_rules_reject(self, curve, ops, sizes):
+        waves = pack(ops, curve)
+        assert [len(w.ops) for w in waves] == sizes
+        assert tuple(op for w in waves for op in w.ops) == ops
+
+    @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.value)
+    def test_hand_written_programs_are_packed(self, curve):
+        # the chains, init and final programs issue one op per wave because
+        # each op depends on the one before it, not by choice
+        for waves in (build_inversion_program(curve).waves, INIT_WAVES, (FINAL_WAVE,)):
+            assert pack([op for w in waves for op in w.ops], curve) == waves
 
 
 class TestDump:
