@@ -9,9 +9,10 @@ a wave are simultaneous.  Each distinct wave runs, per curve, as a generated
 straight-line function, its kernel: the kernel reads every distinct operand
 selector (A + B, A - B + p, or plain A) from the pre-wave registers into a
 local, then computes each op's product, folds and masked subtraction inline,
-from the curve's text in `field`, and writes the result in place.  Every read
-precedes every write, so the pre-wave semantics hold by construction.  The
-selectors are left unreduced, below 2p, which the folds absorb.
+and writes the result in place.  `kernel_source` composes every kernel from
+the curve's product and fold text in `field`, which composes nothing.  Every
+read precedes every write, so the pre-wave semantics hold by construction.
+The selectors are left unreduced, below 2p, which the folds absorb.
 Curve25519 issues up to four ops per wave (the four 256-bit multipliers run in
 parallel); Curve448 consumes all four multipliers for one full-width product
 per wave, optionally sharing the cycle with one short a24-constant
@@ -112,8 +113,9 @@ def a24_op(sl, a, b, dst) -> QuadOpInstruction:
 
 class Wave(collections.namedtuple("Wave", "ops")):
     """Quad-ops issued in one clock cycle: `ops`, a tuple of 1-4
-    `QuadOpInstruction`s.  A wave keeps an instance dict, where `text`
-    caches its rendered line."""
+    `QuadOpInstruction`s."""
+
+    __slots__ = ()
 
     def __new__(cls, ops):
         if not 1 <= len(ops) <= 4:
@@ -148,9 +150,9 @@ class Wave(collections.namedtuple("Wave", "ops")):
         tuple, which the wave compiled on every curve compares equal to."""
         return self.ops if curve is None else compile_ops(self.ops, curve)
 
-    @functools.cached_property
+    @property
     def text(self) -> str:
-        """The wave's ops as trace text, rendered once per wave object."""
+        """The wave's ops as trace text."""
         return "; ".join(format_op(op) for op in self.ops)
 
 
@@ -162,15 +164,19 @@ class CompiledWave(tuple):
 
 def kernel_source(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> str:
     """Python source of the straight-line function executing the wave `ops`
-    on `curve`.
+    on `curve`: the one place that composes a kernel from `field`'s text.
 
     Each distinct operand selector is read once from the pre-wave registers:
     `A + 0` as `r[a]`, a sum as `r[a] + r[b]` and a difference as
-    `r[a] - r[b] + p`, each below 2p and left unreduced.  Then each op's
-    product, folds and masked subtraction (`field.mul_source`) run inline and
-    write its destination, in op order; a square passes one selector as both
-    factors."""
-    reads, names, split = [], {}, set()
+    `r[a] - r[b] + p`, each below 2p and left unreduced.  Then, in op order,
+    each op's product (`field.PRODUCT`, or `field.PRODUCT_A24` with the
+    curve's a24) is followed by its folds (`field.FOLD`) and the masked
+    subtraction that writes its destination; a square passes one selector as
+    both factors.  On Curve448 each full-width factor is first split at phi
+    (`field.SPLIT448`), once, before its first product.  The selectors are
+    named `s0`, `s1`, ..., which no product's locals (`x`, `h`, `h1`, `p11`,
+    `p00`, and the halves `s0h`, `s0l`, ...) collide with."""
+    reads, names, split, products = [], {}, set(), []
     p = field.PRIME[curve]
 
     def selector(sub, x, y):
@@ -185,15 +191,19 @@ def kernel_source(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> str:
             reads.append(f"{names[key]} = {expr}\n")
         return names[key]
 
-    products = []
     for op in ops:
-        lhs = selector(op.sub_left, op.src_a, op.src_b)
-        out = f"r[{op.dst}]"
+        a = selector(op.sub_left, op.src_a, op.src_b)
         if op.const_tag:
-            products.append(field.mul_small_source(curve, lhs, PARAMS[curve].a24, out))
+            b, (product, folds) = PARAMS[curve].a24, field.PRODUCT_A24
         else:
-            rhs = selector(op.sub_right, op.src_c, op.src_d)
-            products.append(field.mul_source(curve, lhs, rhs, out, split))
+            b, (product, folds) = selector(op.sub_right, op.src_c, op.src_d), field.PRODUCT[curve]
+            if curve is CurveId.CURVE448:
+                for v in (a, b):
+                    if v not in split:
+                        split.add(v)
+                        products.append(field.SPLIT448.format(v=v))
+        products.append(product.format(a=a, b=b) + field.FOLD[curve] * folds
+                        + f"r[{op.dst}] = x - ({p} & -(x >= {p}))\n")
     body = "".join(reads + products)
     return "def kernel(r):\n" + "".join("    " + line for line in body.splitlines(True))
 
@@ -216,7 +226,9 @@ def execute_wave(regs: list[int], wave: Wave, curve: CurveId):
 
     This is the checked path: the wave must pass `Wave.check` (the registers
     are untouched if it does not), and every value written must fit the
-    448-bit registers, or `DatapathError` is raised."""
+    448-bit registers, or `DatapathError` is raised.  The kernels' bounds are
+    proven for all inputs by a source test, so only a replaced unit
+    (`field.kar256_int`, e.g. an injected fault) can raise it."""
     wave.check(curve)
     execute_compiled_wave(regs, wave.compiled(curve), curve)
     for op in wave.ops:

@@ -11,10 +11,11 @@ unreduced operand selectors) either leaves the value below 2p, so one masked
 conditional subtraction finishes, and the sequence of operations never
 depends on operand values.
 
-Each curve's product and fold are written once, as statement text
-(`PRODUCT`, `FOLD`, `SPLIT448`), and this module generates no code itself:
-the FFAU's wave kernels (`ffau.kernel_source`) inline one product per op
-from that text and run in this module's globals.  `ffau.mul_int` and
+Each curve's product and fold are written once, as statement text with
+their bound comments (`PRODUCT`, `PRODUCT_A24`, `FOLD`, `SPLIT448`).  This
+module holds only curve facts and that text, and composes nothing:
+`ffau.kernel_source` composes each wave kernel from it, one product per op,
+and the kernels run in this module's globals.  `ffau.mul_int` and
 `ffau.mul_small_int` issue one wave each, so the checks that call them run
 the engine's own kernels.
 
@@ -115,8 +116,9 @@ def fe(n: int, curve: CurveId) -> FieldElement:
 # A reduction folds x with the prime's special form a fixed number of times,
 # which leaves x < 2p, so one masked subtraction finishes; the bound of each
 # step is noted beside it.  The statements below are the only copy of each
-# curve's product and fold; each FFAU wave kernel is generated from them and
-# runs in this module's globals.
+# curve's product and fold; `ffau.kernel_source` composes every wave kernel
+# from them (split, product, folds, masked subtraction), and each kernel runs
+# in this module's globals.
 
 # the name of each curve's prime in this module
 PRIME = {CurveId.CURVE25519: "P25519", CurveId.CURVE448: "P448"}
@@ -155,35 +157,12 @@ x = p11 + p00 + h1 + (((h & _M224) + h1) << 224)
 # A Curve448 factor {v} split at phi into {v}h and {v}l, once per name.
 SPLIT448 = "{v}h = {v} >> 224\n{v}l = {v} & _M224\n"
 
-
-def reduce_source(curve: CurveId, folds: int, out: str) -> str:
-    """Statements that fold x `folds` times and put x mod p, canonical, in
-    `out`: once the folds leave x < 2p, one masked subtraction finishes."""
-    p = PRIME[curve]
-    return FOLD[curve] * folds + f"{out} = x - ({p} & -(x >= {p}))\n"
-
-
-def mul_source(curve: CurveId, a: str, b: str, out: str, split: set[str]) -> str:
-    """Statements that put a * b mod p, canonical, in `out`, for the factors
-    named `a` and `b`, each below 2p.  A Curve448 factor is split at phi
-    first unless its name is in `split`, which then gains it, so a square, or
-    a factor shared with an earlier product, is split once."""
-    halves = ""
-    if curve is CurveId.CURVE448:
-        for v in dict.fromkeys((a, b)):
-            if v not in split:
-                split.add(v)
-                halves += SPLIT448.format(v=v)
-    product, folds = PRODUCT[curve]
-    return halves + product.format(a=a, b=b) + reduce_source(curve, folds, out)
-
-
-def mul_small_source(curve: CurveId, a: str, c, out: str) -> str:
-    """Statements that put a * c mod p, canonical, in `out`, for `a` below 2p
-    and `c` the curve's a24.  On Curve25519 a < 2^256 and a24 < 2^17, and one
-    fold leaves x < 2^255 + 19 * 2^18 < 2p; on Curve448 a < 2^449 and
-    a24 < 2^16, and one fold leaves x < 2^448 + 2^241 + 2^17 < 2p."""
-    return f"x = {a} * {c}\n" + reduce_source(curve, 1, out)
+# x = A * c for the a24 op, A = {a} below 2p and c = {b} the curve's a24
+# constant, on the short constant multiplier, and the folds that then leave
+# x < 2p.  On Curve25519 A < 2^256 and a24 < 2^17, and one fold leaves
+# x < 2^255 + 19 * 2^18 < 2p; on Curve448 A < 2^449 and a24 < 2^16, and one
+# fold leaves x < 2^448 + 2^241 + 2^17 < 2p.
+PRODUCT_A24 = ("x = {a} * {b}\n", 1)
 
 
 def check_width(data: bytes, curve: CurveId, what: str) -> None:

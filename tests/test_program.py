@@ -170,11 +170,6 @@ class TestLadderProgram:
 
 
 class TestInversionProgram:
-    def test_single_op_waves(self):
-        for curve in CURVES:
-            prog = build_inversion_program(curve)
-            assert all(len(w.ops) == 1 for w in prog.waves)
-
     def test_matches_pow(self):
         rng = random.Random(34)
         for curve in CURVES:

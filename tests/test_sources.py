@@ -1,7 +1,9 @@
 """Every module of the package compiles without a warning, the engine
 issues its waves and charges their products at one site, each wave runs as
-generated straight-line code from the package's one code generator, the
-trace printer renders no line itself, every seam the benchmark wraps
+generated straight-line code from the package's one code generator, which
+alone composes `field`'s product and fold text, every kernel keeps the
+registers canonical for every input (an interval proof), the trace printer
+renders no line itself, every seam the benchmark wraps
 exists, importing the package loads neither `dataclasses` nor
 `inspect`, and a record's `_replace` and `_make` check their fields as its
 constructor does."""
@@ -12,13 +14,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import pytest
 
 import uecc
-from uecc import cli, ecsm, ffau, perf, program
-from uecc.field import CurveId, fe
+from uecc import cli, ecsm, ffau, field, perf, program
+from uecc.field import PARAMS, CurveId, fe
 
 SOURCES = sorted(pathlib.Path(uecc.__file__).parent.glob("*.py"))
 
@@ -102,6 +105,17 @@ def test_the_wave_kernels_are_the_only_generated_code():
     assert sites == {"exec": [("ffau", "compile_ops")], "compile": [("ffau", "compile_ops")]}
 
 
+def test_only_kernel_source_composes_the_curve_text():
+    # `field` holds each curve's product and fold as data, defined at module
+    # level and composed by none of its functions; one function lays out
+    # every kernel, so its layout and its local names are decided in one place
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    for name in ("PRIME", "PRODUCT", "PRODUCT_A24", "FOLD", "SPLIT448"):
+        sites = [(stem, func) for stem, tree in trees.items()
+                 for func in functions_referencing(tree, name)]
+        assert sites == [("ffau", "kernel_source"), ("field", None)], name
+
+
 def test_the_trace_printer_renders_no_line():
     # each event's line is rendered once, in `perf`, when its program's events
     # are built; a per-event loop or f-string here would render every line of
@@ -146,6 +160,97 @@ def test_wave_kernels_are_straight_line_and_built_once_per_distinct_wave():
         calls = [node.func for node in nodes if isinstance(node, ast.Call)]
         assert all(isinstance(f, ast.Name) and f.id == "kar256_int" for f in calls), ops
         assert len(calls) == perf.products(program.ScheduledProgram((ffau.Wave(ops),), "ladder", curve))
+
+
+def kernel_bounds(source, curve):
+    """Prove one wave kernel's bounds for every input, by interval analysis
+    (Cousot & Cousot, POPL 1977): with every register in [0, p-1] (the zero
+    source [0, 0]), each unit operand is in [0, 2^256), each masked
+    subtraction `x - (P & -(x >= P))` sees [0, 2p) and yields [0, p-1], and
+    each register write lands in [0, p-1].  Names of `field` are its values.
+    Any other form fails the proof with AssertionError."""
+    p = PARAMS[curve].p
+    (kernel,) = ast.parse(source).body
+    assert ast.unparse(kernel.args) == "r", ast.unparse(kernel.args)
+    env = {}
+
+    def span(node):
+        match node:
+            case ast.Constant(int(c)):
+                return c, c
+            case ast.Name(name) if name in env:
+                return env[name]
+            case ast.Name(name) if type(c := vars(field).get(name)) is int:
+                return c, c
+            case ast.Subscript(ast.Name("r"), ast.Constant(int(i))) if 0 <= i <= ffau.ZERO:
+                return (0, 0) if i == ffau.ZERO else (0, p - 1)
+            case ast.Call(ast.Name("kar256_int"), [a, b], []):
+                (alo, ahi), (blo, bhi) = span(a), span(b)
+                assert 0 <= alo and 0 <= blo and ahi >> 256 == bhi >> 256 == 0, \
+                    f"unit operand {max(ahi, bhi).bit_length()} bits: {ast.unparse(node)}"
+                return alo * blo, ahi * bhi
+            case ast.BinOp(ast.Name(x), ast.Sub(), ast.BinOp(P, ast.BitAnd(), ast.UnaryOp(
+                    ast.USub(), ast.Compare(ast.Name(x2), [ast.GtE()], [P2])))) \
+                    if x == x2 and ast.dump(P) == ast.dump(P2) and span(P) == (p, p):
+                lo, hi = span(node.left)
+                assert 0 <= lo and hi < 2 * p, f"masked subtraction input {hi.bit_length()} bits, not < 2p"
+                return 0, p - 1
+            case ast.BinOp(left, ast.Add() | ast.Sub() as op, right):
+                (alo, ahi), (blo, bhi) = span(left), span(right)
+                return (alo + blo, ahi + bhi) if isinstance(op, ast.Add) else (alo - bhi, ahi - blo)
+            case ast.BinOp(left, op, right):
+                (alo, ahi), (blo, bhi) = span(left), span(right)
+                assert 0 <= alo and 0 <= blo, f"negative operand: {ast.unparse(node)}"
+                if isinstance(op, ast.Mult):
+                    return alo * blo, ahi * bhi
+                if isinstance(op, ast.RShift):
+                    return alo >> bhi, ahi >> blo
+                if isinstance(op, ast.LShift):
+                    return alo << blo, ahi << bhi
+                if isinstance(op, ast.BitAnd) and blo == bhi and bhi & (bhi + 1) == 0:
+                    return 0, min(ahi, bhi)  # a constant mask 2^k - 1
+        raise AssertionError(f"no rule for {ast.unparse(node)}")
+
+    for stmt in kernel.body:
+        match stmt:
+            case ast.Assign([ast.Name(name)], value):
+                env[name] = span(value)
+            case ast.Assign([ast.Subscript(ast.Name("r"), ast.Constant(int(i)))], value) \
+                    if 0 <= i < ffau.NUM_REGISTERS:
+                lo, hi = span(value)
+                assert 0 <= lo and hi < p, f"r[{i}] written outside [0, p-1]"
+            case _:
+                raise AssertionError(f"no rule for {ast.unparse(stmt)}")
+
+
+DISTINCT_KERNELS = sorted({(curve.value, tuple(ops)) for curve, ops in every_compiled_wave()})
+
+
+@pytest.mark.parametrize("curve, ops", DISTINCT_KERNELS,
+                         ids=[f"{curve}-{i:02d}" for i, (curve, _) in enumerate(DISTINCT_KERNELS)])
+def test_kernel_bounds_hold_for_every_input(curve, ops):
+    # the bound comments in `field` become a theorem: each kernel keeps every
+    # register canonical, and every load is canonical, so by induction every
+    # register is canonical at every cycle
+    kernel_bounds(ffau.kernel_source(ops, CurveId(curve)), CurveId(curve))
+
+
+C25519, C448 = CurveId.CURVE25519, CurveId.CURVE448
+
+
+@pytest.mark.parametrize("curve, old, new, message", [
+    (C25519, textwrap.indent(field.FOLD[C25519], "    "), "", "masked subtraction input 260 bits"),
+    (C448, textwrap.indent(field.FOLD[C448], "    "), "", "masked subtraction input 451 bits"),
+    (C25519, "x - (P25519 & -(x >= P25519))", "x", r"r\[2\] written outside"),
+    (C448, "x - (P448 & -(x >= P448))", "x - (P25519 & -(x >= P25519))", "no rule"),
+    (C448, " >> ", " // ", "no rule"),
+], ids=("25519-one-fold", "448-no-fold", "no-masked-subtraction", "wrong-prime", "unknown-form"))
+def test_kernel_bounds_reject_a_broken_kernel(curve, old, new, message):
+    # the proof can fail: each edit of the r2 <- r0 x r1 kernel breaks a bound
+    source = ffau.kernel_source((ffau.mul_op(0, 1, 2),), curve)
+    assert old in source
+    with pytest.raises(AssertionError, match=message):
+        kernel_bounds(source.replace(old, new, 1), curve)
 
 
 def tracer_install_targets():
