@@ -6,7 +6,7 @@ units, each built from three 64x64 products, so one 256-bit product costs
 exactly 9 base multiplications.  Only the output value and that cost are
 contractual.  The engine's unit, `kar256_int`, is therefore the builtin
 integer product, and the cost is charged per issued program rather than per
-call: `ecsm._issue` adds the program's product count (`perf.products`) to
+call: `ecsm._issue` adds `ScheduledProgram.products` (from `ffau.UNITS`) to
 `counters`, each product standing for one Karatsuba product (9 base, 3 mid,
 1 top).  `kar256_structural_int` spells the recursion out as two levels of
 `karatsuba_level` (carry-save compressors and adder trees as plain additions);
@@ -31,9 +31,9 @@ class MulCounters:
 
     `units` counts the engine's 256-bit products, charged by `ecsm._issue`
     once per issued program from the count the program's ops imply
-    (`perf.products`); each stands for one 2-level Karatsuba product, so its
-    9 base, 3 mid and 1 top multiplications are derived from that count when
-    read.
+    (`ScheduledProgram.products`); each stands for one 2-level Karatsuba
+    product, so its 9 base, 3 mid and 1 top multiplications are derived from
+    that count when read.
     """
 
     __slots__ = ("units",)

@@ -129,25 +129,24 @@ def _cswap_running_pairs(regs: list[int], swap_bit: int) -> None:
 
 def _issue(prog: ScheduledProgram, regs: list[int], events: list | None) -> int:
     """Issue every wave of `prog` on `regs`, one cycle each, charge its
-    multiplier-unit products to `counters`, and append the same program's
-    wave events to `events` when tracing.  Returns the cycles issued.  The
-    engine issues waves, and charges products, nowhere else."""
+    products (`prog.products`, from `ffau.UNITS`) to `counters`, and append
+    the same program's wave events to `events` when tracing.  Returns the
+    cycles issued.  The engine issues waves, and charges products, nowhere else."""
     curve = prog.curve
-    waves, recorded, products = _waves_and_events(prog)
+    waves, recorded = _waves_and_events(prog)
     for ops in waves:
         execute_compiled_wave(regs, ops, curve)
-    counters.units += products
+    counters.units += prog.products
     if events is not None:
         events.extend(recorded)
     return len(waves)
 
 
 @functools.cache
-def _waves_and_events(prog: ScheduledProgram) -> tuple[tuple, tuple, int]:
-    """The compiled waves of `prog`, their trace events (each with its
-    rendered line) and the program's product count, built once per program."""
-    events = tuple(perf.wave_event(prog.phase_tag, w) for w in prog.waves)
-    return prog.compiled(), events, perf.products(prog)
+def _waves_and_events(prog: ScheduledProgram) -> tuple[tuple, tuple]:
+    """The compiled waves of `prog` and their trace events (each with its
+    rendered line), built once per program."""
+    return prog.compiled(), tuple(perf.wave_event(prog.phase_tag, w) for w in prog.waves)
 
 
 def scalar_mult(

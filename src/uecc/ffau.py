@@ -13,10 +13,9 @@ and writes the result in place.  `kernel_source` composes every kernel from
 the curve's product and fold text in `field`, which composes nothing.  Every
 read precedes every write, so the pre-wave semantics hold by construction.
 The selectors are left unreduced, below 2p, which the folds absorb.
-Curve25519 issues up to four ops per wave (the four 256-bit multipliers run in
-parallel); Curve448 consumes all four multipliers for one full-width product
-per wave, optionally sharing the cycle with one short a24-constant
-multiplication.
+The multiplier array is stated once, in `MULTIPLIERS` and `UNITS`, and the
+issue rule (`Wave`, `Wave.check`) and the product charge
+(`program.ScheduledProgram.products`) both read it.
 
 `compile_ops` is the package's one code generator.  The engine runs its
 kernels through `execute_compiled_wave`; the checks run them through the
@@ -39,6 +38,11 @@ ZERO = 12
 
 OP_ADD = 0
 OP_SUB = 1
+
+# The multiplier array: 256-bit units, one issue slot each, and the units one
+# full-width op takes; an a24 op runs on the one constant multiplier instead.
+MULTIPLIERS = 4
+UNITS = {CurveId.CURVE25519: 1, CurveId.CURVE448: 4}
 
 
 class ScheduleError(ValueError):
@@ -112,38 +116,42 @@ def a24_op(sl, a, b, dst) -> QuadOpInstruction:
 
 
 class Wave(collections.namedtuple("Wave", "ops")):
-    """Quad-ops issued in one clock cycle: `ops`, a tuple of 1-4
-    `QuadOpInstruction`s."""
+    """Quad-ops issued in one clock cycle: `ops`, a tuple of 1 to
+    `MULTIPLIERS` `QuadOpInstruction`s."""
 
     __slots__ = ()
 
     def __new__(cls, ops):
-        if not 1 <= len(ops) <= 4:
-            raise ValueError(f"wave must hold 1-4 ops, got {len(ops)}")
+        ops = tuple(ops)
+        if not 1 <= len(ops) <= MULTIPLIERS:
+            raise ValueError(f"wave must hold 1-{MULTIPLIERS} ops, got {len(ops)}")
+        for op in ops:
+            if not isinstance(op, QuadOpInstruction):
+                raise TypeError(f"wave op {op!r} is not a QuadOpInstruction")
         return super().__new__(cls, ops)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
-    def check(self, curve: CurveId):
-        """Raise ScheduleError if this wave cannot issue for the given curve."""
-        if curve is CurveId.CURVE448:
-            full = [op for op in self.ops if not op.const_tag]
-            consts = [op for op in self.ops if op.const_tag]
-            if len(full) > 1 or len(consts) > 1:
-                raise ScheduleError(
-                    "Curve448 wave is one full-width op plus at most one a24 op"
-                )
-        written = set()
+    def check(self, curve: CurveId) -> int:
+        """The multiplier units (`UNITS`) this wave takes on `curve`; ScheduleError
+        if it takes over `MULTIPLIERS`, more than one a24 op, or has a hazard."""
+        written, consts = set(), 0
         for op in self.ops:
             if op.dst in written:
                 raise ScheduleError(f"register {op.dst} written twice in one wave")
             written.add(op.dst)
+            consts += bool(op.const_tag)
+        units = (len(self.ops) - consts) * UNITS[curve]
+        if units > MULTIPLIERS or consts > 1:
+            raise ScheduleError(f"wave takes {units} multiplier units and {consts} a24 ops;"
+                                f" the array has {MULTIPLIERS} and one constant multiplier")
         for op in self.ops:
             clash = op.reads() & (written - {op.dst})
             if clash:
                 raise ScheduleError(
                     f"register {min(clash)} read and written by different ops in one wave"
                 )
+        return units
 
     def compiled(self, curve: CurveId | None = None) -> tuple:
         """The wave's `CompiledWave` on `curve`.  Without a curve, the op

@@ -1,8 +1,8 @@
 """Arithmetic in F_(2^255-19) and F_(2^448-2^224-1).
 
 Multiplication always funnels through the 256-bit multiplier unit
-`kar256_int`: one product for Curve25519, four 224x224 partial products for
-Curve448 via the golden ratio split of its Solinas prime
+`kar256_int`, `ffau.UNITS[curve]` times per product: on Curve448 these are
+the 224x224 partial products of the golden ratio split of its Solinas prime
 (p = phi^2 - phi - 1, phi = 2^224), where a square splits its operand once.
 Each product is reduced by a fixed number of folds: two of 2^255 = 19 for
 Curve25519; for Curve448 the partials folded once more by phi^2 = phi + 1,
@@ -23,10 +23,10 @@ The unit (`bigmul.kar256_int`) is the builtin integer product; the
 structural Karatsuba recursion is the reference that the tests check against
 schoolbook.  Nothing here counts products: each stands for one 2-level
 Karatsuba product, and `ecsm._issue` charges a program's products
-(`perf.products`) when it issues the program.  The kernels look the unit up
-through this module's name `kar256_int` at call time, so replacing
-`field.kar256_int` (with the reference kernel, a timing wrapper or a fault)
-reaches every engine product.
+(`ScheduledProgram.products`, from `ffau.UNITS`) when it issues the program.
+The kernels look the unit up through this module's name `kar256_int` at call
+time, so replacing `field.kar256_int` (with the reference kernel, a timing
+wrapper or a fault) reaches every engine product.
 """
 
 from __future__ import annotations

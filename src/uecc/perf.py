@@ -13,8 +13,9 @@ latches x_Q, and the PRNG words one lambda draw takes.  The design totals:
 The tests pin these totals as literals, so the programs are checked against
 the design rather than against themselves.
 
-`products` reads the 256-bit multiplier-unit products off a program the same
-way; `ecsm._issue` charges them to `bigmul.counters` once per issue.
+A program's 256-bit multiplier-unit products are `ScheduledProgram.products`,
+counted from `ffau.UNITS` when the program is checked; `ecsm._issue` charges
+them to `bigmul.counters` once per issue.
 
 A traced run records one `Event` per cycle, of three kinds: a wave
 (`wave_event`: `EV_WAVE`, its program's phase tag and the `ffau.Wave`), a
@@ -31,7 +32,7 @@ from __future__ import annotations
 import collections
 
 from .field import PARAMS, CurveId
-from .program import INIT_WAVES, ScheduledProgram, build_inversion_program, build_ladder_program
+from .program import INIT_WAVES, build_inversion_program, build_ladder_program
 from .trivium import lambda_words
 
 CLOCK_MHZ = 100
@@ -147,12 +148,3 @@ def expected(curve: CurveId, dpa: bool) -> CycleReport:
         overhead_cycles=(len(INIT_WAVES) if dpa else 0) + 2,
         prng_cycles=lambda_words(curve) if dpa else 0,
     )
-
-
-def products(prog: ScheduledProgram) -> int:
-    """256-bit multiplier-unit products of one issue of `prog`: a full-width
-    op is one on Curve25519 and four on Curve448 (the golden-ratio partials
-    of `field.PRODUCT`); an a24 op runs on the constant multiplier and
-    takes none."""
-    per_op = 1 if prog.curve is CurveId.CURVE25519 else 4
-    return per_op * sum(not op.const_tag for wave in prog.waves for op in wave.ops)

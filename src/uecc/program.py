@@ -27,9 +27,9 @@ keeping the multiplier array busy on randomized data for one extra issue
 slot.  The step is written once, as its list of ops in program order, and
 `pack` derives its waves: each op joins the last wave unless the curve's
 issue rules (`ffau.Wave`) reject it.  Curve25519 issues the step as waves
-of 4+4+3 ops (4+4+4 with DPA); Curve448 issues one full-width op per wave,
-with the short a24 product sharing AA*BB's cycle, giving 10 waves (11 with
-DPA).
+of 4+4+3 ops (4+4+4 with DPA); on Curve448 a full-width op takes all four
+multiplier units (`ffau.UNITS`), so one issues per wave, with the short a24
+product sharing AA*BB's cycle, giving 10 waves (11 with DPA).
 
 The inversion chains, and the init and final programs, are written directly
 as waves of one square or multiply each, so the waves that the engine issues
@@ -62,12 +62,13 @@ FINAL_WAVE = Wave((mul_op(X2, Z2, X2),))
 class ScheduledProgram:
     """Waves issued in order, one per cycle.  Every wave is checked against
     the curve's issue rules (`Wave.check`) when the program is built, so a
-    program that exists can issue."""
+    program that exists can issue, and `products` sums the units they count."""
 
     def __init__(self, waves: tuple[Wave, ...], phase_tag: str, curve: CurveId, dpa: bool = False):
+        self.products = 0  # 256-bit multiplier products per issue
         for i, wave in enumerate(waves):
             try:
-                wave.check(curve)
+                self.products += wave.check(curve)
             except ScheduleError as exc:
                 raise ScheduleError(f"wave {i}: {exc}") from None
         self.waves = waves

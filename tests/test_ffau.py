@@ -50,6 +50,17 @@ class TestInstructionValidation:
         with pytest.raises(ValueError):
             Wave((op,) * 5)
 
+    def test_wave_holds_a_tuple_of_ops(self):
+        # a list would be kept as is and fail in the kernel cache, a stray
+        # element only once the wave executes
+        op = mul_op(0, 1, 2)
+        assert type(Wave([op]).ops) is tuple
+        assert Wave([op]) == Wave((op,))
+        with pytest.raises(TypeError, match="wave op 'x' is not a QuadOpInstruction"):
+            Wave((op, "x"))
+        with pytest.raises(TypeError, match=r"wave op \(0, 1, 2\) is not"):
+            Wave([(0, 1, 2)])
+
     def test_curve448_issue_width(self):
         two_full = Wave((mul_op(0, 1, 2), mul_op(3, 4, 5)))
         two_full.check(CurveId.CURVE25519)

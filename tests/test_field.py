@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from uecc import ecsm, field, perf
+from uecc import ecsm, field
 from uecc.bigmul import counters
 from uecc.ecsm import RAW, decode_u
 from uecc.field import CurveId, P25519, P448, PARAMS, PHI
@@ -74,8 +74,9 @@ class TestMul:
             with pytest.raises(DatapathError):
                 mul_int(p - 1, p - 1, curve)
 
-    # 256-bit unit products charged per issue of each program: a full-width
-    # op is one on Curve25519 and four on Curve448, an a24 op none
+    # 256-bit unit products charged per issue of each program, pinned as
+    # literals: `ffau.UNITS` per full-width op (one on Curve25519, four on
+    # Curve448), none per a24 op
     PROGRAM_PRODUCTS = {
         CurveId.CURVE25519: {"ladder": 10, "ladder-dpa": 11, "inversion": 265, "init": 2, "final": 1},
         CurveId.CURVE448: {"ladder": 40, "ladder-dpa": 44, "inversion": 1848, "init": 8, "final": 4},
@@ -112,7 +113,7 @@ class TestMul:
                 before = counters.snapshot()
                 ecsm._issue(prog, regs, None)
                 charged = tuple(b - a for a, b in zip(before, counters.snapshot()))
-                assert perf.products(prog) == calls == want[name], (curve, name)
+                assert prog.products == calls == want[name], (curve, name)
                 assert charged == (9 * calls, 3 * calls, calls), (curve, name)
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from uecc import ffau, perf, program
 from uecc.field import CurveId, PARAMS
 from uecc.ffau import (
     NUM_REGISTERS, OP_ADD, OP_SUB, ZERO, ScheduleError, Wave, a24_op, execute_wave, mul_op,
@@ -97,20 +98,20 @@ class TestLadderProgram:
     ])
     def test_wave_counts_meet_the_lower_bound(self, curve, dpa, waves):
         # No schedule of the step's ops issues in fewer waves than the longest
-        # chain of ops each reading the previous one's result, nor than its
-        # issue slots over the slots of one wave: four ops on Curve25519, one
-        # full-width op on Curve448, where the a24 op rides along (Wave.check).
-        # Each ladder meets that bound, so its cycle total is minimal for its ops
+        # chain of ops each reading the previous one's result, nor than the
+        # multiplier array allows (Wave, Wave.check): its ops over the
+        # MULTIPLIERS issue slots, its full-width ops' UNITS over the
+        # MULTIPLIERS units, or its a24 ops, one per wave on the one constant
+        # multiplier.  Each ladder meets that bound, so its cycle total is
+        # minimal for its ops
         ops = _ladder_ops(dpa)
         depth_of, depth = {}, 0  # register -> chain depth of its latest writer
         for op in ops:
             depth_of[op.dst] = 1 + max((depth_of.get(reg, 0) for reg in op.reads()), default=0)
             depth = max(depth, depth_of[op.dst])
-        if curve is CurveId.CURVE25519:
-            slots, per_wave = len(ops), 4
-        else:
-            slots, per_wave = sum(not op.const_tag for op in ops), 1
-        bound = max(depth, -(-slots // per_wave))
+        units = ffau.UNITS[curve] * sum(not op.const_tag for op in ops)
+        a24s = sum(op.const_tag for op in ops)
+        bound = max(depth, -(-len(ops) // ffau.MULTIPLIERS), -(-units // ffau.MULTIPLIERS), a24s)
         assert depth == 3
         assert len(build_ladder_program(curve, dpa).waves) == bound == waves
 
@@ -118,6 +119,54 @@ class TestLadderProgram:
         assert build_ladder_program(CurveId.CURVE448, False) is build_ladder_program(
             CurveId.CURVE448, False
         )
+
+    # The ladder's waves and the ECSM's cycles as a function of the multiplier
+    # array: MULTIPLIERS units, of which one Curve448 full-width op takes
+    # UNITS[CURVE448] (3 for Hamburg's three-partial golden-ratio product).
+    # The inversion and the overhead do not change.  None: the array cannot
+    # issue one Curve448 op, so no program can be built.
+    # (UNITS[CURVE448], MULTIPLIERS): {(curve, dpa): (ladder waves, ECSM cycles)}
+    ARRAY_CYCLES = {
+        (4, 1): {(CurveId.CURVE25519, False): (11, 3072), (CurveId.CURVE25519, True): (12, 3333),
+                 (CurveId.CURVE448, False): None, (CurveId.CURVE448, True): None},
+        (4, 2): {(CurveId.CURVE25519, False): (6, 1797), (CurveId.CURVE25519, True): (6, 1803),
+                 (CurveId.CURVE448, False): None, (CurveId.CURVE448, True): None},
+        (4, 4): {(CurveId.CURVE25519, False): (3, 1032), (CurveId.CURVE25519, True): (3, 1038),
+                 (CurveId.CURVE448, False): (10, 4944), (CurveId.CURVE448, True): (11, 5401)},
+        (4, 8): {(CurveId.CURVE25519, False): (3, 1032), (CurveId.CURVE25519, True): (3, 1038),
+                 (CurveId.CURVE448, False): (5, 2704), (CurveId.CURVE448, True): (6, 3161)},
+        (4, 16): {(CurveId.CURVE25519, False): (3, 1032), (CurveId.CURVE25519, True): (3, 1038),
+                  (CurveId.CURVE448, False): (3, 1808), (CurveId.CURVE448, True): (3, 1817)},
+        (3, 4): {(CurveId.CURVE448, False): (10, 4944), (CurveId.CURVE448, True): (11, 5401)},
+        (3, 6): {(CurveId.CURVE448, False): (5, 2704), (CurveId.CURVE448, True): (6, 3161)},
+        (3, 12): {(CurveId.CURVE448, False): (3, 1808), (CurveId.CURVE448, True): (3, 1817)},
+    }
+
+    @pytest.mark.parametrize("c, u, curve, dpa, want", [
+        pytest.param(c, u, curve, dpa, want, id=f"c{c}-u{u}-{curve.value[5:]}{'-dpa' * dpa}")
+        for (c, u), row in ARRAY_CYCLES.items() for (curve, dpa), want in row.items()
+    ])
+    def test_cycles_as_a_function_of_the_multiplier_array(self, monkeypatch, c, u, curve, dpa, want):
+        # read before the array is patched, so the cached builders keep the
+        # committed programs; under the patch every program is built afresh
+        committed = build_ladder_program(curve, dpa)
+        budget = perf.expected(curve, dpa)
+        monkeypatch.setattr(ffau, "MULTIPLIERS", u)
+        monkeypatch.setitem(ffau.UNITS, CurveId.CURVE448, c)
+        if want is None:
+            with pytest.raises(ScheduleError, match="wave 0: wave takes 4 multiplier units"):
+                ScheduledProgram(pack(_ladder_ops(dpa), curve), "ladder", curve, dpa)
+            return
+        ladder = ScheduledProgram(pack(_ladder_ops(dpa), curve), "ladder", curve, dpa)
+        inversion = ScheduledProgram(program._INVERSION_WAVES[curve], "inversion", curve)
+        ScheduledProgram(INIT_WAVES, "init", curve, dpa=True)
+        ScheduledProgram((FINAL_WAVE,), "final", curve)
+        assert len(inversion.waves) == budget.inversion_cycles == {CurveId.CURVE25519: 265,
+                                                                   CurveId.CURVE448: 462}[curve]
+        cycles = budget._replace(ladder_cycles=PARAMS[curve].scalar_bits * len(ladder.waves)).total
+        assert (len(ladder.waves), cycles) == want
+        if (c, u) == (4, 4):
+            assert repr(ladder.waves) == repr(committed.waves)
 
     @pytest.mark.parametrize("curve, dpa", [(c, d) for c in CURVES for d in (False, True)],
                              ids=["25519", "25519-dpa", "448", "448-dpa"])
@@ -235,8 +284,13 @@ class TestValidateSchedule:
         single = Wave((mul_op(0, 1, 6),))
         wave = Wave((mul_op(0, 1, 6), mul_op(2, 3, 7)))
         ScheduledProgram((wave,), "ladder", CurveId.CURVE25519)
-        with pytest.raises(ScheduleError, match="wave 1: Curve448 wave is one full-width op"):
+        with pytest.raises(ScheduleError, match="wave 1: wave takes 8 multiplier units and 0 a24 ops"):
             ScheduledProgram((single, wave), "ladder", CurveId.CURVE448)
+        # a24 ops take no unit, but share the one constant multiplier
+        a24s = Wave((a24_op(0, 0, 1, 2), a24_op(1, 0, 1, 3), a24_op(0, 4, 5, 6), a24_op(1, 4, 5, 7)))
+        for curve in CURVES:
+            with pytest.raises(ScheduleError, match="wave 0: wave takes 0 multiplier units and 4 a24"):
+                ScheduledProgram((a24s,), "ladder", curve)
 
     def test_five_op_wave_unconstructible(self):
         with pytest.raises(ValueError):
@@ -250,8 +304,10 @@ class TestValidateSchedule:
         (CurveId.CURVE25519, tuple(mul_op(0, 1, dst) for dst in range(6, 11)), [4, 1]),
         (CurveId.CURVE448, (mul_op(0, 1, 6), mul_op(2, 3, 7)), [1, 1]),
         (CurveId.CURVE448, (mul_op(0, 1, 6), a24_op(OP_ADD, 2, ZERO, 7)), [2]),
+        (CurveId.CURVE25519, (a24_op(OP_ADD, 0, 1, 2), a24_op(OP_SUB, 0, 1, 3),
+                              a24_op(OP_ADD, 4, 5, 6), mul_op(4, 5, 7)), [1, 1, 2]),
     ], ids=["reads-last-dst", "writes-a-read", "fifth-op", "448-second-full-width",
-            "448-a24-joins"])
+            "448-a24-joins", "25519-second-a24"])
     def test_pack_opens_a_wave_where_the_rules_reject(self, curve, ops, sizes):
         waves = pack(ops, curve)
         assert [len(w.ops) for w in waves] == sizes

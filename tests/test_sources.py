@@ -116,6 +116,17 @@ def test_only_kernel_source_composes_the_curve_text():
         assert sites == [("ffau", "kernel_source"), ("field", None)], name
 
 
+def test_only_ffau_and_program_read_the_multiplier_array():
+    # the array is stated once, in `ffau`, and read by the issue rule and the
+    # product charge; a count of units or slots anywhere else could drift
+    # from the waves that issue
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    for name in ("MULTIPLIERS", "UNITS"):
+        stems = {stem for stem, tree in trees.items() if functions_referencing(tree, name)}
+        assert "ffau" in stems and stems <= {"ffau", "program"}, name
+    assert not hasattr(perf, "products")
+
+
 def test_the_trace_printer_renders_no_line():
     # each event's line is rendered once, in `perf`, when its program's events
     # are built; a per-event loop or f-string here would render every line of
@@ -159,7 +170,7 @@ def test_wave_kernels_are_straight_line_and_built_once_per_distinct_wave():
         # the products are inline: the only call is the unit, once per product charged
         calls = [node.func for node in nodes if isinstance(node, ast.Call)]
         assert all(isinstance(f, ast.Name) and f.id == "kar256_int" for f in calls), ops
-        assert len(calls) == perf.products(program.ScheduledProgram((ffau.Wave(ops),), "ladder", curve))
+        assert len(calls) == program.ScheduledProgram((ffau.Wave(ops),), "ladder", curve).products
 
 
 def kernel_bounds(source, curve):
