@@ -6,8 +6,7 @@ issue.  `scalar_mult` holds its registers in a plain list, loaded in one
 block (with DPA: lambda drawn from a fresh Trivium, then the init program).
 Every wave issues through `_issue`, which executes, records and counts one
 program, so the trace, the cycle report and the product count are what ran.
-Layout and per-phase cycle charges follow the register map in `program` and
-the accounting in `perf`.
+The register layout follows the register map in `program`.
 """
 
 from __future__ import annotations

@@ -1,39 +1,23 @@
-"""Cycle accounting: one cycle per issued wave, one per PRNG word, fixed overheads.
+"""Cycle records: the `CycleReport` of one ECSM and the events of a traced run.
 
-`expected` reads the budget off what the engine runs: the ladder program's
-waves once per scalar bit, the inversion program's waves, the randomization
-waves (DPA only), the final multiplication plus the load/store cycle that
-latches x_Q, and the PRNG words one lambda draw takes.  The design totals:
-
-    Curve25519: 255*3 + 265 + 2             = 1032   (DPA off)
-                255*3 + 265 + 2 + (4 + 2)   = 1038   (DPA on)
-    Curve448:   448*10 + 462 + 2            = 4944
-                448*11 + 462 + 2 + (7 + 2)  = 5401
-
-The tests pin these totals as literals, so the programs are checked against
-the design rather than against themselves.
-
-A program's 256-bit multiplier-unit products are `ScheduledProgram.products`,
-counted from `ffau.UNITS` when the program is checked; `ecsm._issue` charges
-them to `bigmul.counters` once per issue.
+`ecsm.scalar_mult` is the one model of an ECSM's cycles: it charges one
+cycle per issued wave, one per PRNG word and one for the load/store cycle
+that latches x_Q, and returns the sums as a `CycleReport`.  `selftest.DESIGN`
+states the published decomposition of each (curve, dpa) as a literal
+`CycleReport`, and `selftest.cycle_totals` checks every report against it.
 
 A traced run records one `Event` per cycle, of three kinds: a wave
 (`wave_event`: `EV_WAVE`, its program's phase tag and the `ffau.Wave`), a
 PRNG word (`PRNG_EVENT`) and the load/store cycle that latches x_Q
-(`LOADSTORE_EVENT`).  Each event is a tuple, so `tally` and trace
-comparisons read it as one, and carries its trace line in `Event.line`,
-rendered once when the event is built: `ecsm` builds a program's wave
-events once per process, so `uecc trace` joins cached lines and renders
-none.
+(`LOADSTORE_EVENT`).  Each event is a tuple, so trace comparisons read it as
+one, and carries its trace line in `Event.line`, rendered once when the event
+is built: `ecsm` builds a program's wave events once per process, so
+`uecc trace` joins cached lines and renders none.
 """
 
 from __future__ import annotations
 
 import collections
-
-from .field import PARAMS, CurveId
-from .program import INIT_WAVES, build_inversion_program, build_ladder_program
-from .trivium import lambda_words
 
 CLOCK_MHZ = 100
 
@@ -105,46 +89,3 @@ def wave_event(phase: str, wave) -> Event:
 
 PRNG_EVENT = _event((EV_PRNG,), "prng", "next64")
 LOADSTORE_EVENT = _event((EV_LOADSTORE,), "overhead", "load/store")
-
-_OVERHEAD_PHASES = ("init", "final")
-
-
-def tally(trace) -> CycleReport:
-    """Fold an executed event stream into a CycleReport.
-
-    Events are tuples: ("wave", phase_tag, wave) for issued waves,
-    ("prng_next64",) per PRNG word, and ("load_store",) for the output
-    latching cycle; an `Event` reads as the same tuple.  One cycle is
-    charged per event.
-    """
-    ladder = inversion = overhead = prng = 0
-    for ev in trace:
-        kind = ev[0]
-        if kind == EV_WAVE:
-            phase = ev[1]
-            if phase == "ladder":
-                ladder += 1
-            elif phase == "inversion":
-                inversion += 1
-            elif phase in _OVERHEAD_PHASES:
-                overhead += 1
-            else:
-                raise ValueError(f"unknown wave phase {phase!r}")
-        elif kind == EV_PRNG:
-            prng += 1
-        elif kind == EV_LOADSTORE:
-            overhead += 1
-        else:
-            raise ValueError(f"unknown trace event {kind!r}")
-    return CycleReport(ladder, inversion, overhead, prng)
-
-
-def expected(curve: CurveId, dpa: bool) -> CycleReport:
-    """The modeled cycle budget of one scalar multiplication, read off the programs."""
-    return CycleReport(
-        ladder_cycles=PARAMS[curve].scalar_bits * len(build_ladder_program(curve, dpa).waves),
-        inversion_cycles=len(build_inversion_program(curve).waves),
-        # the final multiplication's wave, then the cycle that latches x_Q
-        overhead_cycles=(len(INIT_WAVES) if dpa else 0) + 2,
-        prng_cycles=lambda_words(curve) if dpa else 0,
-    )

@@ -1,7 +1,8 @@
 """Independent reference paths used by self-tests.
 
-Everything here deliberately avoids the accelerator-model code: arithmetic is
-plain Python big-integer `% p`, the ladder is the branching textbook loop of
+Everything here deliberately avoids the accelerator-model code, reading only
+the `CurveId` it is keyed by: the curve constants are RFC 7748's own, arithmetic
+is plain Python big-integer `% p`, the ladder is the branching textbook loop of
 the scalar-multiplication algorithm, and Trivium is clocked one bit at a
 time straight from the cipher definition.  Agreement between these and the
 datapath model is the core correctness argument.
@@ -9,13 +10,17 @@ datapath model is the core correctness argument.
 
 from __future__ import annotations
 
-from .field import PARAMS, CurveId
+from .field import CurveId
+
+# RFC 7748 section 4: the prime p, a24 = (A - 2) / 4 and the scalar bits of each curve
+P = {CurveId.CURVE25519: 2**255 - 19, CurveId.CURVE448: 2**448 - 2**224 - 1}
+A24 = {CurveId.CURVE25519: (486662 - 2) // 4, CurveId.CURVE448: (156326 - 2) // 4}
+BITS = {CurveId.CURVE25519: 255, CurveId.CURVE448: 448}
 
 
 def ladder_step(curve: CurveId, x1, z1, x2, z2, x3, z3):
     """One general differential add-and-double; returns (x2', z2', x3', z3')."""
-    p = PARAMS[curve].p
-    a24 = PARAMS[curve].a24
+    p, a24 = P[curve], A24[curve]
     a = (x2 + z2) % p
     b = (x2 - z2) % p
     c = (x3 + z3) % p
@@ -34,12 +39,11 @@ def ladder_step(curve: CurveId, x1, z1, x2, z2, x3, z3):
 
 def scalar_mult_ref(curve: CurveId, k: int, x_p: int) -> int:
     """Branching double-and-add ladder over projective x-coordinates."""
-    params = PARAMS[curve]
-    p = params.p
+    p = P[curve]
     x1, z1 = x_p % p, 1
     x2, z2 = 1, 0
     x3, z3 = x_p % p, 1
-    for i in range(params.scalar_bits - 1, -1, -1):
+    for i in range(BITS[curve] - 1, -1, -1):
         if (k >> i) & 1:
             x3, z3, x2, z2 = ladder_step(curve, x1, z1, x3, z3, x2, z2)
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from . import field, perf, program, reference, trivium
+from . import field, program, reference, trivium
 from .bigmul import karatsuba_level, kar256_structural_int, mul_schoolbook
 from .ecsm import EcsmConfig, Scalar, scalar_mult
 from .field import PARAMS, CurveId, fe
@@ -19,18 +19,20 @@ from .ffau import (
     NUM_REGISTERS, OP_ADD, OP_SUB, ZERO, QuadOpInstruction, Wave, execute_wave, mul_int,
     mul_small_int,
 )
+from .perf import CycleReport
 
 _SEED = 20240901
 PRNG_SEED = (bytes(range(10)), bytes(range(10, 20)))  # the CLI's default key and IV
 
-# (curve, dpa): cycles, modeled latency in us, ladder waves and ops per scalar bit
+# (curve, dpa): the published cycles and modeled latency in us, their decomposition
+# (scalar bits x ladder waves per bit, inversion waves, the randomization and final
+# waves plus the load/store cycle, PRNG words), and the ladder's ops per scalar bit
 DESIGN = {
-    (CurveId.CURVE25519, False): (1032, 10.32, 3, 11),
-    (CurveId.CURVE25519, True): (1038, 10.38, 3, 12),
-    (CurveId.CURVE448, False): (4944, 49.44, 10, 11),
-    (CurveId.CURVE448, True): (5401, 54.01, 11, 12),
+    (CurveId.CURVE25519, False): (1032, 10.32, CycleReport(255 * 3, 265, 2, 0), 11),
+    (CurveId.CURVE25519, True): (1038, 10.38, CycleReport(255 * 3, 265, 4, 4), 12),
+    (CurveId.CURVE448, False): (4944, 49.44, CycleReport(448 * 10, 462, 2, 0), 11),
+    (CurveId.CURVE448, True): (5401, 54.01, CycleReport(448 * 11, 462, 4, 7), 12),
 }
-INVERSION_CYCLES = {CurveId.CURVE25519: 265, CurveId.CURVE448: 462}
 
 
 def _random_input(rng, curve: CurveId) -> tuple[Scalar, field.FieldElement]:
@@ -127,8 +129,8 @@ def field_ops(rng, n) -> bool:
 def inversion(rng, n) -> bool:
     """The inversion program turns Z2 = a into 1/a in 265/462 cycles, `n` samples per curve."""
     ok = True
-    for curve, cycles in INVERSION_CYCLES.items():
-        p = PARAMS[curve].p
+    for curve in CurveId:
+        p, cycles = PARAMS[curve].p, DESIGN[curve, False][2].inversion_cycles
         for _ in range(n):
             a = rng.randrange(1, p)
             regs = [0] * (NUM_REGISTERS + 1)
@@ -145,9 +147,10 @@ def ladder(rng, n) -> bool:
     X1 and Z1 never written.  The programs' issue rules are checked when they
     are built."""
     ok = True
-    for (curve, dpa), (*_, waves, ops) in DESIGN.items():
+    for (curve, dpa), (_, _, cycles, ops) in DESIGN.items():
         prog = program.build_ladder_program(curve, dpa)
-        ok &= (len(prog.waves), prog.op_count) == (waves, ops)
+        ok &= (PARAMS[curve].scalar_bits * len(prog.waves), prog.op_count) == (
+            cycles.ladder_cycles, ops)
     for curve in CurveId:
         p = PARAMS[curve].p
         for dpa in (False, True):
@@ -202,11 +205,10 @@ def trace_constancy(rng, n) -> bool:
 
 
 def cycle_totals(rng, n) -> bool:
-    """`perf.expected` gives the published cycles and us, and `n` random ECSMs
-    per (curve, dpa) report exactly that budget."""
+    """Each published decomposition sums to the published cycles and us, and
+    `n` random ECSMs per (curve, dpa) report exactly that decomposition."""
     ok = True
-    for (curve, dpa), (total, latency_us, *_) in DESIGN.items():
-        want = perf.expected(curve, dpa)
+    for (curve, dpa), (total, latency_us, want, _) in DESIGN.items():
         ok &= want.total == total and f"{want.latency_us:.2f}" == f"{latency_us:.2f}"
         cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=PRNG_SEED if dpa else None)
         ok &= all(scalar_mult(*_random_input(rng, curve), cfg).cycles == want for _ in range(n))

@@ -23,7 +23,7 @@ from uecc.ecsm import (
 from uecc.field import CurveId, PARAMS, fe
 from uecc.ffau import NUM_REGISTERS, DatapathError, Wave, mul_op
 from uecc.program import R_AA, R_RND, X1, X2, X3, Z1, Z2, Z3, ScheduledProgram, build_ladder_program
-from uecc.reference import scalar_mult_ref
+from uecc.reference import ladder_step, scalar_mult_ref
 from uecc.vectors import BASE_U, SINGLE_SHOT
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
@@ -187,6 +187,17 @@ class TestScalarMult:
     def test_matches_branching_reference_100_per_curve(self):
         assert selftest.ecsm_vs_reference(random.Random(57), 100)
 
+    @pytest.mark.parametrize("curve, wrong_a24", [(CurveId.CURVE25519, 121666),
+                                                  (CurveId.CURVE448, 39082)], ids=("25519", "448"))
+    def test_reference_ladder_keeps_its_own_constants(self, monkeypatch, curve, wrong_a24):
+        # the reference states RFC 7748's constants itself: a wrong a24 in the
+        # model's `field.PARAMS` must show as a mismatch, not move the oracle too
+        rng = random.Random(f"reference-constants:{curve.value}")
+        states = [[rng.randrange(PARAMS[curve].p) for _ in range(6)] for _ in range(4)]
+        want = [ladder_step(curve, *s) for s in states]
+        monkeypatch.setitem(field.PARAMS, curve, PARAMS[curve]._replace(a24=wrong_a24))
+        assert [ladder_step(curve, *s) for s in states] == want
+
     def test_group_law_smoke(self):
         # raw-mode scalar_mult(a*b, P) == scalar_mult(a, scalar_mult(b, P))
         rng = random.Random(55)
@@ -233,7 +244,7 @@ class TestTrace:
 def executed_matches_recorded(monkeypatch, runs) -> bool:
     """Run each (k, x_p, cfg) traced, with `ecsm.execute_compiled_wave` wrapped:
     True when every ECSM executed, in order, exactly the ops of the wave events
-    in its trace, and the trace tallies to its cycle report."""
+    in its trace, and the trace holds one event per reported cycle."""
     executed = []
     real = ecsm.execute_compiled_wave
 
@@ -247,7 +258,7 @@ def executed_matches_recorded(monkeypatch, runs) -> bool:
         executed.clear()
         result = scalar_mult(k, x_p, cfg, want_trace=True)
         recorded = [ev[2].compiled() for ev in result.trace if ev[0] == perf.EV_WAVE]
-        ok &= executed == recorded and perf.tally(result.trace) == result.cycles
+        ok &= executed == recorded and len(result.trace) == result.cycles.total
     return ok
 
 
@@ -506,7 +517,7 @@ class TestConcurrency:
         results = [future.result() for future in futures]
         for (_, _, curve, cfg, want), res in zip(jobs, results):
             assert res.x_q.n.to_bytes(PARAMS[curve].field_bytes, "little") == want
-            assert res.cycles == perf.expected(curve, cfg.dpa_enabled)
+            assert res.cycles == selftest.DESIGN[curve, cfg.dpa_enabled][2]
 
 
 class TestAllZeroOutput:

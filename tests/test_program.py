@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from uecc import ffau, perf, program
+from uecc import ffau, program, selftest
 from uecc.field import CurveId, PARAMS
 from uecc.ffau import (
     NUM_REGISTERS, OP_ADD, OP_SUB, ZERO, ScheduleError, Wave, a24_op, execute_wave, mul_op,
@@ -150,7 +150,7 @@ class TestLadderProgram:
         # read before the array is patched, so the cached builders keep the
         # committed programs; under the patch every program is built afresh
         committed = build_ladder_program(curve, dpa)
-        budget = perf.expected(curve, dpa)
+        budget = selftest.DESIGN[curve, dpa][2]
         monkeypatch.setattr(ffau, "MULTIPLIERS", u)
         monkeypatch.setitem(ffau.UNITS, CurveId.CURVE448, c)
         if want is None:

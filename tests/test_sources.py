@@ -1,5 +1,7 @@
 """Every module of the package compiles without a warning, the engine
-issues its waves and charges their products at one site, each wave runs as
+issues its waves and charges their products at one site, `perf` and the
+reference import no model code, only the engine and the published table
+build a cycle report, each wave runs as
 generated straight-line code from the package's one code generator, which
 alone composes `field`'s product and fold text, every kernel keeps the
 registers canonical for every input (an interval proof), the trace printer
@@ -20,7 +22,7 @@ import warnings
 import pytest
 
 import uecc
-from uecc import cli, ecsm, ffau, field, perf, program
+from uecc import cli, ecsm, ffau, field, perf, program, reference
 from uecc.field import PARAMS, CurveId, fe
 
 SOURCES = sorted(pathlib.Path(uecc.__file__).parent.glob("*.py"))
@@ -91,6 +93,40 @@ def test_ecsm_charges_products_only_in_the_seam():
     # in the engine could drift from the products the waves execute
     tree = ast.parse(pathlib.Path(ecsm.__file__).read_text())
     assert functions_referencing(tree, "counters") == ["_issue"]
+
+
+def package_imports(module):
+    """(module, name) for each name a package module imports from the package."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "uecc"):
+            found |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "uecc"}
+    return found
+
+
+def test_perf_and_the_reference_import_no_model_code():
+    # `perf` holds only records, so no second model of the cycles can grow in
+    # it; the reference states RFC 7748's constants itself, so a wrong model
+    # constant cannot move the oracle along with the model
+    assert package_imports(perf) == set()
+    assert package_imports(reference) == {("field", "CurveId")}
+
+
+def test_only_the_engine_and_the_literal_table_build_a_cycle_report():
+    # `ecsm.scalar_mult` is the one model of an ECSM's cycles and
+    # `selftest.DESIGN` the one statement of the published decomposition; a
+    # report built anywhere else would be a second model to keep in step
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    sites = {(stem, func) for stem, tree in trees.items()
+             for func in functions_referencing(tree, "CycleReport")}
+    assert sites == {("ecsm", "scalar_mult"), ("selftest", None)}
+    (design,) = [node for node in trees["selftest"].body if isinstance(node, ast.Assign)
+                 and [ast.unparse(target) for target in node.targets] == ["DESIGN"]]
+    assert (len(functions_referencing(design, "CycleReport"))
+            == len(functions_referencing(trees["selftest"], "CycleReport")))
 
 
 def test_the_wave_kernels_are_the_only_generated_code():
