@@ -8,11 +8,13 @@ Curve25519 bits 255..447 are always zero (the hardware clock-gates the top
 a wave are simultaneous.  Each distinct wave runs, per curve, as a generated
 straight-line function, its kernel: the kernel reads every distinct operand
 selector (A + B, A - B + p, or plain A) from the pre-wave registers into a
-local, then computes each op's product, folds and masked subtraction inline,
-and writes the result in place.  `kernel_source` composes every kernel from
-the curve's product and fold text in `field`, which composes nothing.  Every
+local, then computes each op's product and fold inline, and writes the
+result in place as `x % p`.  `kernel_source` composes every kernel from the
+curve's product and fold text in `field`, which composes nothing.  Every
 read precedes every write, so the pre-wave semantics hold by construction.
-The selectors are left unreduced, below 2p, which the folds absorb.
+The selectors are left unreduced, below 2p, which the fold and `% p`
+absorb.  Every write is a `% p`, so every register is canonical whatever
+integer the multiplier unit returns.
 The multiplier array is stated once, in `MULTIPLIERS` and `UNITS`, and the
 issue rule (`Wave`, `Wave.check`) and the product charge
 (`program.ScheduledProgram.products`) both read it.
@@ -32,7 +34,6 @@ from . import field
 from .field import PARAMS, CurveId
 
 NUM_REGISTERS = 12
-REGISTER_BITS = 448
 # Hardwired pseudo-source: reads as 0, consumes no register slot.
 ZERO = 12
 
@@ -47,11 +48,6 @@ UNITS = {CurveId.CURVE25519: 1, CurveId.CURVE448: 4}
 
 class ScheduleError(ValueError):
     """Wave violates an issue rule (size, address, or intra-wave hazard)."""
-
-
-class DatapathError(ArithmeticError):
-    """A register value no longer fits the 448-bit datapath: some reduction
-    left it non-canonical, and every further product would double its width."""
 
 
 class QuadOpInstruction(collections.namedtuple(
@@ -177,11 +173,11 @@ def kernel_source(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> str:
     Each distinct operand selector is read once from the pre-wave registers:
     `A + 0` as `r[a]`, a sum as `r[a] + r[b]` and a difference as
     `r[a] - r[b] + p`, each below 2p and left unreduced.  Then, in op order,
-    each op's product (`field.PRODUCT`, or `field.PRODUCT_A24` with the
-    curve's a24) is followed by its folds (`field.FOLD`) and the masked
-    subtraction that writes its destination; a square passes one selector as
-    both factors.  On Curve448 each full-width factor is first split at phi
-    (`field.SPLIT448`), once, before its first product.  The selectors are
+    each op's product and fold (`field.PRODUCT`, or `field.PRODUCT_A24` with
+    the curve's a24) is followed by the `x % p` that writes its destination;
+    a square passes one selector as both factors.  On Curve448 each
+    full-width factor is first split at phi (`field.SPLIT448`), once, before
+    its first product.  The selectors are
     named `s0`, `s1`, ..., which no product's locals (`x`, `h`, `h1`, `p11`,
     `p00`, and the halves `s0h`, `s0l`, ...) collide with."""
     reads, names, split, products = [], {}, set(), []
@@ -202,16 +198,15 @@ def kernel_source(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> str:
     for op in ops:
         a = selector(op.sub_left, op.src_a, op.src_b)
         if op.const_tag:
-            b, (product, folds) = PARAMS[curve].a24, field.PRODUCT_A24
+            b, product = PARAMS[curve].a24, field.PRODUCT_A24
         else:
-            b, (product, folds) = selector(op.sub_right, op.src_c, op.src_d), field.PRODUCT[curve]
+            b, product = selector(op.sub_right, op.src_c, op.src_d), field.PRODUCT[curve]
             if curve is CurveId.CURVE448:
                 for v in (a, b):
                     if v not in split:
                         split.add(v)
                         products.append(field.SPLIT448.format(v=v))
-        products.append(product.format(a=a, b=b) + field.FOLD[curve] * folds
-                        + f"r[{op.dst}] = x - ({p} & -(x >= {p}))\n")
+        products.append(product.format(a=a, b=b) + f"r[{op.dst}] = x % {p}\n")
     body = "".join(reads + products)
     return "def kernel(r):\n" + "".join("    " + line for line in body.splitlines(True))
 
@@ -232,16 +227,10 @@ def compile_ops(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> CompiledW
 def execute_wave(regs: list[int], wave: Wave, curve: CurveId):
     """Execute one wave in one cycle on `regs`, the engine's register list.
 
-    This is the checked path: the wave must pass `Wave.check` (the registers
-    are untouched if it does not), and every value written must fit the
-    448-bit registers, or `DatapathError` is raised.  The kernels' bounds are
-    proven for all inputs by a source test, so only a replaced unit
-    (`field.kar256_int`, e.g. an injected fault) can raise it."""
+    This is the checked path: the wave must pass `Wave.check`, and the
+    registers are untouched if it does not."""
     wave.check(curve)
     execute_compiled_wave(regs, wave.compiled(curve), curve)
-    for op in wave.ops:
-        if regs[op.dst] >> REGISTER_BITS:
-            raise DatapathError(f"r{op.dst} exceeds {REGISTER_BITS} bits: a reduction fault")
 
 
 def execute_compiled_wave(regs: list[int], ops: CompiledWave, curve: CurveId):
@@ -250,8 +239,8 @@ def execute_compiled_wave(regs: list[int], ops: CompiledWave, curve: CurveId):
 
     The kernel reads every operand selector before it writes any destination,
     so each op sees the pre-wave registers.  Its selectors are unreduced
-    (below 2p), and the inlined products return canonical values for such
-    operands, so registers stay canonical from wave to wave."""
+    (below 2p), and each op writes its folded product `% p`, so registers
+    stay canonical from wave to wave."""
     ops.kernel(regs)
 
 
@@ -263,8 +252,7 @@ _MUL_SMALL = Wave((a24_op(OP_ADD, 0, ZERO, 1),))
 def mul_int(a: int, b: int, curve: CurveId) -> int:
     """a * b mod p, canonical, for operands below 2p (the unreduced selector
     range): one `mul_op` wave issued through `execute_wave` on a scratch
-    register list, so it runs the engine's kernel, and a reduction fault
-    raises `DatapathError`."""
+    register list, so it runs the engine's kernel."""
     regs = [a, b] + [0] * (NUM_REGISTERS - 1)
     execute_wave(regs, _MUL, curve)
     return regs[2]

@@ -4,15 +4,16 @@ Multiplication always funnels through the 256-bit multiplier unit
 `kar256_int`, `ffau.UNITS[curve]` times per product: on Curve448 these are
 the 224x224 partial products of the golden ratio split of its Solinas prime
 (p = phi^2 - phi - 1, phi = 2^224), where a square splits its operand once.
-Each product is reduced by a fixed number of folds: two of 2^255 = 19 for
-Curve25519; for Curve448 the partials folded once more by phi^2 = phi + 1,
-then one fold of 2^448 = 2^224 + 1.  For operands below 2p (the FFAU's
-unreduced operand selectors) either leaves the value below 2p, so one masked
-conditional subtraction finishes, and the sequence of operations never
+Each full-width product is folded once by the prime's special form: by
+2^255 = 19 on Curve25519, and on Curve448 the partials are recombined by
+phi^2 = phi + 1.  For operands below 2p (the FFAU's unreduced operand
+selectors) the fold, or the short a24 product alone, leaves the value below
+2^30 * p, so the one `% p` that writes each result has a quotient of one
+30-bit digit of the host's integers, and the sequence of operations never
 depends on operand values.
 
 Each curve's product and fold are written once, as statement text with
-their bound comments (`PRODUCT`, `PRODUCT_A24`, `FOLD`, `SPLIT448`).  This
+their bound comments (`PRODUCT`, `PRODUCT_A24`, `SPLIT448`).  This
 module holds only curve facts and that text, and composes nothing:
 `ffau.kernel_source` composes each wave kernel from it, one product per op,
 and the kernels run in this module's globals.  `ffau.mul_int` and
@@ -79,7 +80,6 @@ def curve_params(curve: CurveId) -> CurveParams:
 
 _M224 = (1 << 224) - 1
 _M255 = (1 << 255) - 1
-_M448 = (1 << 448) - 1
 
 
 class FieldElement:
@@ -111,58 +111,48 @@ def fe(n: int, curve: CurveId) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Multiply and reduce, as text
+# Multiply and fold, as text
 #
-# A reduction folds x with the prime's special form a fixed number of times,
-# which leaves x < 2p, so one masked subtraction finishes; the bound of each
-# step is noted beside it.  The statements below are the only copy of each
-# curve's product and fold; `ffau.kernel_source` composes every wave kernel
-# from them (split, product, folds, masked subtraction), and each kernel runs
-# in this module's globals.
+# A product folds x once by the prime's special form, which leaves x within a
+# few bits of p (below 2^30 * p), so the one `% p` that finishes it has a
+# one-digit quotient; the bound of each step is noted beside it.  The
+# statements below are the only copy of each curve's product and fold;
+# `ffau.kernel_source` composes every wave kernel from them (split, product
+# and fold, `% p`), and each kernel runs in this module's globals.
 
 # the name of each curve's prime in this module
 PRIME = {CurveId.CURVE25519: "P25519", CurveId.CURVE448: "P448"}
 
-# One fold of x by the prime's special form; x keeps its value mod p.
-FOLD = {
-    # 2^255 = 19 (mod p)
-    CurveId.CURVE25519: "x = (x & _M255) + 19 * (x >> 255)\n",
-    # 2^448 = 2^224 + 1 (mod p)
-    CurveId.CURVE448: "h = x >> 448\nx = (x & _M448) + (h << 224) + h\n",
-}
-
 # x = A * B (mod p) through the unit, for factors A = {a} and B = {b} below
-# 2p (the FFAU's unreduced selectors), and the folds that then leave x < 2p.
+# 2p (the FFAU's unreduced selectors), folded once by the prime's form.
 PRODUCT = {
-    # A, B < 2^256, so x < 2^512: the first fold leaves x < 2^262 and the
-    # second x < 2^255 + 19 * 2^7 < 2p.
-    CurveId.CURVE25519: ("x = kar256_int({a}, {b})\n", 2),
+    # A, B < 2^256, so the product is below 2^512, and one fold of
+    # 2^255 = 19 (mod p) leaves x < 2^255 + 19 * 2^257 < 2^262.
+    CurveId.CURVE25519: "x = kar256_int({a}, {b})\nx = (x & _M255) + 19 * (x >> 255)\n",
     # phi^2 = phi + 1 (mod p), so with A = ah*phi + al, B = bh*phi + bl
     # (the halves that SPLIT448 names): A*B = p11 + p00 + H*phi with
     # H = p10 + p01 + p11, four 256-bit partials.  A, B < 2^449, so ah, bh <
     # 2^225 and al, bl < 2^224: p11 < 2^450, p10 + p01 < 2^450 and H < 2^451.
     # Splitting H = h1*phi + h0 and folding phi^2 again: H*phi = h1 + (h0 +
     # h1)*phi with h1 < 2^227, so x < 2^450 + 2^448 + 2^227 + (2^224 + 2^227)
-    # * 2^224 < 2^452, and one fold of the top 4 bits leaves x < 2^448 +
-    # 2^228 + 16 < 2p.
-    CurveId.CURVE448: ("""\
+    # * 2^224 < 2^452.
+    CurveId.CURVE448: """\
 p11 = kar256_int({a}h, {b}h)
 p00 = kar256_int({a}l, {b}l)
 h = kar256_int({a}h, {b}l) + kar256_int({a}l, {b}h) + p11
 h1 = h >> 224
 x = p11 + p00 + h1 + (((h & _M224) + h1) << 224)
-""", 1),
+""",
 }
 
 # A Curve448 factor {v} split at phi into {v}h and {v}l, once per name.
 SPLIT448 = "{v}h = {v} >> 224\n{v}l = {v} & _M224\n"
 
 # x = A * c for the a24 op, A = {a} below 2p and c = {b} the curve's a24
-# constant, on the short constant multiplier, and the folds that then leave
-# x < 2p.  On Curve25519 A < 2^256 and a24 < 2^17, and one fold leaves
-# x < 2^255 + 19 * 2^18 < 2p; on Curve448 A < 2^449 and a24 < 2^16, and one
-# fold leaves x < 2^448 + 2^241 + 2^17 < 2p.
-PRODUCT_A24 = ("x = {a} * {b}\n", 1)
+# constant, on the short constant multiplier, with no fold: on Curve25519
+# A < 2^256 and a24 < 2^17, so x < 2^273; on Curve448 A < 2^449 and
+# a24 < 2^16, so x < 2^465.
+PRODUCT_A24 = "x = {a} * {b}\n"
 
 
 def check_width(data: bytes, curve: CurveId, what: str) -> None:

@@ -62,15 +62,19 @@ FINAL_WAVE = Wave((mul_op(X2, Z2, X2),))
 class ScheduledProgram:
     """Waves issued in order, one per cycle.  Every wave is checked against
     the curve's issue rules (`Wave.check`) when the program is built, so a
-    program that exists can issue, and `products` sums the units they count."""
+    program that exists can issue, and `products` sums the units they count.
+    A wave object that recurs (a chain of squarings repeats one) is checked,
+    and compiled, once."""
 
     def __init__(self, waves: tuple[Wave, ...], phase_tag: str, curve: CurveId, dpa: bool = False):
-        self.products = 0  # 256-bit multiplier products per issue
+        units = {}  # id of each distinct wave object: the units it takes
         for i, wave in enumerate(waves):
-            try:
-                self.products += wave.check(curve)
-            except ScheduleError as exc:
-                raise ScheduleError(f"wave {i}: {exc}") from None
+            if id(wave) not in units:
+                try:
+                    units[id(wave)] = wave.check(curve)
+                except ScheduleError as exc:
+                    raise ScheduleError(f"wave {i}: {exc}") from None
+        self.products = sum(units[id(wave)] for wave in waves)  # 256-bit products per issue
         self.waves = waves
         self.phase_tag = phase_tag  # ladder | inversion | init | final
         self.curve = curve
@@ -82,7 +86,9 @@ class ScheduledProgram:
 
     @functools.cache
     def compiled(self) -> tuple:
-        return tuple(w.compiled(self.curve) for w in self.waves)
+        distinct = {id(w): w for w in self.waves}
+        compiled = {key: w.compiled(self.curve) for key, w in distinct.items()}
+        return tuple(compiled[id(w)] for w in self.waves)
 
 
 def _ladder_ops(dpa: bool):

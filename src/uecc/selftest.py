@@ -68,7 +68,7 @@ def karatsuba(rng, n) -> bool:
 def golden_ratio(rng, n) -> bool:
     """The engine's golden-ratio Curve448 multiply (`ffau.mul_int`) ==
     schoolbook product mod p, `n` samples."""
-    p = PARAMS[CurveId.CURVE448].p
+    p = reference.P[CurveId.CURVE448]
     pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(n)]
     return all(mul_int(a, b, CurveId.CURVE448) == mul_schoolbook(a, b) % p for a, b in pairs)
 
@@ -88,16 +88,18 @@ def add_sub(curve: CurveId, a: int, b: int) -> tuple[int, int]:
 
 
 def _edge_operands(curve: CurveId) -> tuple[int, ...]:
-    """Operands at the bounds of the fused reductions: 0, 1, 2, p-1, p-2,
-    (p-1)/2, the FFAU's unreduced selector values p, p+1, 2p-2 and 2p-1, an
-    operand a < p whose product with a24 folds into [p, 2p), so that the
-    masked subtraction must act, and for Curve448 the values whose halves at
-    phi = 2^224 are all-ones or near-max (the largest golden-ratio partials),
-    and the largest top half of an operand below 2p with a zero bottom half.
+    """Operands at the bounds of the reductions: 0, 1, 2, p-1, p-2, (p-1)/2,
+    the FFAU's unreduced selector values p, p+1, 2p-2 and 2p-1, an operand
+    a < p whose product with a24 lies just above a multiple of p, and for
+    Curve448 the values whose halves at phi = 2^224 are all-ones or near-max
+    (the largest golden-ratio partials), and the largest top half of an
+    operand below 2p with a zero bottom half.
 
-    The a24 operand: with 2^w = p + k and a*a24 = m*2^w - t, one fold gives
-    p + k*m - t, which is at least p for the least m with t <= k*m."""
-    p, c = PARAMS[curve].p, PARAMS[curve].a24
+    The a24 operand: with 2^w = p + k (w the bit length of p) and
+    a*a24 = m*2^w - t, a*a24 = m*p + k*m - t, which is just above m*p for
+    the least m with t <= k*m, so its `% p` leaves a small remainder.  The
+    constants are `reference`'s, so a wrong model constant moves no edge."""
+    p, c = reference.P[curve], reference.A24[curve]
     w = p.bit_length()
     k = 2**w - p
     m = next(m for m in range(1, c) if (m << w) % c <= k * m)
@@ -111,10 +113,12 @@ def _edge_operands(curve: CurveId) -> tuple[int, ...]:
 
 def field_ops(rng, n) -> bool:
     """The FFAU add/sub selectors and `mul_int` == `% p`, `n` samples per
-    curve, plus `mul_int`/`mul_small_int` on every pair of edge operands."""
+    curve, plus `mul_int`/`mul_small_int` on every pair of edge operands,
+    with p and a24 from `reference`, not from the constants the kernels
+    are built from."""
     ok = True
     for curve in CurveId:
-        p, a24 = PARAMS[curve].p, PARAMS[curve].a24
+        p, a24 = reference.P[curve], reference.A24[curve]
         for _ in range(n):
             a, b = rng.randrange(p), rng.randrange(p)
             ok &= add_sub(curve, a, b) == ((a + b) % p, (a - b) % p)
@@ -130,7 +134,7 @@ def inversion(rng, n) -> bool:
     """The inversion program turns Z2 = a into 1/a in 265/462 cycles, `n` samples per curve."""
     ok = True
     for curve in CurveId:
-        p, cycles = PARAMS[curve].p, DESIGN[curve, False][2].inversion_cycles
+        p, cycles = reference.P[curve], DESIGN[curve, False][2].inversion_cycles
         for _ in range(n):
             a = rng.randrange(1, p)
             regs = [0] * (NUM_REGISTERS + 1)

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from uecc import ecsm, field
+from uecc import ecsm, ffau, field, selftest
 from uecc.bigmul import counters
 from uecc.ecsm import RAW, decode_u
 from uecc.field import CurveId, P25519, P448, PARAMS, PHI
-from uecc.ffau import NUM_REGISTERS, DatapathError, mul_int, mul_small_int
+from uecc.ffau import NUM_REGISTERS, mul_int, mul_small_int
 from uecc.program import build_inversion_program, build_ladder_program
 from uecc.selftest import add_sub
 
@@ -66,13 +66,28 @@ class TestMul:
         assert mul_int(PHI, PHI, CurveId.CURVE448) == PHI + 1
 
     def test_reduction_fault_raises(self, monkeypatch):
-        # the checks multiply through the engine's checked wave path, so a
-        # product the folds cannot absorb fails at once, not as a wrong value
+        # named for the width check the kernels' `% p` replaced: a product the
+        # fold cannot absorb comes back canonical and scaled by 2^512, since
+        # every fold is a congruence, and only a value check catches it
         monkeypatch.setattr(field, "kar256_int", lambda x, y: x * y << 512)
         for curve in CURVES:
             p = PARAMS[curve].p
-            with pytest.raises(DatapathError):
-                mul_int(p - 1, p - 1, curve)
+            assert mul_int(p - 1, p - 1, curve) == pow(2, 512, p) != 1
+
+    def test_field_check_expects_the_reference_a24(self, monkeypatch):
+        # the kernels are built from `field.PARAMS`, and the check's expected
+        # values come from `reference`: a wrong model a24 fails the check
+        # instead of moving its oracle too.  The kernel cache is cleared
+        # before, so the kernels are rebuilt from the wrong a24, and after,
+        # so none built from it outlives the test
+        curve = CurveId.CURVE448
+        try:
+            monkeypatch.setitem(field.PARAMS, curve, PARAMS[curve]._replace(a24=39082))
+            ffau.compile_ops.cache_clear()
+            assert not selftest.field_ops(random.Random(81), 1)
+        finally:
+            monkeypatch.undo()
+            ffau.compile_ops.cache_clear()
 
     # 256-bit unit products charged per issue of each program, pinned as
     # literals: `ffau.UNITS` per full-width op (one on Curve25519, four on

@@ -272,6 +272,32 @@ class TestScheduledProgram:
                 assert hash(prog) == object.__hash__(prog)
                 assert prog.compiled() is prog.compiled()
 
+    def test_checks_and_compiles_each_distinct_wave_once(self, monkeypatch):
+        # the inversion chains repeat one wave object per run of squarings:
+        # 265 / 462 waves, 31 / 38 objects
+        calls = {"check": 0, "compiled": 0}
+        check, compiled = Wave.check, Wave.compiled
+
+        def counting(name, real):
+            def wrapper(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(Wave, "check", counting("check", check))
+        monkeypatch.setattr(Wave, "compiled", counting("compiled", compiled))
+        for curve in CURVES:
+            wave = Wave((mul_op(0, 0, 6),))
+            calls.update(check=0, compiled=0)
+            prog = ScheduledProgram((wave,) * 100, "inversion", curve)
+            assert calls["check"] == 1
+            assert prog.products == 100 * ffau.UNITS[curve]
+            assert len(prog.compiled()) == 100 and calls["compiled"] == 1
+        # a failing wave reports the index of its first occurrence
+        bad = Wave((mul_op(0, 1, 6), mul_op(6, 2, 7)))
+        with pytest.raises(ScheduleError, match="wave 1: register 6 read and written"):
+            ScheduledProgram((wave, bad, bad), "ladder", CurveId.CURVE25519)
+
 
 class TestValidateSchedule:
     # a program is checked when it is built, so an invalid one never exists

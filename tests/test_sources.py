@@ -16,7 +16,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import textwrap
 import warnings
 
 import pytest
@@ -146,7 +145,7 @@ def test_only_kernel_source_composes_the_curve_text():
     # level and composed by none of its functions; one function lays out
     # every kernel, so its layout and its local names are decided in one place
     trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    for name in ("PRIME", "PRODUCT", "PRODUCT_A24", "FOLD", "SPLIT448"):
+    for name in ("PRIME", "PRODUCT", "PRODUCT_A24", "SPLIT448"):
         sites = [(stem, func) for stem, tree in trees.items()
                  for func in functions_referencing(tree, name)]
         assert sites == [("ffau", "kernel_source"), ("field", None)], name
@@ -194,15 +193,12 @@ def test_wave_kernels_are_straight_line_and_built_once_per_distinct_wave():
         assert isinstance(kernel, ast.FunctionDef)
         assert all(isinstance(stmt, ast.Assign) for stmt in kernel.body), ops
         nodes = list(ast.walk(kernel))
-        assert not any(isinstance(node, (ast.If, ast.IfExp, ast.BoolOp)) for node in nodes), ops
-        # a comparison only as the mask of each op's one masked subtraction,
-        # x - (p & -(x >= p)), where it selects a value, never a path
-        masks = {id(node.operand) for node in nodes
-                 if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
-                 and isinstance(node.operand, ast.Compare)
-                 and [type(op) for op in node.operand.ops] == [ast.GtE]}
-        compares = {id(node) for node in nodes if isinstance(node, ast.Compare)}
-        assert compares == masks and len(masks) == len(ops), ops
+        assert not any(isinstance(node, (ast.If, ast.IfExp, ast.BoolOp, ast.Compare))
+                       for node in nodes), ops
+        # each op ends in the one `% p` that writes its destination
+        mods = [ast.unparse(node.right) for node in nodes
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)]
+        assert mods == [field.PRIME[curve]] * len(ops), ops
         # the products are inline: the only call is the unit, once per product charged
         calls = [node.func for node in nodes if isinstance(node, ast.Call)]
         assert all(isinstance(f, ast.Name) and f.id == "kar256_int" for f in calls), ops
@@ -212,10 +208,11 @@ def test_wave_kernels_are_straight_line_and_built_once_per_distinct_wave():
 def kernel_bounds(source, curve):
     """Prove one wave kernel's bounds for every input, by interval analysis
     (Cousot & Cousot, POPL 1977): with every register in [0, p-1] (the zero
-    source [0, 0]), each unit operand is in [0, 2^256), each masked
-    subtraction `x - (P & -(x >= P))` sees [0, 2p) and yields [0, p-1], and
-    each register write lands in [0, p-1].  Names of `field` are its values.
-    Any other form fails the proof with AssertionError."""
+    source [0, 0]), each unit operand is in [0, 2^256), each `x % P` sees a
+    dividend in [0, 2^30 p), so that its quotient is one 30-bit digit and a
+    dropped fold fails the proof, and yields [0, p-1], and each register
+    write lands in [0, p-1].  Names of `field` are its values.  Any other
+    form fails the proof with AssertionError."""
     p = PARAMS[curve].p
     (kernel,) = ast.parse(source).body
     assert ast.unparse(kernel.args) == "r", ast.unparse(kernel.args)
@@ -236,11 +233,9 @@ def kernel_bounds(source, curve):
                 assert 0 <= alo and 0 <= blo and ahi >> 256 == bhi >> 256 == 0, \
                     f"unit operand {max(ahi, bhi).bit_length()} bits: {ast.unparse(node)}"
                 return alo * blo, ahi * bhi
-            case ast.BinOp(ast.Name(x), ast.Sub(), ast.BinOp(P, ast.BitAnd(), ast.UnaryOp(
-                    ast.USub(), ast.Compare(ast.Name(x2), [ast.GtE()], [P2])))) \
-                    if x == x2 and ast.dump(P) == ast.dump(P2) and span(P) == (p, p):
-                lo, hi = span(node.left)
-                assert 0 <= lo and hi < 2 * p, f"masked subtraction input {hi.bit_length()} bits, not < 2p"
+            case ast.BinOp(x, ast.Mod(), P) if span(P) == (p, p):
+                lo, hi = span(x)
+                assert 0 <= lo and hi < p << 30, f"dividend {hi.bit_length()} bits, not < 2^30 p"
                 return 0, p - 1
             case ast.BinOp(left, ast.Add() | ast.Sub() as op, right):
                 (alo, ahi), (blo, bhi) = span(left), span(right)
@@ -286,12 +281,13 @@ C25519, C448 = CurveId.CURVE25519, CurveId.CURVE448
 
 
 @pytest.mark.parametrize("curve, old, new, message", [
-    (C25519, textwrap.indent(field.FOLD[C25519], "    "), "", "masked subtraction input 260 bits"),
-    (C448, textwrap.indent(field.FOLD[C448], "    "), "", "masked subtraction input 451 bits"),
-    (C25519, "x - (P25519 & -(x >= P25519))", "x", r"r\[2\] written outside"),
-    (C448, "x - (P448 & -(x >= P448))", "x - (P25519 & -(x >= P25519))", "no rule"),
+    (C25519, "    x = (x & _M255) + 19 * (x >> 255)\n", "", "dividend 510 bits"),
+    (C448, "h1 = h >> 224\n    x = p11 + p00 + h1 + (((h & _M224) + h1) << 224)",
+     "x = p11 + p00 + (h << 224)", "dividend 674 bits"),
+    (C25519, "x % P25519", "x", r"r\[2\] written outside"),
+    (C448, "x % P448", "x % P25519", "no rule"),
     (C448, " >> ", " // ", "no rule"),
-], ids=("25519-one-fold", "448-no-fold", "no-masked-subtraction", "wrong-prime", "unknown-form"))
+], ids=("25519-no-fold", "448-no-fold", "no-modulo", "wrong-prime", "unknown-form"))
 def test_kernel_bounds_reject_a_broken_kernel(curve, old, new, message):
     # the proof can fail: each edit of the r2 <- r0 x r1 kernel breaks a bound
     source = ffau.kernel_source((ffau.mul_op(0, 1, 2),), curve)
