@@ -6,8 +6,9 @@ units, each built from three 64x64 products, so one 256-bit product costs
 exactly 9 base multiplications.  Only the output value and that cost are
 contractual.  The engine's unit, `kar256_int`, is therefore the builtin
 integer product, and the cost is charged per issued program rather than per
-call: `ecsm._issue` adds `ScheduledProgram.products` (from `ffau.UNITS`) to
-`counters`, each product standing for one Karatsuba product (9 base, 3 mid,
+call: `ecsm._issue` adds `ScheduledProgram.products` (from `ffau.UNITS`),
+times the steps it issues (the scalar bits for the ladder), to `counters`,
+each product standing for one Karatsuba product (9 base, 3 mid,
 1 top).  `kar256_structural_int` spells the recursion out as two levels of
 `karatsuba_level` (carry-save compressors and adder trees as plain additions);
 it is the reference that the tests and `uecc selftest` check against
@@ -30,10 +31,10 @@ class MulCounters:
     """Running total of the engine's multiplier-unit products (see `counters`).
 
     `units` counts the engine's 256-bit products, charged by `ecsm._issue`
-    once per issued program from the count the program's ops imply
-    (`ScheduledProgram.products`); each stands for one 2-level Karatsuba
-    product, so its 9 base, 3 mid and 1 top multiplications are derived from
-    that count when read.
+    once per issue from the count the program's ops imply
+    (`ScheduledProgram.products`, times the steps issued); each stands for
+    one 2-level Karatsuba product, so its 9 base, 3 mid and 1 top
+    multiplications are derived from that count when read.
     """
 
     __slots__ = ("units",)

@@ -6,6 +6,8 @@ issue.  `scalar_mult` holds its registers in a plain list, loaded in one
 block (with DPA: lambda drawn from a fresh Trivium, then the init program).
 Every wave issues through `_issue`, which executes, records and counts one
 program, so the trace, the cycle report and the product count are what ran.
+Each program issues once per ECSM: the ladder's call carries the scalar, and
+`_issue` runs its bit loop and masked swaps itself.
 Each wave writes its results `% p`, so every register is canonical at every
 cycle, whatever integer the multiplier unit returns, and the loop checks no
 register width.  The register layout follows the register map in `program`.
@@ -128,19 +130,31 @@ def _cswap_running_pairs(regs: list[int], swap_bit: int) -> None:
     regs[Z3] ^= d
 
 
-def _issue(prog: ScheduledProgram, regs: list[int], events: list | None) -> int:
-    """Issue every wave of `prog` on `regs`, one cycle each, charge its
-    products (`prog.products`, from `ffau.UNITS`) to `counters`, and append
-    the same program's wave events to `events` when tracing.  Returns the
-    cycles issued.  The engine issues waves, and charges products, nowhere else."""
+def _issue(prog: ScheduledProgram, regs: list[int], events: list | None, k: int = 0,
+           steps: int = 1) -> int:
+    """Issue `prog` on `regs` `steps` times, every wave one cycle, charge
+    its products (`prog.products`, from `ffau.UNITS`) to `counters` once per
+    step, and extend `events` with the program's wave events once per step
+    when tracing.  Returns the cycles issued.  The engine issues waves, and
+    charges products, nowhere else.
+
+    The ladder passes the scalar `k` and its t bits as `steps`: before step
+    i (from t - 1 down to 0) the running pairs swap masked by bit i of
+    k ^ (k >> 1), the previous bit xor this one, and after the last step by
+    k & 1.  A program issued once passes no scalar, and k = 0 masks every
+    swap off."""
     curve = prog.curve
     waves, recorded = _waves_and_events(prog)
-    for ops in waves:
-        execute_compiled_wave(regs, ops, curve)
-    counters.units += prog.products
+    swaps = k ^ (k >> 1)
+    for i in range(steps - 1, -1, -1):
+        _cswap_running_pairs(regs, (swaps >> i) & 1)
+        for ops in waves:
+            execute_compiled_wave(regs, ops, curve)
+    _cswap_running_pairs(regs, k & 1)
+    counters.units += prog.products * steps
     if events is not None:
-        events.extend(recorded)
-    return len(waves)
+        events.extend(recorded * steps)
+    return len(waves) * steps
 
 
 @functools.cache
@@ -156,9 +170,9 @@ def scalar_mult(
     """Algorithm: ladder init (randomized by lambda when dpa), t masked-swap
     ladder iterations, Fermat inversion of Z2, final multiplication X2 * Z2.
 
-    Every phase issues its waves through `_issue`, and the `CycleReport` sums
-    the cycles it returns, plus the PRNG words and the load/store cycle that
-    latches x_Q."""
+    Every phase issues its program through one `_issue` call, the ladder's
+    with the scalar, and the `CycleReport` sums the cycles they return, plus
+    the PRNG words and the load/store cycle that latches x_Q."""
     if k.curve is not x_p.curve:
         raise ValueError("scalar and point curves differ")
     curve = k.curve
@@ -180,18 +194,8 @@ def scalar_mult(
         regs[Z1] = regs[X2] = regs[Z3] = regs[R_RND] = lam
         overhead_cycles = _issue(_INIT[curve], regs, events)
 
-    ladder = build_ladder_program(curve, cfg.dpa_enabled)
-    ladder_cycles = 0
-    swap = 0
-    kbits = k.bits
-    for i in range(PARAMS[curve].scalar_bits - 1, -1, -1):
-        bit = (kbits >> i) & 1
-        swap ^= bit
-        _cswap_running_pairs(regs, swap)
-        swap = bit
-        ladder_cycles += _issue(ladder, regs, events)
-    _cswap_running_pairs(regs, swap)
-
+    ladder_cycles = _issue(build_ladder_program(curve, cfg.dpa_enabled), regs, events, k.bits,
+                           PARAMS[curve].scalar_bits)
     inversion_cycles = _issue(build_inversion_program(curve), regs, events)
     overhead_cycles += _issue(_FINAL[curve], regs, events) + 1  # + the load/store cycle
     if events is not None:

@@ -24,7 +24,8 @@ The unit (`bigmul.kar256_int`) is the builtin integer product; the
 structural Karatsuba recursion is the reference that the tests check against
 schoolbook.  Nothing here counts products: each stands for one 2-level
 Karatsuba product, and `ecsm._issue` charges a program's products
-(`ScheduledProgram.products`, from `ffau.UNITS`) when it issues the program.
+(`ScheduledProgram.products`, from `ffau.UNITS`, times the steps issued)
+when it issues the program.
 The kernels look the unit up through this module's name `kar256_int` at call
 time, so replacing `field.kar256_int` (with the reference kernel, a timing
 wrapper or a fault) reaches every engine product.

@@ -178,9 +178,23 @@ def trivium_words(rng, n) -> bool:
     return ok and [trivium.next64(st) for _ in range(n)] == reference.trivium_words(key, iv, n)
 
 
+def _edge_scalars(t: int) -> tuple[int, ...]:
+    """t-bit scalars at the ends of the ladder's swap chain: 0, 1, 2, 3,
+    2^t - 1, 2^t - 2, 2^(t-1) and the alternating 0101... and 1010..., which
+    between them take every (previous bit, bit) swap case at the top and the
+    bottom bit and both values of the closing swap."""
+    return (0, 1, 2, 3, 2**t - 1, 2**t - 2, 2 ** (t - 1),
+            int(("01" * t)[:t], 2), int(("10" * t)[:t], 2))
+
+
 def ecsm_vs_reference(rng, n) -> bool:
-    """Engine ECSM == branching reference ladder, `n` random inputs per curve."""
-    inputs = [_random_input(rng, curve) for curve in CurveId for _ in range(n)]
+    """Engine ECSM == branching reference ladder on the edge scalars of each
+    curve (at one random point), then on `n` random inputs per curve."""
+    inputs = []
+    for curve in CurveId:
+        x_p = fe(rng.randrange(reference.P[curve]), curve)
+        inputs += [(Scalar(k, curve), x_p) for k in _edge_scalars(reference.BITS[curve])]
+    inputs += [_random_input(rng, curve) for curve in CurveId for _ in range(n)]
     return all(scalar_mult(k, x_p).x_q.n == reference.scalar_mult_ref(k.curve, k.bits, x_p.n)
                for k, x_p in inputs)
 

@@ -115,20 +115,21 @@ class TestCswap:
 
 
 class TestInitialization:
-    """The registers each program of an ECSM is issued on, up to the first
-    ladder step, seen through a wrapped `ecsm._issue`.  The scalar's top bit
-    is 0, so the masked swap before the first ladder step is a no-op."""
+    """The registers each program of an ECSM is issued on, up to the ladder,
+    seen through a wrapped `ecsm._issue`.  The scalar's top bit is 0, so the
+    masked swap before the first ladder step is a no-op, and the registers
+    the ladder is issued on are those of its first step."""
 
     @staticmethod
     def issued_until_ladder(monkeypatch, curve, cfg):
         """(phase, registers before the issue, cycles issued) of each program
-        issued before and including the first ladder step."""
+        issued before and including the ladder."""
         real = ecsm._issue
         issued = []
 
-        def issue(prog, regs, events):
+        def issue(prog, regs, events, *scalar):
             before = list(regs)
-            cycles = real(prog, regs, events)
+            cycles = real(prog, regs, events, *scalar)
             if not issued or issued[-1][0] != "ladder":
                 issued.append((prog.phase_tag, before, cycles))
             return cycles
@@ -285,14 +286,14 @@ EXTRA_WAVE = Wave((mul_op(X2, Z2, R_AA),))
 
 
 def inject_on_one_bits(monkeypatch, through_seam):
-    """Issue one extra wave after each ladder step whose scalar bit is 1,
+    """After the ladder, issue one extra wave per one-bit of the scalar,
     through the seam `ecsm._issue` or around it."""
     real = ecsm._issue
     extra = {curve: ScheduledProgram((EXTRA_WAVE,), "ladder", curve) for curve in CURVES}
 
-    def issue(prog, regs, events):
-        cycles = real(prog, regs, events)
-        if prog.phase_tag == "ladder" and sys._getframe(1).f_locals["bit"]:  # the ladder loop's bit
+    def issue(prog, regs, events, k=0, steps=1):
+        cycles = real(prog, regs, events, k, steps)
+        for _ in range(bin(k).count("1")):  # only the ladder's call carries a scalar
             if through_seam:
                 cycles += real(extra[prog.curve], regs, events)
             else:
@@ -313,6 +314,29 @@ class TestIssueSeam:
             assert ecsm._issue(prog, regs, events) == len(prog.waves)
             assert events == [(perf.EV_WAVE, "ladder", w) for w in prog.waves]
             assert ecsm._issue(prog, regs, None) == len(prog.waves)
+
+    @pytest.mark.parametrize("curve,dpa", CONFIGS, ids=("25519", "25519-dpa", "448", "448-dpa"))
+    def test_each_program_issues_once_per_ecsm(self, monkeypatch, curve, dpa):
+        # the ladder is one issue that carries the scalar, not one issue per bit
+        real = ecsm._issue
+        issued = []
+
+        def issue(prog, *args):
+            cycles = real(prog, *args)
+            issued.append((prog.phase_tag, cycles))
+            return cycles
+
+        monkeypatch.setattr(ecsm, "_issue", issue)
+        ladder_cycles = PARAMS[curve].scalar_bits * len(build_ladder_program(curve, dpa).waves)
+        inversion_cycles = {CurveId.CURVE25519: 265, CurveId.CURVE448: 462}[curve]
+        want = [("init", 2)] if dpa else []
+        want += [("ladder", ladder_cycles), ("inversion", inversion_cycles), ("final", 1)]
+        rng = random.Random(f"issued:{curve.value}:{dpa}")
+        for k, x_p, cfg in random_runs(rng, [(curve, dpa)], 2):
+            for want_trace in (False, True):
+                issued.clear()
+                scalar_mult(k, x_p, cfg, want_trace)
+                assert issued == want
 
     @pytest.mark.parametrize("curve,dpa", CONFIGS, ids=("25519", "25519-dpa", "448", "448-dpa"))
     def test_executed_equals_recorded(self, monkeypatch, curve, dpa):
