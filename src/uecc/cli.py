@@ -27,9 +27,7 @@ from .ecsm import (
     scalar_mult_bytes,
 )
 from .field import PARAMS, CurveId
-
-DEFAULT_PRNG_KEY = bytes(range(10))
-DEFAULT_PRNG_IV = bytes(range(10, 20))
+from .trivium import DEFAULT_SEED
 
 _CURVES = {"25519": CurveId.CURVE25519, "448": CurveId.CURVE448}
 
@@ -55,8 +53,9 @@ def _seed_part(flag: str | None, env: str, what: str, default: bytes) -> bytes:
 
 
 def _prng_seed(args) -> tuple[bytes, bytes]:
-    return (_seed_part(args.prng_key, "UECC_PRNG_KEY", "PRNG key", DEFAULT_PRNG_KEY),
-            _seed_part(args.prng_iv, "UECC_PRNG_IV", "PRNG IV", DEFAULT_PRNG_IV))
+    key, iv = DEFAULT_SEED
+    return (_seed_part(args.prng_key, "UECC_PRNG_KEY", "PRNG key", key),
+            _seed_part(args.prng_iv, "UECC_PRNG_IV", "PRNG IV", iv))
 
 
 def _config(args) -> EcsmConfig:

@@ -3,7 +3,8 @@
 The executed instruction stream for a given (curve, dpa) configuration is
 fixed: scalar bits only steer the masked conditional swaps, never which waves
 issue.  `scalar_mult` holds its registers in a plain list, loaded in one
-block (with DPA: lambda drawn from a fresh Trivium, then the init program).
+block by `ffau.registers` (with DPA: lambda drawn from a fresh Trivium, then
+the init program).
 Every wave issues through `_issue`, which executes, records and counts one
 program, so the trace, the cycle report and the product count are what ran.
 Each program issues once per ECSM: the ladder's call carries the scalar, and
@@ -21,9 +22,9 @@ import functools
 from . import perf
 from .bigmul import counters
 from .field import PARAMS, CurveId, FieldElement, check_width, curve_params, fe
-from .ffau import NUM_REGISTERS, execute_compiled_wave
+from .ffau import execute_compiled_wave, registers
 from .program import (
-    FINAL_WAVE, INIT_WAVES, R_RND, X1, X2, X3, Z1, Z2, Z3, ScheduledProgram, build_inversion_program,
+    FINAL_WAVE, INIT_WAVES, R_RND, X2, X3, Z1, Z2, Z3, ScheduledProgram, build_inversion_program,
     build_ladder_program,
 )
 from .trivium import TriviumState, gen_lambda
@@ -41,6 +42,8 @@ class Scalar(collections.namedtuple("Scalar", "bits curve")):
     __slots__ = ()
 
     def __new__(cls, bits, curve):
+        if not isinstance(bits, int):
+            raise TypeError(f"bits must be an int, got {bits!r}")
         if not 0 <= bits < (1 << curve_params(curve).scalar_bits):
             raise ValueError("scalar out of range")
         return super().__new__(cls, bits, curve)
@@ -136,7 +139,8 @@ def _issue(prog: ScheduledProgram, regs: list[int], events: list | None, k: int 
     its products (`prog.products`, from `ffau.UNITS`) to `counters` once per
     step, and extend `events` with the program's wave events once per step
     when tracing.  Returns the cycles issued.  The engine issues waves, and
-    charges products, nowhere else.
+    charges products, nowhere else, and the checks issue whole programs
+    through it too.
 
     The ladder passes the scalar `k` and its t bits as `steps`: before step
     i (from t - 1 down to 0) the running pairs swap masked by bit i of
@@ -176,14 +180,12 @@ def scalar_mult(
     if k.curve is not x_p.curve:
         raise ValueError("scalar and point curves differ")
     curve = k.curve
-    regs = [0] * (NUM_REGISTERS + 1)
     events = [] if want_trace else None
 
     # the plain initialization: X1 = X3 = x_P, Z1 = X2 = Z3 = 1, Z2 = 0.  With
     # DPA, Z1 = X2 = Z3 = R_RND = lambda, drawn from a fresh PRNG, and the init
     # program scales X1 and X3 by lambda.
-    regs[X1] = regs[X3] = x_p.n
-    regs[Z1] = regs[X2] = regs[Z3] = 1
+    regs = registers(x_p.n, 1, 1, 0, x_p.n, 1)
     prng_cycles = overhead_cycles = 0
     if cfg.dpa_enabled:
         prng = TriviumState(*cfg.prng_seed)

@@ -2,27 +2,27 @@
 
 One wave of quad-ops executes per simulated clock cycle against the 12-entry
 register file: a plain list of 13 ints, the last the hardwired zero source
-`regs[ZERO]`, which no op writes.  Registers hold canonical values, so on
-Curve25519 bits 255..447 are always zero (the hardware clock-gates the top
-193 bits).  All operands are read from the pre-wave state, so ops inside
-a wave are simultaneous.  Each distinct wave runs, per curve, as a generated
-straight-line function, its kernel: the kernel reads every distinct operand
-selector (A + B, A - B + p, or plain A) from the pre-wave registers into a
-local, then computes each op's product and fold inline, and writes the
-result in place as `x % p`.  `kernel_source` composes every kernel from the
-curve's product and fold text in `field`, which composes nothing.  Every
-read precedes every write, so the pre-wave semantics hold by construction.
-The selectors are left unreduced, below 2p, which the fold and `% p`
-absorb.  Every write is a `% p`, so every register is canonical whatever
-integer the multiplier unit returns.
+`regs[ZERO]`, which no op writes, laid out by `registers` alone.  Registers
+hold canonical values, so on Curve25519 bits 255..447 are always zero (the
+hardware clock-gates the top 193 bits).  All operands are read from the
+pre-wave state, so ops inside a wave are simultaneous.  Each distinct wave
+runs, per curve, as a generated straight-line function, its kernel: the
+kernel reads every distinct operand selector (A + B, A - B + p, or plain A)
+from the pre-wave registers into a local, then computes each op's product and
+fold inline, and writes the result in place as `x % p`.  `kernel_source`
+composes every kernel from the curve's product and fold text in `field`,
+which composes nothing.  Every read precedes every write, so the pre-wave
+semantics hold by construction.  The selectors are left unreduced, below 2p,
+which the fold and `% p` absorb.  Every write is a `% p`, so every register
+is canonical whatever integer the multiplier unit returns.
 The multiplier array is stated once, in `MULTIPLIERS` and `UNITS`, and the
 issue rule (`Wave`, `Wave.check`) and the product charge
 (`program.ScheduledProgram.products`) both read it.
 
-`compile_ops` is the package's one code generator.  The engine runs its
-kernels through `execute_compiled_wave`; the checks run them through the
-checked `execute_wave`, on the same kind of register list.  `mul_int` and
-`mul_small_int` each issue one single-op wave that way.
+`compile_ops` is the package's one code generator.  Every whole program,
+the engine's and the checks', runs its kernels through
+`execute_compiled_wave` in `ecsm._issue`.  The checked `execute_wave` runs
+single ad-hoc waves: `mul_int` and `mul_small_int` each issue one that way.
 """
 
 from __future__ import annotations
@@ -224,6 +224,14 @@ def compile_ops(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> CompiledW
     return wave
 
 
+def registers(*values: int) -> list[int]:
+    """A register list as the engine holds it: `values` from r0 up, every
+    other register 0, and the hardwired zero source `regs[ZERO]` last."""
+    if len(values) > NUM_REGISTERS:
+        raise ValueError(f"{len(values)} values for {NUM_REGISTERS} registers")
+    return [*values] + [0] * (NUM_REGISTERS + 1 - len(values))
+
+
 def execute_wave(regs: list[int], wave: Wave, curve: CurveId):
     """Execute one wave in one cycle on `regs`, the engine's register list.
 
@@ -253,7 +261,7 @@ def mul_int(a: int, b: int, curve: CurveId) -> int:
     """a * b mod p, canonical, for operands below 2p (the unreduced selector
     range): one `mul_op` wave issued through `execute_wave` on a scratch
     register list, so it runs the engine's kernel."""
-    regs = [a, b] + [0] * (NUM_REGISTERS - 1)
+    regs = registers(a, b)
     execute_wave(regs, _MUL, curve)
     return regs[2]
 
@@ -261,6 +269,6 @@ def mul_int(a: int, b: int, curve: CurveId) -> int:
 def mul_small_int(a: int, curve: CurveId) -> int:
     """a * a24 mod p, canonical, for an operand below 2p: one `a24_op` wave
     issued through `execute_wave`, like `mul_int`."""
-    regs = [a] + [0] * NUM_REGISTERS
+    regs = registers(a)
     execute_wave(regs, _MUL_SMALL, curve)
     return regs[1]

@@ -89,6 +89,8 @@ class FieldElement:
     __slots__ = ("n", "curve")
 
     def __init__(self, n: int, curve: CurveId):
+        if not isinstance(n, int):
+            raise TypeError(f"n must be an int, got {n!r}")
         if not 0 <= n < curve_params(curve).p:
             raise ValueError("value not canonical")
         self.n = n

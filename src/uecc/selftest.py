@@ -2,27 +2,27 @@
 
 Each `check(rng, n) -> bool` pits the model against an independent route or
 against the published figures, which stay literals here and are never read
-off the programs.  A check that runs waves loads a plain register list, as
-the engine does, and issues each wave through the checked `ffau.execute_wave`.
-`CHECKS` holds the sample counts `uecc selftest` uses.
+off the programs.  A check that runs waves loads `ffau.registers`, as the
+engine does.  It issues a whole program through the engine's own seam,
+`ecsm._issue`, and a single ad-hoc wave through the checked
+`ffau.execute_wave`.  `CHECKS` holds the sample counts `uecc selftest` uses.
 """
 
 from __future__ import annotations
 
 import random
 
-from . import field, program, reference, trivium
+from . import ecsm, field, program, reference, trivium
 from .bigmul import karatsuba_level, kar256_structural_int, mul_schoolbook
-from .ecsm import EcsmConfig, Scalar, scalar_mult
+from .ecsm import EcsmConfig, Scalar, scalar_mult, scalar_mult_bytes
 from .field import PARAMS, CurveId, fe
 from .ffau import (
-    NUM_REGISTERS, OP_ADD, OP_SUB, ZERO, QuadOpInstruction, Wave, execute_wave, mul_int,
-    mul_small_int,
+    OP_ADD, OP_SUB, ZERO, QuadOpInstruction, Wave, execute_wave, mul_int, mul_small_int, registers,
 )
 from .perf import CycleReport
+from .vectors import SINGLE_SHOT
 
 _SEED = 20240901
-PRNG_SEED = (bytes(range(10)), bytes(range(10, 20)))  # the CLI's default key and IV
 
 # (curve, dpa): the published cycles and modeled latency in us, their decomposition
 # (scalar bits x ladder waves per bit, inversion waves, the randomization and final
@@ -81,7 +81,7 @@ _ADD_SUB = (Wave((QuadOpInstruction(OP_ADD, 0, 1, OP_ADD, 2, ZERO, 3),)),
 def add_sub(curve: CurveId, a: int, b: int) -> tuple[int, int]:
     """(a + b, a - b) mod p from the FFAU's add/sub operand selectors, run
     through `execute_wave` with the other factor held at 1."""
-    regs = [a, b, 1] + [0] * (NUM_REGISTERS - 2)
+    regs = registers(a, b, 1)
     for wave in _ADD_SUB:
         execute_wave(regs, wave, curve)
     return regs[3], regs[4]
@@ -131,16 +131,16 @@ def field_ops(rng, n) -> bool:
 
 
 def inversion(rng, n) -> bool:
-    """The inversion program turns Z2 = a into 1/a in 265/462 cycles, `n` samples per curve."""
+    """The inversion program, issued as the engine issues it, turns Z2 = a
+    into 1/a in 265/462 cycles, `n` samples per curve."""
     ok = True
     for curve in CurveId:
         p, cycles = reference.P[curve], DESIGN[curve, False][2].inversion_cycles
         for _ in range(n):
             a = rng.randrange(1, p)
-            regs = [0] * (NUM_REGISTERS + 1)
+            regs = registers()
             regs[program.Z2] = a
-            for issued, wave in enumerate(program.build_inversion_program(curve).waves, 1):
-                execute_wave(regs, wave, curve)
+            issued = ecsm._issue(program.build_inversion_program(curve), regs, None)
             ok &= a * regs[program.Z2] % p == 1 and issued == cycles
     return ok
 
@@ -148,8 +148,8 @@ def inversion(rng, n) -> bool:
 def ladder(rng, n) -> bool:
     """Ladders of 3/3 and 10/11 waves and 11/12 ops, and scheduled step ==
     straight-line step on `n` random register states per (curve, dpa), with
-    X1 and Z1 never written.  The programs' issue rules are checked when they
-    are built."""
+    X1 and Z1 never written, one step issued as the engine issues it.  The
+    programs' issue rules are checked when they are built."""
     ok = True
     for (curve, dpa), (_, _, cycles, ops) in DESIGN.items():
         prog = program.build_ladder_program(curve, dpa)
@@ -160,10 +160,9 @@ def ladder(rng, n) -> bool:
         for dpa in (False, True):
             for _ in range(n):
                 vals = [rng.randrange(p) for _ in range(6)]  # X1, Z1, X2, Z2, X3, Z3
-                regs = vals + [0] * (NUM_REGISTERS + 1 - len(vals))
+                regs = registers(*vals)
                 regs[program.R_RND] = rng.randrange(p)
-                for wave in program.build_ladder_program(curve, dpa).waves:
-                    execute_wave(regs, wave, curve)
+                ecsm._issue(program.build_ladder_program(curve, dpa), regs, None)
                 got = tuple(regs[:program.Z3 + 1])  # X1, Z1, X2, Z2, X3, Z3
                 ok &= got == (*vals[:2], *reference.ladder_step(curve, *vals))
     return ok
@@ -199,6 +198,14 @@ def ecsm_vs_reference(rng, n) -> bool:
                for k, x_p in inputs)
 
 
+def rfc_single_shot(rng, n) -> bool:
+    """The RFC 7748 section 5.2 single-shot vectors (`vectors.SINGLE_SHOT`)
+    through the byte API, which clamps the scalar and masks u's top bit, ==
+    their published hex.  The vectors are fixed: `rng` and `n` are unused."""
+    return all(scalar_mult_bytes(bytes.fromhex(k), bytes.fromhex(u), curve).hex() == want
+               for curve, vectors in SINGLE_SHOT.items() for k, u, want in vectors)
+
+
 def lambda_invariance(rng, n) -> bool:
     """DPA (lambda) leaves x_Q unchanged: one input per curve, `n` random Trivium seeds."""
     ok = True
@@ -215,7 +222,7 @@ def trace_constancy(rng, n) -> bool:
     """One executed event stream for `n` random scalars per (curve, dpa) configuration."""
     ok = True
     for curve, dpa in DESIGN:
-        cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=PRNG_SEED if dpa else None)
+        cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=trivium.DEFAULT_SEED if dpa else None)
         traces = {scalar_mult(*_random_input(rng, curve), cfg, want_trace=True).trace
                   for _ in range(n)}
         ok &= len(traces) <= 1
@@ -228,7 +235,7 @@ def cycle_totals(rng, n) -> bool:
     ok = True
     for (curve, dpa), (total, latency_us, want, _) in DESIGN.items():
         ok &= want.total == total and f"{want.latency_us:.2f}" == f"{latency_us:.2f}"
-        cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=PRNG_SEED if dpa else None)
+        cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=trivium.DEFAULT_SEED if dpa else None)
         ok &= all(scalar_mult(*_random_input(rng, curve), cfg).cycles == want for _ in range(n))
     return ok
 
@@ -242,6 +249,7 @@ CHECKS = (
     ("scheduled ladder == straight-line step", ladder, 10, 50),
     ("trivium 64-wide == bit-serial", trivium_words, 64, 64),
     ("engine ECSM == branching reference ladder", ecsm_vs_reference, 1, 3),
+    ("RFC 7748 single-shot vectors through the byte API", rfc_single_shot, 1, 1),
     ("lambda-invariance: DPA leaves x_Q unchanged", lambda_invariance, 1, 10),
     ("event stream independent of the scalar", trace_constancy, 2, 5),
     ("cycle totals = 1032/1038/4944/5401", cycle_totals, 1, 1),

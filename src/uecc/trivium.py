@@ -26,6 +26,9 @@ _MB = (1 << 84) - 1
 _MC = (1 << 111) - 1
 
 WARMUP_STEPS = 4 * 288
+# The documented default (key, iv): the CLI's, unless given by flag or
+# environment, and the seed of `uecc selftest`'s DPA runs.
+DEFAULT_SEED = (bytes(range(10)), bytes(range(10, 20)))
 # A draw reduces to 0 with probability at most about 2^-255, so this many in a row
 # means the generator is stuck, not unlucky.
 MAX_LAMBDA_DRAWS = 16

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 2-7 run the oracle checks of `uecc.selftest` (the checks behind
-`uecc selftest`) with this suite's seeds and sample counts.  Those functions
-are each check's one implementation: the unit tests do not repeat them.
+Criteria 2-7, and criterion 1's single-shot vectors, run the oracle checks
+of `uecc.selftest` (the checks behind `uecc selftest`) with this suite's
+seeds and sample counts.  Those functions are each check's one
+implementation: the unit tests do not repeat them.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The optional
 million-iteration test is gated behind UECC_RUN_1M=1 (hours in pure Python).
@@ -16,7 +17,7 @@ import pytest
 from uecc import selftest
 from uecc.ecsm import scalar_mult_bytes
 from uecc.field import CurveId
-from uecc.vectors import ITERATED, SINGLE_SHOT, iterate
+from uecc.vectors import ITERATED, iterate
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
 
@@ -27,11 +28,8 @@ def _report(name: str, ok: bool):
 
 
 def test_criterion_1_rfc_vector_conformance():
-    ok = True
+    ok = selftest.rfc_single_shot(None, 0)
     for curve in CURVES:
-        for scalar_hex, u_hex, want in SINGLE_SHOT[curve]:
-            got = scalar_mult_bytes(bytes.fromhex(scalar_hex), bytes.fromhex(u_hex), curve)
-            ok &= got.hex() == want
         for count in (1, 1000):
             ok &= iterate(curve, count).hex() == ITERATED[curve][count]
     # live dual route against an independent implementation (OpenSSL)

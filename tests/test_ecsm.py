@@ -20,9 +20,9 @@ from uecc.ecsm import (
     scalar_mult,
     scalar_mult_bytes,
 )
-from uecc.field import CurveId, PARAMS, fe
-from uecc.ffau import NUM_REGISTERS, Wave, mul_op
-from uecc.program import R_AA, R_RND, X1, X2, X3, Z1, Z2, Z3, ScheduledProgram, build_ladder_program
+from uecc.field import CurveId, FieldElement, PARAMS, fe
+from uecc.ffau import NUM_REGISTERS, Wave, mul_op, registers
+from uecc.program import R_AA, R_RND, X1, X2, X3, Z2, Z3, ScheduledProgram, build_ladder_program
 from uecc.reference import ladder_step, scalar_mult_ref
 from uecc.vectors import BASE_U, SINGLE_SHOT
 
@@ -139,28 +139,23 @@ class TestInitialization:
             scalar_mult(Scalar(1, curve), fe(9, curve), cfg)
         return issued
 
-    @staticmethod
-    def registers(values):
-        regs = [0] * (NUM_REGISTERS + 1)
-        for addr, value in values.items():
-            regs[addr] = value
-        return regs
-
     def test_lambda_one_degenerate(self, monkeypatch):
         # the plain initialization is the randomized one with lambda = 1 and no
         # init program: X1 = X3 = x_P, Z1 = X2 = Z3 = 1, Z2 = 0, and R_RND = 0
         for curve in CURVES:
             (ladder,) = self.issued_until_ladder(monkeypatch, curve, EcsmConfig())
-            assert ladder[:2] == ("ladder", self.registers({X1: 9, X3: 9, Z1: 1, X2: 1, Z3: 1}))
+            assert ladder[:2] == ("ladder", registers(9, 1, 1, 0, 9, 1))  # X1, Z1, X2, Z2, X3, Z3
 
     def test_randomized_state(self, monkeypatch):
         for curve in CURVES:
             p = PARAMS[curve].p
             lam = trivium.gen_lambda(trivium.TriviumState(*SEED), curve)  # the engine's draw
             init, ladder = self.issued_until_ladder(monkeypatch, curve, dpa_cfg())
-            z_side = {Z1: lam, X2: lam, Z3: lam, R_RND: lam}
-            assert init == ("init", self.registers({X1: 9, X3: 9, **z_side}), 2)
-            assert ladder[:2] == ("ladder", self.registers({X1: lam * 9 % p, X3: lam * 9 % p, **z_side}))
+            want = registers(9, lam, lam, 0, 9, lam)  # X1, Z1, X2, Z2, X3, Z3
+            want[R_RND] = lam
+            assert init == ("init", want, 2)
+            want[X1] = want[X3] = lam * 9 % p
+            assert ladder[:2] == ("ladder", want)
 
 
 class TestScalarMult:
@@ -177,10 +172,7 @@ class TestScalarMult:
             assert res.x_q.n == 0
 
     def test_rfc_single_shot_vectors(self):
-        for curve in CURVES:
-            for scalar_hex, u_hex, want_hex in SINGLE_SHOT[curve]:
-                got = scalar_mult_bytes(bytes.fromhex(scalar_hex), bytes.fromhex(u_hex), curve)
-                assert got.hex() == want_hex
+        assert selftest.rfc_single_shot(None, 0)
 
     def test_matches_branching_reference(self):
         assert selftest.ecsm_vs_reference(random.Random(53), 3)
@@ -309,7 +301,7 @@ class TestIssueSeam:
     def test_issue_runs_and_records_one_program(self):
         for curve in CURVES:
             prog = build_ladder_program(curve, True)
-            regs = [0] * (NUM_REGISTERS + 1)
+            regs = registers()
             events = []
             assert ecsm._issue(prog, regs, events) == len(prog.waves)
             assert events == [(perf.EV_WAVE, "ladder", w) for w in prog.waves]
@@ -389,6 +381,22 @@ class TestConfig:
         for curve in ("curve25519", "25519", None, [CurveId.CURVE25519]):
             with pytest.raises(TypeError, match="curve must be a CurveId"):
                 Scalar(5, curve)
+
+    @pytest.mark.parametrize("value", [3.0, "3", None], ids=("float", "str", "None"))
+    def test_scalar_and_element_values_must_be_ints(self, value):
+        # a float passes the range check and would fail only deep in the
+        # engine, in the ladder's shifts or the masked swap's xor
+        curve = CurveId.CURVE25519
+        with pytest.raises(TypeError, match="bits must be an int"):
+            Scalar(value, curve)
+        with pytest.raises(TypeError, match="n must be an int"):
+            FieldElement(value, curve)
+        with pytest.raises(TypeError, match="bits must be an int"):
+            Scalar(5, curve)._replace(bits=value)
+
+    def test_bool_values_are_ints(self):
+        curve = CurveId.CURVE25519
+        assert Scalar(True, curve).bits == 1 and FieldElement(False, curve).n == 0
 
     @pytest.mark.parametrize("mode", ["rfc-clamped", ""])
     def test_decoders_reject_an_unknown_clamp_mode(self, mode):

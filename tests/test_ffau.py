@@ -18,15 +18,10 @@ from uecc.ffau import (
     execute_compiled_wave,
     execute_wave,
     mul_op,
+    registers,
 )
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
-
-
-def registers(*vals):
-    """A register list as the engine holds it: `vals` from r0 up, the rest 0,
-    and the hardwired zero source last."""
-    return list(vals) + [0] * (NUM_REGISTERS + 1 - len(vals))
 
 
 class TestInstructionValidation:
@@ -80,6 +75,14 @@ class TestInstructionValidation:
 
     def test_same_op_may_overwrite_own_source(self):
         Wave((mul_op(0, 1, 0),)).check(CurveId.CURVE448)
+
+
+def test_registers_fill_from_r0_with_the_zero_source_last():
+    regs = registers(*range(1, NUM_REGISTERS + 1))
+    assert regs[:NUM_REGISTERS] == list(range(1, NUM_REGISTERS + 1)) and regs[ZERO] == 0
+    assert registers(5) == [5] + [0] * NUM_REGISTERS
+    with pytest.raises(ValueError, match="13 values for 12 registers"):
+        registers(*range(NUM_REGISTERS + 1))
 
 
 class TestExecuteWave:

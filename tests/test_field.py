@@ -6,7 +6,7 @@ from uecc import ecsm, ffau, field, selftest
 from uecc.bigmul import counters
 from uecc.ecsm import RAW, decode_u
 from uecc.field import CurveId, P25519, P448, PARAMS, PHI
-from uecc.ffau import NUM_REGISTERS, mul_int, mul_small_int
+from uecc.ffau import mul_int, mul_small_int, registers
 from uecc.program import build_inversion_program, build_ladder_program
 from uecc.selftest import add_sub
 
@@ -123,7 +123,7 @@ class TestMul:
                 "final": ecsm._FINAL[curve],
             }
             for name, prog in programs.items():
-                regs = [rng.randrange(p) for _ in range(NUM_REGISTERS)] + [0]
+                regs = registers(*(rng.randrange(p) for _ in range(ffau.NUM_REGISTERS)))
                 calls = 0
                 before = counters.snapshot()
                 ecsm._issue(prog, regs, None)

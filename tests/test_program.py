@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from uecc import ffau, program, selftest
+from uecc import ecsm, ffau, program, selftest
 from uecc.field import CurveId, PARAMS
 from uecc.ffau import (
-    NUM_REGISTERS, OP_ADD, OP_SUB, ZERO, ScheduleError, Wave, a24_op, execute_wave, mul_op,
+    NUM_REGISTERS, OP_ADD, OP_SUB, ZERO, ScheduleError, Wave, a24_op, mul_op, registers,
 )
 from uecc.program import (
     FINAL_WAVE,
@@ -27,25 +27,6 @@ from uecc.program import (
 from uecc.reference import ladder_step
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
-
-
-def run_program(regs, prog):
-    """Execute `prog` on the register list `regs`, one checked wave per cycle."""
-    for wave in prog.waves:
-        execute_wave(regs, wave, prog.curve)
-
-
-def ladder_state(vals, rnd=0):
-    """X1, Z1, X2, Z2, X3, Z3 = vals, and R_RND = rnd."""
-    regs = list(vals) + [0] * (NUM_REGISTERS + 1 - len(vals))
-    regs[R_RND] = rnd
-    return regs
-
-
-def inversion_state(z2, x2=0):
-    regs = [0] * (NUM_REGISTERS + 1)
-    regs[X2], regs[Z2] = x2, z2
-    return regs
 
 
 class Poly:
@@ -199,11 +180,11 @@ class TestLadderProgram:
             p = PARAMS[curve].p
             for _ in range(20):
                 vals = [rng.randrange(p) for _ in range(6)]
-                vals[1] = 1  # Z1
-                rnd = rng.randrange(p)
-                plain, dpa = ladder_state(vals, rnd), ladder_state(vals, rnd)
-                run_program(plain, build_ladder_program(curve, False))
-                run_program(dpa, build_ladder_program(curve, True))
+                vals[Z1] = 1
+                plain, dpa = registers(*vals), registers(*vals)
+                plain[R_RND] = dpa[R_RND] = rng.randrange(p)
+                ecsm._issue(build_ladder_program(curve, False), plain, None)
+                ecsm._issue(build_ladder_program(curve, True), dpa, None)
                 assert plain == dpa
 
     def test_dpa_residue_register_only_difference(self):
@@ -211,9 +192,10 @@ class TestLadderProgram:
         curve = CurveId.CURVE25519
         p = PARAMS[curve].p
         vals = [rng.randrange(p) for _ in range(6)]
-        plain, dpa = ladder_state(vals, rnd=7), ladder_state(vals, rnd=7)
-        run_program(plain, build_ladder_program(curve, False))
-        run_program(dpa, build_ladder_program(curve, True))
+        plain, dpa = registers(*vals), registers(*vals)
+        plain[R_RND] = dpa[R_RND] = 7
+        ecsm._issue(build_ladder_program(curve, False), plain, None)
+        ecsm._issue(build_ladder_program(curve, True), dpa, None)
         assert plain[:R_RND] == dpa[:R_RND]
         assert dpa[R_RND] == 7 * vals[1] % p
 
@@ -224,15 +206,15 @@ class TestInversionProgram:
         for curve in CURVES:
             p = PARAMS[curve].p
             for a in (1, 2, p - 1, *(rng.randrange(1, p) for _ in range(3))):
-                regs = inversion_state(a)
-                run_program(regs, build_inversion_program(curve))
+                regs = registers(0, 0, 0, a)  # Z2 = a
+                ecsm._issue(build_inversion_program(curve), regs, None)
                 assert regs[Z2] == pow(a, -1, p)
 
     def test_zero_maps_to_zero(self):
         # branch-free handling of the point at infinity
         for curve in CURVES:
-            regs = inversion_state(0)
-            run_program(regs, build_inversion_program(curve))
+            regs = registers()
+            ecsm._issue(build_inversion_program(curve), regs, None)
             assert regs[Z2] == 0
 
     def test_chain_is_fixed_sequence(self):
@@ -257,8 +239,8 @@ class TestInversionProgram:
         assert exp[Z2] == PARAMS[curve].p - 2
 
     def test_preserves_x2(self):
-        regs = inversion_state(2, x2=123456)
-        run_program(regs, build_inversion_program(CurveId.CURVE25519))
+        regs = registers(0, 0, 123456, 2)  # X2, Z2
+        ecsm._issue(build_inversion_program(CurveId.CURVE25519), regs, None)
         assert regs[X2] == 123456
 
 

@@ -1,7 +1,8 @@
 """Every module of the package compiles without a warning, the engine
 issues its waves and charges their products at one site, `perf` and the
-reference import no model code, only the engine and the published table
-build a cycle report, each wave runs as
+reference import no model code, only `ffau` reads the register count,
+`selftest` issues each whole program through the engine's seam, only the
+engine and the published table build a cycle report, each wave runs as
 generated straight-line code from the package's one code generator, which
 alone composes `field`'s product and fold text, every kernel keeps the
 registers canonical for every input (an interval proof), the trace printer
@@ -21,7 +22,7 @@ import warnings
 import pytest
 
 import uecc
-from uecc import cli, ecsm, ffau, field, perf, program, reference
+from uecc import cli, ecsm, ffau, field, perf, program, reference, selftest
 from uecc.field import PARAMS, CurveId, fe
 
 SOURCES = sorted(pathlib.Path(uecc.__file__).parent.glob("*.py"))
@@ -160,6 +161,36 @@ def test_only_ffau_and_program_read_the_multiplier_array():
         stems = {stem for stem, tree in trees.items() if functions_referencing(tree, name)}
         assert "ffau" in stems and stems <= {"ffau", "program"}, name
     assert not hasattr(perf, "products")
+
+
+def names_in(node):
+    """Every name and attribute name that occurs in `node`."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_only_ffau_states_the_register_file():
+    # `ffau.registers` lays out the register list; a module that read the
+    # register count could lay it out a second way, which could drift
+    modules = [uecc] + [importlib.import_module(f"uecc.{path.stem}")
+                        for path in SOURCES if path.stem != "__init__"]
+    assert not [(m.__name__, name) for m in modules for _, name in package_imports(m)
+                if name == "NUM_REGISTERS"]
+    assert {path.stem for path in SOURCES if "NUM_REGISTERS" in names_in(ast.parse(path.read_text()))
+            } == {"ffau"}
+
+
+def test_selftest_issues_whole_programs_through_the_engine():
+    # the checks run a whole program through `ecsm._issue`, the engine's own
+    # issue loop; a loop of checked waves over a program would be a copy of it
+    tree = ast.parse(pathlib.Path(selftest.__file__).read_text())
+    comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    loops = [node for node in ast.walk(tree)
+             if isinstance(node, ast.For) and "waves" in names_in(node.iter)
+             or isinstance(node, comprehensions)
+             and any("waves" in names_in(gen.iter) for gen in node.generators)]
+    assert not [ast.unparse(loop) for loop in loops if "execute_wave" in names_in(loop)]
+    assert {"inversion", "ladder"} <= set(functions_referencing(tree, "_issue"))
 
 
 def test_the_trace_printer_renders_no_line():
