@@ -60,11 +60,14 @@ def _clamps(clamp_mode: str) -> bool:
 
 
 class EcsmConfig(collections.namedtuple("EcsmConfig", "dpa_enabled clamp_mode prng_seed")):
-    """`prng_seed` is None or the Trivium (key, iv), 10 bytes each."""
+    """`dpa_enabled` is a bool; `prng_seed` is None or the Trivium (key, iv),
+    10 bytes each."""
 
     __slots__ = ()
 
     def __new__(cls, dpa_enabled=False, clamp_mode=RFC_CLAMPED, prng_seed=None):
+        if not isinstance(dpa_enabled, bool):  # a truthy "no" must not turn DPA on
+            raise TypeError(f"dpa_enabled must be a bool, got {dpa_enabled!r}")
         _clamps(clamp_mode)
         if dpa_enabled and prng_seed is None:
             raise ValueError("dpa_enabled requires a prng_seed (key, iv)")

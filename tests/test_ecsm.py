@@ -27,10 +27,9 @@ from uecc.reference import ladder_step, scalar_mult_ref
 from uecc.vectors import BASE_U, SINGLE_SHOT
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
-SEED = (bytes(range(10)), bytes(range(10, 20)))
 
 
-def dpa_cfg(seed=SEED):
+def dpa_cfg(seed=trivium.DEFAULT_SEED):
     return EcsmConfig(dpa_enabled=True, prng_seed=seed)
 
 
@@ -93,12 +92,12 @@ class TestCswap:
     """The in-place masked swap of (X2, Z2) with (X3, Z3) that the ladder runs."""
 
     def test_identity(self):
-        regs = list(range(NUM_REGISTERS + 1))
+        regs = registers(*range(1, NUM_REGISTERS + 1))
         _cswap_running_pairs(regs, 0)
-        assert regs == list(range(NUM_REGISTERS + 1))
+        assert regs == registers(*range(1, NUM_REGISTERS + 1))
 
     def test_swap(self):
-        regs = list(range(NUM_REGISTERS + 1))
+        regs = registers(*range(1, NUM_REGISTERS + 1))
         want = list(regs)
         want[X2], want[Z2], want[X3], want[Z3] = regs[X3], regs[Z3], regs[X2], regs[Z2]
         _cswap_running_pairs(regs, 1)
@@ -107,7 +106,7 @@ class TestCswap:
     def test_involution(self):
         rng = random.Random(52)
         for bit in (0, 1):
-            regs = [rng.getrandbits(448) for _ in range(NUM_REGISTERS + 1)]
+            regs = registers(*(rng.getrandbits(448) for _ in range(NUM_REGISTERS)))
             before = list(regs)
             _cswap_running_pairs(regs, bit)
             _cswap_running_pairs(regs, bit)
@@ -149,8 +148,9 @@ class TestInitialization:
     def test_randomized_state(self, monkeypatch):
         for curve in CURVES:
             p = PARAMS[curve].p
-            lam = trivium.gen_lambda(trivium.TriviumState(*SEED), curve)  # the engine's draw
-            init, ladder = self.issued_until_ladder(monkeypatch, curve, dpa_cfg())
+            cfg = dpa_cfg()
+            lam = trivium.gen_lambda(trivium.TriviumState(*cfg.prng_seed), curve)  # the engine's draw
+            init, ladder = self.issued_until_ladder(monkeypatch, curve, cfg)
             want = registers(9, lam, lam, 0, 9, lam)  # X1, Z1, X2, Z2, X3, Z3
             want[R_RND] = lam
             assert init == ("init", want, 2)
@@ -173,9 +173,6 @@ class TestScalarMult:
 
     def test_rfc_single_shot_vectors(self):
         assert selftest.rfc_single_shot(None, 0)
-
-    def test_matches_branching_reference(self):
-        assert selftest.ecsm_vs_reference(random.Random(53), 3)
 
     def test_matches_branching_reference_100_per_curve(self):
         assert selftest.ecsm_vs_reference(random.Random(57), 100)
@@ -212,22 +209,6 @@ class TestScalarMult:
     def test_scalar_range_checked(self):
         with pytest.raises(ValueError):
             Scalar(1 << 255, CurveId.CURVE25519)
-
-    @pytest.mark.parametrize("cfg", [EcsmConfig(), dpa_cfg()], ids=("plain", "dpa"))
-    def test_unreduced_product_raises_at_the_first_bit(self, monkeypatch, cfg):
-        # named for the width check that once stopped the ladder at its first
-        # bit; every register write is now `% p`, so a unit product far too
-        # wide for the fold still leaves every register canonical: the ECSM
-        # finishes, and only the oracle can tell that x_Q is wrong
-        monkeypatch.setattr(field, "kar256_int", lambda x, y: x * y << 512)
-        rng = random.Random(60)
-        for curve in CURVES:
-            params = PARAMS[curve]
-            k = Scalar(rng.getrandbits(params.scalar_bits), curve)
-            x_p = fe(rng.randrange(2, params.p), curve)
-            x_q = scalar_mult(k, x_p, cfg).x_q.n
-            assert 0 <= x_q < params.p
-            assert x_q != scalar_mult_ref(curve, k.bits, x_p.n)
 
 
 class TestTrace:
@@ -362,7 +343,7 @@ class TestConfig:
     def test_seed_length_checked_without_dpa(self):
         with pytest.raises(ValueError):
             EcsmConfig(prng_seed=(bytes(10), bytes(11)))
-        assert EcsmConfig(prng_seed=SEED).prng_seed == SEED
+        assert EcsmConfig(prng_seed=trivium.DEFAULT_SEED).prng_seed == trivium.DEFAULT_SEED
 
     @pytest.mark.parametrize("seed", [b"x" * 20, ("a" * 10, "b" * 10), (bytes(10),),
                                       (bytes(10), bytes(10), bytes(10)), [bytes(10), bytes(10)]],
@@ -372,6 +353,17 @@ class TestConfig:
         for dpa in (False, True):
             with pytest.raises(ValueError, match="prng_seed"):
                 EcsmConfig(dpa_enabled=dpa, prng_seed=seed)
+
+    def test_dpa_enabled_must_be_a_bool(self):
+        # a truthy "no" would run with DPA on, and None with it off
+        cfg = EcsmConfig(prng_seed=trivium.DEFAULT_SEED)
+        for dpa in ("no", 1, None):
+            with pytest.raises(TypeError, match="dpa_enabled must be a bool"):
+                EcsmConfig(dpa_enabled=dpa, prng_seed=trivium.DEFAULT_SEED)
+            with pytest.raises(TypeError, match="dpa_enabled must be a bool"):
+                cfg._replace(dpa_enabled=dpa)
+            with pytest.raises(TypeError, match="dpa_enabled must be a bool"):
+                EcsmConfig._make((dpa, RFC_CLAMPED, trivium.DEFAULT_SEED))
 
     def test_clamp_mode_checked(self):
         with pytest.raises(ValueError):
@@ -466,50 +458,24 @@ class TestMultiplierUnit:
             assert structural.calls == counters.units - before == want
         assert [(r.x_q, r.cycles) for r in native] == [(r.x_q, r.cycles) for r in reference]
 
-    @pytest.mark.parametrize("curve,dpa,products", [(*key, n) for key, n in PRODUCTS_PER_ECSM.items()])
-    def test_products_per_ecsm(self, monkeypatch, curve, dpa, products):
-        # the products executed, counted through the replaced unit, against
-        # those `_issue` charges from the programs, each as one 2-level
-        # Karatsuba product (9 base, 3 mid, 1 top)
-        unit = counting(field.kar256_int)
-        monkeypatch.setattr(field, "kar256_int", unit)
-        params = PARAMS[curve]
-        rng = random.Random(59)
-        for seed in (SEED, (bytes(10), bytes(10)), (rng.randbytes(10), rng.randbytes(10))):
-            k = Scalar(rng.getrandbits(params.scalar_bits), curve)
-            x_p = fe(rng.randrange(params.p), curve)
-            unit.calls = 0
-            before = counters.snapshot()
-            scalar_mult(k, x_p, dpa_cfg(seed) if dpa else EcsmConfig())
-            got = tuple(b - a for a, b in zip(before, counters.snapshot()))
-            assert unit.calls == got[2] == products
-            assert got == (9 * products, 3 * products, products)
 
-
-def openssl_exchange(curve):
-    """OpenSSL's X25519/X448 as `exchange(scalar, u) -> bytes`, which raises
-    ValueError on an all-zero shared secret."""
+def openssl_or_zero(curve):
+    """OpenSSL's X25519/X448 as `exchange(scalar, u) -> bytes`, which returns
+    all-zero bytes where OpenSSL rejects the all-zero shared secret."""
     if curve is CurveId.CURVE25519:
         mod = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.x25519")
         private, public = mod.X25519PrivateKey, mod.X25519PublicKey
     else:
         mod = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.x448")
         private, public = mod.X448PrivateKey, mod.X448PublicKey
-    return lambda scalar, u: private.from_private_bytes(scalar).exchange(public.from_public_bytes(u))
 
+    def exchange(scalar, u):
+        try:
+            return private.from_private_bytes(scalar).exchange(public.from_public_bytes(u))
+        except ValueError:  # OpenSSL's all-zero check
+            return bytes(len(u))
 
-def openssl_or_zero(exchange, scalar, u_bytes):
-    """OpenSSL's shared secret, or all-zero bytes where OpenSSL rejects it."""
-    try:
-        return exchange(scalar, u_bytes)
-    except ValueError:  # OpenSSL's all-zero check
-        return bytes(len(u_bytes))
-
-
-def edge_configs(rng, clamp_mode=RFC_CLAMPED):
-    """DPA off, and DPA on under an all-zero and a random Trivium key/IV."""
-    seeds = [(bytes(10), bytes(10)), (rng.randbytes(10), rng.randbytes(10))]
-    return [EcsmConfig(clamp_mode=clamp_mode)] + [EcsmConfig(True, clamp_mode, seed) for seed in seeds]
+    return exchange
 
 
 class TestConcurrency:
@@ -521,7 +487,7 @@ class TestConcurrency:
         rng = random.Random(63)
         jobs = []
         for curve in CURVES:
-            exchange = openssl_exchange(curve)
+            exchange = openssl_or_zero(curve)
             nbytes = PARAMS[curve].field_bytes
             for dpa in (False, True):
                 for _ in range(2):
@@ -555,63 +521,96 @@ class TestConcurrency:
             assert res.cycles == selftest.DESIGN[curve, cfg.dpa_enabled][2]
 
 
-class TestAllZeroOutput:
-    """Contract: on u in {0, 1} the model returns x_Q = 0 (all-zero bytes), with
-    DPA off and on, where OpenSSL rejects the all-zero shared secret."""
+# The RFC 7748 input edge space, stated once and checked against OpenSSL by
+# the three classes below, each input with DPA off and with DPA on under four
+# Trivium key/IVs (`edge_configs`): 16 random (scalar, u) pairs, and under the
+# RFC vector's scalar and a random one (`edge_scalars`), the low-order u and
+# the edge u.  The model returns all-zero bytes exactly where OpenSSL rejects
+# the shared secret, which it does on every low-order u, and OpenSSL's output
+# elsewhere.
 
-    SEEDS = (SEED, (bytes(10), bytes(10)), (b"\xff" * 10, bytes(range(40, 50))))
+# the two Curve25519 u of order 8 listed at cr.yp.to/ecdh.html
+ORDER_8 = (
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+)
+
+
+def low_order_us(curve):
+    p = PARAMS[curve].p
+    return [0, 1, p - 1] + list(ORDER_8 if curve is CurveId.CURVE25519 else ())
+
+
+def edge_us(curve, rng):
+    """u at and above p, which decode reduced mod p, and on Curve25519 u with
+    the ignored top bit set, which clamping masks off."""
+    p = PARAMS[curve].p
+    if curve is CurveId.CURVE25519:
+        top = 1 << 255
+        return [p, p + 1, top - 1, 9 | top, (p - 1) | top, (p + 1) | top, (2 * top) - 1]
+    return [p, p + 1, p + 9, (1 << 448) - 1, rng.randrange(p, 1 << 448)]
+
+
+def edge_scalars(curve, rng):
+    return [bytes.fromhex(SINGLE_SHOT[curve][0][0]), rng.randbytes(PARAMS[curve].field_bytes)]
+
+
+def edge_configs(rng, clamp_mode=RFC_CLAMPED):
+    """DPA off, and DPA on under the default, an all-zero, an ff.../28...31
+    and a random Trivium key/IV."""
+    seeds = (trivium.DEFAULT_SEED, (bytes(10), bytes(10)), (b"\xff" * 10, bytes(range(40, 50))),
+             (rng.randbytes(10), rng.randbytes(10)))
+    return [EcsmConfig(clamp_mode=clamp_mode)] + [EcsmConfig(True, clamp_mode, s) for s in seeds]
+
+
+def check_against_openssl(curve, pairs, rng):
+    """Every (scalar, u) pair under every edge config gives OpenSSL's output,
+    all-zero where it rejects the shared secret, as it must on a low-order u."""
+    exchange = openssl_or_zero(curve)
+    nbytes = PARAMS[curve].field_bytes
+    low_order = low_order_us(curve)
+    for scalar, u in pairs:
+        u_bytes = u.to_bytes(nbytes, "little")
+        want = exchange(scalar, u_bytes)
+        if u in low_order:
+            assert want == bytes(nbytes), hex(u)
+        for cfg in edge_configs(rng):
+            got = scalar_mult_bytes(scalar, u_bytes, curve, cfg)
+            assert got == want, (scalar.hex(), hex(u), cfg)
+
+
+class TestAllZeroOutput:
+    """Contract: on u in {0, 1} the model returns x_Q = 0 (all-zero bytes),
+    with DPA off and on, where OpenSSL rejects the all-zero shared secret."""
 
     @pytest.mark.parametrize("curve", CURVES)
     @pytest.mark.parametrize("u", (0, 1))
     def test_model_returns_zero_where_openssl_raises(self, curve, u):
-        exchange = openssl_exchange(curve)
-        nbytes = PARAMS[curve].field_bytes
-        u_bytes = u.to_bytes(nbytes, "little")
         rng = random.Random(f"all-zero:{curve.value}:{u}")
-        scalars = [bytes.fromhex(SINGLE_SHOT[curve][0][0])] + [rng.randbytes(nbytes) for _ in range(2)]
-        configs = [EcsmConfig()] + [dpa_cfg(seed) for seed in self.SEEDS]
-        for scalar in scalars:
-            for cfg in configs:
-                assert scalar_mult_bytes(scalar, u_bytes, curve, cfg) == bytes(nbytes)
-            with pytest.raises(ValueError):
-                exchange(scalar, u_bytes)
+        check_against_openssl(curve, [(scalar, u) for scalar in edge_scalars(curve, rng)], rng)
 
 
 class TestNonCanonicalU:
-    """RFC 7748 edge inputs against OpenSSL: u at and above p (reduced mod p),
-    u = p - 1, and on Curve25519 the ignored top bit, each with DPA off and on.
-    Where OpenSSL rejects an all-zero result (u = p or p + 1, which reduce to
-    0 and 1), the model returns zero, as `TestAllZeroOutput` pins."""
-
-    @staticmethod
-    def edge_us(curve, rng):
-        p = PARAMS[curve].p
-        if curve is CurveId.CURVE25519:
-            top = 1 << 255
-            return [p, p + 1, top - 1, p - 1, 9 | top, (p - 1) | top, (p + 1) | top, (2 * top) - 1]
-        return [p, p + 1, p + 9, (1 << 448) - 1, rng.randrange(p, 1 << 448), p - 1]
+    """The edge u: at and above p (reduced mod p) and, on Curve25519, the
+    ignored top bit."""
 
     @pytest.mark.parametrize("curve", CURVES)
     def test_clamped_against_openssl(self, curve):
-        exchange = openssl_exchange(curve)
-        nbytes = PARAMS[curve].field_bytes
         rng = random.Random(f"non-canonical:{curve.value}")
-        scalar = rng.randbytes(nbytes)
-        for u in self.edge_us(curve, rng):
-            u_bytes = u.to_bytes(nbytes, "little")
-            want = openssl_or_zero(exchange, scalar, u_bytes)
-            for cfg in edge_configs(rng):
-                assert scalar_mult_bytes(scalar, u_bytes, curve, cfg) == want, (hex(u), cfg)
+        us = edge_us(curve, rng)
+        pairs = [(scalar, u) for scalar in edge_scalars(curve, rng) for u in us]
+        check_against_openssl(curve, pairs, rng)
 
     @pytest.mark.parametrize("curve", CURVES)
     def test_raw_extreme_scalars_against_reference(self, curve):
-        # raw mode keeps every u bit and the scalar as given: 0 and all-ones
+        # raw mode keeps every u bit and the scalar as given: 0 and all-ones,
+        # over the low-order and the edge u, against the branching reference
         params = PARAMS[curve]
         nbytes = params.field_bytes
         rng = random.Random(f"non-canonical-raw:{curve.value}")
         for scalar in (bytes(nbytes), b"\xff" * nbytes):
             k = int.from_bytes(scalar, "little") & ((1 << params.scalar_bits) - 1)
-            for u in self.edge_us(curve, rng):
+            for u in low_order_us(curve) + edge_us(curve, rng):
                 want = scalar_mult_ref(curve, k, u).to_bytes(nbytes, "little")
                 for cfg in edge_configs(rng, RAW):
                     got = scalar_mult_bytes(scalar, u.to_bytes(nbytes, "little"), curve, cfg)
@@ -619,42 +618,23 @@ class TestNonCanonicalU:
 
 
 class TestOpenSSLCorpus:
-    """A seeded random corpus and the low-order u against OpenSSL, each with
-    DPA off and on (`edge_configs`): the model returns all-zero bytes exactly
-    where OpenSSL rejects the shared secret, and OpenSSL's output elsewhere."""
-
-    # the two Curve25519 u of order 8 listed at cr.yp.to/ecdh.html
-    ORDER_8 = (
-        325606250916557431795983626356110631294008115727848805560023387167927233504,
-        39382357235489614581723060781553021112529911719440698176882885853963445705823,
-    )
+    """A seeded random corpus and the low-order u."""
 
     @pytest.mark.parametrize("curve", CURVES)
     def test_random_corpus(self, curve):
-        exchange = openssl_exchange(curve)
         nbytes = PARAMS[curve].field_bytes
         rng = random.Random(f"corpus:{curve.value}")
-        for _ in range(16):
-            scalar, u_bytes = rng.randbytes(nbytes), rng.randbytes(nbytes)
-            want = openssl_or_zero(exchange, scalar, u_bytes)
-            for cfg in edge_configs(rng):
-                got = scalar_mult_bytes(scalar, u_bytes, curve, cfg)
-                assert got == want, (scalar.hex(), u_bytes.hex(), cfg)
+        pairs = [(rng.randbytes(nbytes), int.from_bytes(rng.randbytes(nbytes), "little")) for _ in range(16)]
+        check_against_openssl(curve, pairs, rng)
 
     @pytest.mark.parametrize("curve", CURVES)
     def test_low_order_u(self, curve):
-        exchange = openssl_exchange(curve)
-        p, nbytes = PARAMS[curve].p, PARAMS[curve].field_bytes
-        low_order = [0, 1, p - 1] + list(self.ORDER_8 if curve is CurveId.CURVE25519 else ())
-        rng = random.Random(f"low-order:{curve.value}")
+        low_order = low_order_us(curve)
         for u in low_order:
             # x(8 * P) == 0 in the reference ladder: u has low order, so every
             # clamped scalar (a multiple of the cofactor) gives the all-zero
             # secret OpenSSL rejects
             assert scalar_mult_ref(curve, 8, u) == 0, hex(u)
-            u_bytes = u.to_bytes(nbytes, "little")
-            for scalar in (bytes.fromhex(SINGLE_SHOT[curve][0][0]), rng.randbytes(nbytes)):
-                with pytest.raises(ValueError):
-                    exchange(scalar, u_bytes)
-                for cfg in edge_configs(rng):
-                    assert scalar_mult_bytes(scalar, u_bytes, curve, cfg) == bytes(nbytes), (hex(u), cfg)
+        rng = random.Random(f"low-order:{curve.value}")
+        pairs = [(scalar, u) for scalar in edge_scalars(curve, rng) for u in low_order]
+        check_against_openssl(curve, pairs, rng)

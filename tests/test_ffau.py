@@ -102,29 +102,18 @@ class TestExecuteWave:
     def test_full_wave_against_per_op_oracle(self):
         rng = random.Random(21)
         p = PARAMS[CurveId.CURVE25519].p
+        ops = (
+            QuadOpInstruction(OP_ADD, 0, 1, OP_SUB, 2, 3, 8),
+            QuadOpInstruction(OP_SUB, 4, 5, OP_ADD, 6, 7, 9),
+            QuadOpInstruction(OP_ADD, 0, 2, OP_ADD, 4, 6, 10),
+            QuadOpInstruction(OP_SUB, 1, 3, OP_SUB, 5, 7, 11),
+        )
         for _ in range(50):
-            vals = [rng.randrange(p) for _ in range(8)]
-            regs = registers(*vals)
-            ops = (
-                QuadOpInstruction(OP_ADD, 0, 1, OP_SUB, 2, 3, 8),
-                QuadOpInstruction(OP_SUB, 4, 5, OP_ADD, 6, 7, 9),
-                QuadOpInstruction(OP_ADD, 0, 2, OP_ADD, 4, 6, 10),
-                QuadOpInstruction(OP_SUB, 1, 3, OP_SUB, 5, 7, 11),
-            )
+            regs = registers(*(rng.randrange(p) for _ in range(8)))
+            want = list(regs)
             execute_wave(regs, Wave(ops), CurveId.CURVE25519)
-            assert regs[8] == (vals[0] + vals[1]) * (vals[2] - vals[3]) % p
-            assert regs[9] == (vals[4] - vals[5]) * (vals[6] + vals[7]) % p
-            assert regs[10] == (vals[0] + vals[2]) * (vals[4] + vals[6]) % p
-            assert regs[11] == (vals[1] - vals[3]) * (vals[5] - vals[7]) % p
-
-    def test_single_mul_op_equals_field_mul(self):
-        rng = random.Random(22)
-        for curve in CURVES:
-            p = PARAMS[curve].p
-            a, c = rng.randrange(p), rng.randrange(p)
-            regs = registers(a, c)
-            execute_wave(regs, Wave((mul_op(0, 1, 2),)), curve)
-            assert regs[2] == a * c % p
+            _snapshot_wave(want, ops, CurveId.CURVE25519)
+            assert regs == want
 
     def test_a24_const_op(self):
         rng = random.Random(23)
@@ -183,9 +172,8 @@ class TestExecuteWave:
             execute_wave(regs, Wave((mul_op(0, 1, 2), mul_op(2, 3, 4))), CurveId.CURVE25519)
         assert regs == before
 
-    def test_unreduced_write_raises_datapath_error(self, monkeypatch):
-        # named for the write-width check the kernels' `% p` replaced: a unit
-        # product of 2^1024 or more is still written canonical, as the true
+    def test_too_wide_unit_product_is_written_canonical(self, monkeypatch):
+        # a unit product of 2^1024 or more is written canonical, as the true
         # product times 2^512 (every fold is a congruence), not raised
         monkeypatch.setattr(field, "kar256_int", lambda x, y: x * y << 512)
         wave = Wave((mul_op(0, 0, 1),))
@@ -235,7 +223,7 @@ class TestInPlaceWrites:
             ops = wave.compiled(curve)
             states = [[rng.randrange(p) for _ in range(NUM_REGISTERS)] for _ in range(3)]
             for state in states + edges:
-                regs = state + [0]
+                regs = registers(*state)
                 want = list(regs)
                 _snapshot_wave(want, ops, curve)
                 execute_compiled_wave(regs, ops, curve)

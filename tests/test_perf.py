@@ -1,19 +1,10 @@
 import pytest
 
-from uecc import perf
+from uecc import perf, selftest
 from uecc.ecsm import EcsmConfig, Scalar, scalar_mult
-from uecc.field import CurveId, PARAMS, fe
+from uecc.field import PARAMS, fe
 from uecc.program import FINAL_WAVE, INIT_WAVES, build_inversion_program, build_ladder_program
-from uecc.trivium import lambda_words
-
-SEED = (bytes(range(10)), bytes(range(10, 20)))
-
-DESIGN_TOTALS = {
-    (CurveId.CURVE25519, False): 1032,
-    (CurveId.CURVE25519, True): 1038,
-    (CurveId.CURVE448, False): 4944,
-    (CurveId.CURVE448, True): 5401,
-}
+from uecc.trivium import DEFAULT_SEED, lambda_words
 
 
 class TestCycleReport:
@@ -46,12 +37,12 @@ class TestEventLines:
     the plain event tuple."""
 
     @pytest.mark.parametrize(
-        "curve, dpa", list(DESIGN_TOTALS), ids=["25519", "25519-dpa", "448", "448-dpa"]
+        "curve, dpa", list(selftest.DESIGN), ids=["25519", "25519-dpa", "448", "448-dpa"]
     )
     def test_lines_match_a_reference_renderer(self, curve, dpa):
-        cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=SEED if dpa else None)
+        cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=DEFAULT_SEED if dpa else None)
         trace = scalar_mult(Scalar(12345, curve), fe(9, curve), cfg, want_trace=True).trace
-        assert len(trace) == DESIGN_TOTALS[curve, dpa]
+        assert len(trace) == selftest.DESIGN[curve, dpa][0]
         assert all(isinstance(ev, perf.Event) for ev in trace)
         assert [ev.line for ev in trace] == [reference_line(ev) for ev in trace]
 
