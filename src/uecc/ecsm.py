@@ -61,7 +61,7 @@ def _clamps(clamp_mode: str) -> bool:
 
 class EcsmConfig(collections.namedtuple("EcsmConfig", "dpa_enabled clamp_mode prng_seed")):
     """`dpa_enabled` is a bool; `prng_seed` is None or the Trivium (key, iv),
-    10 bytes each."""
+    10 bytes each, kept as a tuple of `bytes`."""
 
     __slots__ = ()
 
@@ -78,6 +78,7 @@ class EcsmConfig(collections.namedtuple("EcsmConfig", "dpa_enabled clamp_mode pr
             key, iv = prng_seed
             if len(key) != 10 or len(iv) != 10:
                 raise ValueError("prng_seed parts must be 10 bytes each")
+            prng_seed = (bytes(key), bytes(iv))  # a caller's bytearray is copied, not kept
         return super().__new__(cls, dpa_enabled, clamp_mode, prng_seed)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace

@@ -132,12 +132,12 @@ def field_ops(rng, n) -> bool:
 
 def inversion(rng, n) -> bool:
     """The inversion program, issued as the engine issues it, turns Z2 = a
-    into 1/a in 265/462 cycles, `n` samples per curve."""
+    into 1/a in 265/462 cycles, on a = 1, 2 and p - 1 and then `n` random
+    samples per curve."""
     ok = True
     for curve in CurveId:
         p, cycles = reference.P[curve], DESIGN[curve, False][2].inversion_cycles
-        for _ in range(n):
-            a = rng.randrange(1, p)
+        for a in (1, 2, p - 1, *(rng.randrange(1, p) for _ in range(n))):
             regs = registers()
             regs[program.Z2] = a
             issued = ecsm._issue(program.build_inversion_program(curve), regs, None)

@@ -22,9 +22,11 @@ from uecc.ecsm import (
 )
 from uecc.field import CurveId, FieldElement, PARAMS, fe
 from uecc.ffau import NUM_REGISTERS, Wave, mul_op, registers
-from uecc.program import R_AA, R_RND, X1, X2, X3, Z2, Z3, ScheduledProgram, build_ladder_program
+from uecc.program import R_RND, T0, X1, X2, X3, Z2, Z3, ScheduledProgram, build_ladder_program
 from uecc.reference import ladder_step, scalar_mult_ref
 from uecc.vectors import BASE_U, SINGLE_SHOT
+
+from spec import programs
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
 
@@ -113,30 +115,38 @@ class TestCswap:
             assert regs == before
 
 
+def record_issues(patch):
+    """Wrap the engine's seam `ecsm._issue` through `patch` (a monkeypatch):
+    the list it returns gets (phase, registers before the issue, cycles
+    issued) for each program issued."""
+    real = ecsm._issue
+    issued = []
+
+    def issue(prog, regs, *args):
+        before = list(regs)
+        cycles = real(prog, regs, *args)
+        issued.append((prog.phase_tag, before, cycles))
+        return cycles
+
+    patch.setattr(ecsm, "_issue", issue)
+    return issued
+
+
 class TestInitialization:
     """The registers each program of an ECSM is issued on, up to the ladder,
-    seen through a wrapped `ecsm._issue`.  The scalar's top bit is 0, so the
-    masked swap before the first ladder step is a no-op, and the registers
-    the ladder is issued on are those of its first step."""
+    seen through `record_issues`.  The scalar's top bit is 0, so the masked
+    swap before the first ladder step is a no-op, and the registers the
+    ladder is issued on are those of its first step."""
 
     @staticmethod
     def issued_until_ladder(monkeypatch, curve, cfg):
         """(phase, registers before the issue, cycles issued) of each program
         issued before and including the ladder."""
-        real = ecsm._issue
-        issued = []
-
-        def issue(prog, regs, events, *scalar):
-            before = list(regs)
-            cycles = real(prog, regs, events, *scalar)
-            if not issued or issued[-1][0] != "ladder":
-                issued.append((prog.phase_tag, before, cycles))
-            return cycles
-
         with monkeypatch.context() as patch:
-            patch.setattr(ecsm, "_issue", issue)
+            issued = record_issues(patch)
             scalar_mult(Scalar(1, curve), fe(9, curve), cfg)
-        return issued
+        phases = [phase for phase, _, _ in issued]
+        return issued[:phases.index("ladder") + 1]
 
     def test_lambda_one_degenerate(self, monkeypatch):
         # the plain initialization is the randomized one with lambda = 1 and no
@@ -221,7 +231,11 @@ class TestTrace:
 def executed_matches_recorded(monkeypatch, runs) -> bool:
     """Run each (k, x_p, cfg) traced, with `ecsm.execute_compiled_wave` wrapped:
     True when every ECSM executed, in order, exactly the ops of the wave events
-    in its trace, and the trace holds one event per reported cycle."""
+    in its trace, the trace holds one event per reported cycle, and each
+    executed wave is the very object its program's `compiled()` holds.  The
+    traced benchmark run tells phases apart by those identities, and the
+    init and final waves by equality with their op tuples, which the
+    comparison with the trace's ops checks."""
     executed = []
     real = ecsm.execute_compiled_wave
 
@@ -235,7 +249,9 @@ def executed_matches_recorded(monkeypatch, runs) -> bool:
         executed.clear()
         result = scalar_mult(k, x_p, cfg, want_trace=True)
         recorded = [ev[2].compiled() for ev in result.trace if ev[0] == perf.EV_WAVE]
+        compiled = {id(ops) for prog in programs(k.curve).values() for ops in prog.compiled()}
         ok &= executed == recorded and len(result.trace) == result.cycles.total
+        ok &= all(id(ops) in compiled for ops in executed)
     return ok
 
 
@@ -254,8 +270,9 @@ def random_runs(rng, configs, n):
     return runs
 
 
-# X2*Z2 into a ladder temporary, which every later phase writes before reading: x_Q is unchanged
-EXTRA_WAVE = Wave((mul_op(X2, Z2, R_AA),))
+# Z2^2 into T0, the inversion's first wave: every later phase writes T0 before
+# reading it, so x_Q is unchanged, and the wave's compiled object is a program's
+EXTRA_WAVE = Wave((mul_op(Z2, Z2, T0),))
 
 
 def inject_on_one_bits(monkeypatch, through_seam):
@@ -291,25 +308,16 @@ class TestIssueSeam:
     @pytest.mark.parametrize("curve,dpa", CONFIGS, ids=("25519", "25519-dpa", "448", "448-dpa"))
     def test_each_program_issues_once_per_ecsm(self, monkeypatch, curve, dpa):
         # the ladder is one issue that carries the scalar, not one issue per bit
-        real = ecsm._issue
-        issued = []
-
-        def issue(prog, *args):
-            cycles = real(prog, *args)
-            issued.append((prog.phase_tag, cycles))
-            return cycles
-
-        monkeypatch.setattr(ecsm, "_issue", issue)
-        ladder_cycles = PARAMS[curve].scalar_bits * len(build_ladder_program(curve, dpa).waves)
-        inversion_cycles = {CurveId.CURVE25519: 265, CurveId.CURVE448: 462}[curve]
+        issued = record_issues(monkeypatch)
+        budget = selftest.DESIGN[curve, dpa][2]
         want = [("init", 2)] if dpa else []
-        want += [("ladder", ladder_cycles), ("inversion", inversion_cycles), ("final", 1)]
+        want += [("ladder", budget.ladder_cycles), ("inversion", budget.inversion_cycles), ("final", 1)]
         rng = random.Random(f"issued:{curve.value}:{dpa}")
         for k, x_p, cfg in random_runs(rng, [(curve, dpa)], 2):
             for want_trace in (False, True):
                 issued.clear()
                 scalar_mult(k, x_p, cfg, want_trace)
-                assert issued == want
+                assert [(phase, cycles) for phase, _, cycles in issued] == want
 
     @pytest.mark.parametrize("curve,dpa", CONFIGS, ids=("25519", "25519-dpa", "448", "448-dpa"))
     def test_executed_equals_recorded(self, monkeypatch, curve, dpa):
@@ -364,6 +372,17 @@ class TestConfig:
                 cfg._replace(dpa_enabled=dpa)
             with pytest.raises(TypeError, match="dpa_enabled must be a bool"):
                 EcsmConfig._make((dpa, RFC_CLAMPED, trivium.DEFAULT_SEED))
+
+    def test_seed_is_copied_to_bytes(self):
+        # a caller's bytearrays are not kept: the config hashes, and extending
+        # them later changes neither the config nor its first DPA run
+        key, iv = bytearray(10), bytearray(10)
+        cfg = EcsmConfig(True, RFC_CLAMPED, (key, iv))
+        key.extend(b"x")
+        assert cfg.prng_seed == (bytes(10), bytes(10))
+        assert all(type(part) is bytes for part in cfg.prng_seed)
+        assert hash(cfg) == hash(dpa_cfg((bytes(10), bytes(10))))
+        scalar_mult(Scalar(5, CurveId.CURVE25519), fe(9, CurveId.CURVE25519), cfg)
 
     def test_clamp_mode_checked(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,10 @@ from uecc.bigmul import counters
 from uecc.ecsm import RAW, decode_u
 from uecc.field import CurveId, P25519, P448, PARAMS, PHI
 from uecc.ffau import mul_int, mul_small_int, registers
-from uecc.program import build_inversion_program, build_ladder_program
+from uecc.program import build_inversion_program
 from uecc.selftest import add_sub
+
+from spec import programs
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
 
@@ -106,14 +108,7 @@ class TestMul:
         rng = random.Random(14)
         for curve, want in self.PROGRAM_PRODUCTS.items():
             p = PARAMS[curve].p
-            programs = {
-                "ladder": build_ladder_program(curve, False),
-                "ladder-dpa": build_ladder_program(curve, True),
-                "inversion": build_inversion_program(curve),
-                "init": ecsm._INIT[curve],
-                "final": ecsm._FINAL[curve],
-            }
-            for name, prog in programs.items():
+            for name, prog in programs(curve).items():
                 regs = registers(*(rng.randrange(p) for _ in range(ffau.NUM_REGISTERS)))
                 calls = 0
                 before = counters.snapshot()

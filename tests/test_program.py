@@ -1,9 +1,6 @@
-import math
-import random
-
 import pytest
 
-from uecc import ecsm, ffau, program, selftest
+from uecc import ecsm, ffau, program, reference, selftest
 from uecc.field import CurveId, PARAMS
 from uecc.ffau import (
     NUM_REGISTERS, OP_ADD, OP_SUB, ZERO, ScheduleError, Wave, a24_op, mul_op, registers,
@@ -13,8 +10,11 @@ from uecc.program import (
     INIT_WAVES,
     R_RND,
     ScheduledProgram,
+    T0,
+    T1,
+    T2,
+    T3,
     X1,
-    X2,
     Z1,
     Z2,
     Z3,
@@ -26,50 +26,19 @@ from uecc.program import (
 )
 from uecc.reference import ladder_step
 
+from spec import Poly, programs, spec_wave
+
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
 
 
-class Poly:
-    """A polynomial over GF(p), as {exponent tuple: coefficient}.  Its
-    `% p` is a no-op, so `reference.ladder_step` runs on it unchanged."""
-
-    def __init__(self, terms, p):
-        self.terms = {e: c % p for e, c in terms.items() if c % p}
-        self.p = p
-
-    @classmethod
-    def var(cls, i, p):
-        return cls({tuple(int(j == i) for j in range(NUM_REGISTERS)): 1}, p)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return Poly(terms, self.p)
-
-    def __sub__(self, other):
-        return self + other * -1
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Poly({e: c * other for e, c in self.terms.items()}, self.p)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly(terms, self.p)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        return math.prod([self] * k)
-
-    def __mod__(self, p):
-        return self
-
-    def __eq__(self, other):
-        return self.terms == other.terms
+def spec_run(prog):
+    """The registers after `prog` runs through `spec_wave` on `Poly`
+    registers, each register its own variable: what the program computes
+    for every input."""
+    regs = Poly.registers(reference.P[prog.curve])
+    for wave in prog.waves:
+        spec_wave(regs, wave.ops, prog.curve)
+    return regs
 
 
 class TestLadderProgram:
@@ -142,8 +111,7 @@ class TestLadderProgram:
         inversion = ScheduledProgram(program._INVERSION_WAVES[curve], "inversion", curve)
         ScheduledProgram(INIT_WAVES, "init", curve, dpa=True)
         ScheduledProgram((FINAL_WAVE,), "final", curve)
-        assert len(inversion.waves) == budget.inversion_cycles == {CurveId.CURVE25519: 265,
-                                                                   CurveId.CURVE448: 462}[curve]
+        assert len(inversion.waves) == budget.inversion_cycles
         cycles = budget._replace(ladder_cycles=PARAMS[curve].scalar_bits * len(ladder.waves)).total
         assert (len(ladder.waves), cycles) == want
         if (c, u) == (4, 4):
@@ -152,64 +120,20 @@ class TestLadderProgram:
     @pytest.mark.parametrize("curve, dpa", [(c, d) for c in CURVES for d in (False, True)],
                              ids=["25519", "25519-dpa", "448", "448-dpa"])
     def test_step_equals_reference_for_every_input(self, curve, dpa):
-        # a proof, not a sample: every register starts as its own variable,
-        # and each op applies its specification, (A +/- B) x (C +/- D) or
-        # (A +/- B) x a24, to polynomials mod p.  X2, Z2, X3, Z3 then equal
-        # the straight-line step as polynomials, X1 and Z1 are never written,
-        # and R_RND ends as R_RND * Z1 with DPA and unchanged without
-        p, a24 = PARAMS[curve].p, PARAMS[curve].a24
-        start = [Poly.var(i, p) for i in range(NUM_REGISTERS)]
-        regs = start + [Poly({}, p)]  # the ZERO source
-
-        def factor(sub, a, b):
-            return regs[a] - regs[b] if sub == OP_SUB else regs[a] + regs[b]
-
-        for wave in build_ladder_program(curve, dpa).waves:
-            written = {op.dst: factor(op.sub_left, op.src_a, op.src_b)
-                       * (a24 if op.const_tag else factor(op.sub_right, op.src_c, op.src_d))
-                       for op in wave.ops}  # every op reads the pre-wave registers
-            for dst, value in written.items():
-                regs[dst] = value
+        # a proof, not a sample: the ladder program runs through `spec_wave`
+        # on registers that each start as their own variable.  X1 and Z1 are
+        # never written, X2, Z2, X3, Z3 equal the straight-line step as
+        # polynomials, every register below R_RND, temporaries included,
+        # ends as the plain program leaves it, and R_RND ends as R_RND * Z1
+        # with DPA and unchanged without
+        start = Poly.registers(reference.P[curve])
+        regs = spec_run(build_ladder_program(curve, dpa))
         assert regs[:Z3 + 1] == [start[X1], start[Z1], *ladder_step(curve, *start[:Z3 + 1])]
+        assert regs[:R_RND] == spec_run(build_ladder_program(curve, False))[:R_RND]
         assert regs[R_RND] == (start[R_RND] * start[Z1] if dpa else start[R_RND])
-
-    def test_dpa_variant_equivalence_at_z1_one(self):
-        # with Z1 = 1 the 12-op program leaves the full register file identical
-        rng = random.Random(32)
-        for curve in CURVES:
-            p = PARAMS[curve].p
-            for _ in range(20):
-                vals = [rng.randrange(p) for _ in range(6)]
-                vals[Z1] = 1
-                plain, dpa = registers(*vals), registers(*vals)
-                plain[R_RND] = dpa[R_RND] = rng.randrange(p)
-                ecsm._issue(build_ladder_program(curve, False), plain, None)
-                ecsm._issue(build_ladder_program(curve, True), dpa, None)
-                assert plain == dpa
-
-    def test_dpa_residue_register_only_difference(self):
-        rng = random.Random(33)
-        curve = CurveId.CURVE25519
-        p = PARAMS[curve].p
-        vals = [rng.randrange(p) for _ in range(6)]
-        plain, dpa = registers(*vals), registers(*vals)
-        plain[R_RND] = dpa[R_RND] = 7
-        ecsm._issue(build_ladder_program(curve, False), plain, None)
-        ecsm._issue(build_ladder_program(curve, True), dpa, None)
-        assert plain[:R_RND] == dpa[:R_RND]
-        assert dpa[R_RND] == 7 * vals[1] % p
 
 
 class TestInversionProgram:
-    def test_matches_pow(self):
-        rng = random.Random(34)
-        for curve in CURVES:
-            p = PARAMS[curve].p
-            for a in (1, 2, p - 1, *(rng.randrange(1, p) for _ in range(3))):
-                regs = registers(0, 0, 0, a)  # Z2 = a
-                ecsm._issue(build_inversion_program(curve), regs, None)
-                assert regs[Z2] == pow(a, -1, p)
-
     def test_zero_maps_to_zero(self):
         # branch-free handling of the point at infinity
         for curve in CURVES:
@@ -228,20 +152,17 @@ class TestInversionProgram:
 
     @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.value)
     def test_chain_computes_p_minus_2_for_every_input(self, curve):
-        # a proof, not a sample: track the exponent of a in each register
-        # over the whole chain.  Every op is a plain mul_op, so dst = a * c
-        # adds the exponents, and Z2 = a^(p-2) = 1/a (0 for a = 0).
-        exp = {Z2: 1}
-        for wave in build_inversion_program(curve).waves:
-            (op,) = wave.ops
-            assert op == mul_op(op.src_a, op.src_c, op.dst), op
-            exp[op.dst] = exp[op.src_a] + exp[op.src_c]
-        assert exp[Z2] == PARAMS[curve].p - 2
-
-    def test_preserves_x2(self):
-        regs = registers(0, 0, 123456, 2)  # X2, Z2
-        ecsm._issue(build_inversion_program(CurveId.CURVE25519), regs, None)
-        assert regs[X2] == 123456
+        # a proof, not a sample: the chain runs through `spec_wave` on
+        # registers that each start as their own variable.  Z2 ends as the
+        # monomial Z2^(p-2) = 1/Z2 (0 for Z2 = 0), built here directly, as
+        # `Poly.__pow__` would multiply p - 2 times; every register outside
+        # Z2 and the temporaries T0..T3 keeps its own variable
+        p = reference.P[curve]
+        start = Poly.registers(p)
+        regs = spec_run(build_inversion_program(curve))
+        assert regs[Z2] == Poly({tuple(p - 2 if i == Z2 else 0 for i in range(NUM_REGISTERS)): 1}, p)
+        kept = [i for i in range(NUM_REGISTERS + 1) if i not in (Z2, T0, T1, T2, T3)]
+        assert [regs[i] for i in kept] == [start[i] for i in kept]
 
 
 class TestScheduledProgram:
@@ -325,7 +246,8 @@ class TestValidateSchedule:
     def test_hand_written_programs_are_packed(self, curve):
         # the chains, init and final programs issue one op per wave because
         # each op depends on the one before it, not by choice
-        for waves in (build_inversion_program(curve).waves, INIT_WAVES, (FINAL_WAVE,)):
+        for name in ("inversion", "init", "final"):
+            waves = programs(curve)[name].waves
             assert pack([op for w in waves for op in w.ops], curve) == waves
 
 

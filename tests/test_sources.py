@@ -23,7 +23,9 @@ import pytest
 
 import uecc
 from uecc import cli, ecsm, ffau, field, perf, program, reference, selftest
-from uecc.field import PARAMS, CurveId, fe
+from uecc.field import PARAMS, CurveId
+
+from spec import programs
 
 SOURCES = sorted(pathlib.Path(uecc.__file__).parent.glob("*.py"))
 
@@ -207,11 +209,8 @@ def test_the_trace_printer_renders_no_line():
 
 def every_compiled_wave():
     """(curve, compiled wave) for every wave of every program the engine issues."""
-    programs = [ecsm._INIT[c] for c in CurveId] + [ecsm._FINAL[c] for c in CurveId]
-    for curve in CurveId:
-        programs.append(program.build_inversion_program(curve))
-        programs += [program.build_ladder_program(curve, dpa) for dpa in (False, True)]
-    return [(prog.curve, ops) for prog in programs for ops in prog.compiled()]
+    return [(curve, ops) for curve in CurveId for prog in programs(curve).values()
+            for ops in prog.compiled()]
 
 
 def test_wave_kernels_are_straight_line_and_built_once_per_distinct_wave():
@@ -347,23 +346,3 @@ def test_every_seam_the_benchmark_wraps_exists():
     for module, attr in targets:
         assert hasattr(importlib.import_module(f"uecc.{module}"), attr), (module, attr)
     assert callable(program.ScheduledProgram.compiled.cache_info)
-
-
-def test_executed_waves_are_the_programs_compiled_waves(monkeypatch):
-    # the traced benchmark run tells phases apart by these identities and equalities
-    by_id = {id(ops) for _, ops in every_compiled_wave()}
-    init = {w.compiled() for w in ecsm.INIT_WAVES}
-    executed = []
-    real = ecsm.execute_compiled_wave
-
-    def execute_compiled_wave(regs, ops, curve):
-        executed.append(ops)
-        return real(regs, ops, curve)
-
-    monkeypatch.setattr(ecsm, "execute_compiled_wave", execute_compiled_wave)
-    for curve in CurveId:
-        cfg = ecsm.EcsmConfig(dpa_enabled=True, prng_seed=(bytes(10), bytes(10)))
-        ecsm.scalar_mult(ecsm.Scalar(5, curve), fe(9, curve), cfg)
-    assert executed and all(id(ops) in by_id for ops in executed)
-    assert sum(ops in init for ops in executed) == 2 * len(init)
-    assert sum(ops == ecsm.FINAL_WAVE.compiled() for ops in executed) == 2
