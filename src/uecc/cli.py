@@ -4,7 +4,8 @@ Hex I/O uses little-endian octet strings (two hex digits per byte), so the
 published vectors paste in directly.  Identical invocations produce
 byte-identical output; the PRNG seed comes from --prng-key/--prng-iv, the
 UECC_PRNG_KEY/UECC_PRNG_IV environment variables, or a fixed documented
-default (00010203...).
+default (00010203...).  `trace` writes the engine's trace text
+(`perf.Trace.text`), built once per (curve, dpa) configuration, as one string.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import argparse
 import functools
 import os
 import sys
-from itertools import chain
-from operator import attrgetter
 
 from . import program, vectors
 from .ecsm import (
@@ -103,18 +102,11 @@ def cmd_scalarmult(args) -> int:
     return 0
 
 
-@functools.cache
-def _cycle_prefixes(n: int) -> tuple[str, ...]:
-    """The `cycle N  ` prefix of each of a trace's `n` lines, built once per length."""
-    return tuple(f"cycle {cycle:5d}  " for cycle in range(n))
-
-
 def _print_trace(trace):
-    """One line per executed event, written at once: each event carries its
-    rendered line (`perf.Event.line`), so this only joins the cached cycle
-    prefixes with them."""
-    prefixes = _cycle_prefixes(len(trace))
-    sys.stdout.write("".join(chain.from_iterable(zip(prefixes, map(attrgetter("line"), trace)))))
+    """One line per executed event, written at once: the `perf.Trace` carries
+    its rendered text, built once per issue log, so this renders and joins
+    nothing."""
+    sys.stdout.write(trace.text)
 
 
 def cmd_program_dump(args) -> int:

@@ -5,8 +5,10 @@ fixed: scalar bits only steer the masked conditional swaps, never which waves
 issue.  `scalar_mult` holds its registers in a plain list, loaded in one
 block by `ffau.registers` (with DPA: lambda drawn from a fresh Trivium, then
 the init program).
-Every wave issues through `_issue`, which executes, records and counts one
-program, so the trace, the cycle report and the product count are what ran.
+Every wave issues through `_issue`, which executes, counts and, when
+tracing, records one program in the issue log, so the trace, the cycle
+report and the product count are what ran.  The trace is a cached function
+of the issue log (`_trace`), so every scalar of a configuration shares one.
 Each program issues once per ECSM: the ladder's call carries the scalar, and
 `_issue` runs its bit loop and masked swaps itself.
 Each wave writes its results `% p`, so every register is canonical at every
@@ -84,7 +86,7 @@ class EcsmConfig(collections.namedtuple("EcsmConfig", "dpa_enabled clamp_mode pr
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
 
-# x_q: FieldElement; cycles: perf.CycleReport; trace: the events, when asked for
+# x_q: FieldElement; cycles: perf.CycleReport; trace: the perf.Trace, when asked for
 EcsmResult = collections.namedtuple("EcsmResult", "x_q cycles trace", defaults=(None,))
 
 
@@ -137,12 +139,12 @@ def _cswap_running_pairs(regs: list[int], swap_bit: int) -> None:
     regs[Z3] ^= d
 
 
-def _issue(prog: ScheduledProgram, regs: list[int], events: list | None, k: int = 0,
+def _issue(prog: ScheduledProgram, regs: list[int], issued: list | None, k: int = 0,
            steps: int = 1) -> int:
     """Issue `prog` on `regs` `steps` times, every wave one cycle, charge
     its products (`prog.products`, from `ffau.UNITS`) to `counters` once per
-    step, and extend `events` with the program's wave events once per step
-    when tracing.  Returns the cycles issued.  The engine issues waves, and
+    step, and, when tracing, record `(prog, steps)` in the issue log
+    `issued`.  Returns the cycles issued.  The engine issues waves, and
     charges products, nowhere else, and the checks issue whole programs
     through it too.
 
@@ -152,7 +154,7 @@ def _issue(prog: ScheduledProgram, regs: list[int], events: list | None, k: int 
     k & 1.  A program issued once passes no scalar, and k = 0 masks every
     swap off."""
     curve = prog.curve
-    waves, recorded = _waves_and_events(prog)
+    waves = _waves_and_events(prog)[0]
     swaps = k ^ (k >> 1)
     for i in range(steps - 1, -1, -1):
         _cswap_running_pairs(regs, (swaps >> i) & 1)
@@ -160,8 +162,8 @@ def _issue(prog: ScheduledProgram, regs: list[int], events: list | None, k: int 
             execute_compiled_wave(regs, ops, curve)
     _cswap_running_pairs(regs, k & 1)
     counters.units += prog.products * steps
-    if events is not None:
-        events.extend(recorded * steps)
+    if issued is not None:
+        issued.append((prog, steps))
     return len(waves) * steps
 
 
@@ -172,6 +174,19 @@ def _waves_and_events(prog: ScheduledProgram) -> tuple[tuple, tuple]:
     return prog.compiled(), tuple(perf.wave_event(prog.phase_tag, w) for w in prog.waves)
 
 
+@functools.cache
+def _trace(issued: tuple, prng_cycles: int) -> perf.Trace:
+    """The trace of an ECSM that drew `prng_cycles` PRNG words and then
+    issued the issue log `issued`, its `(program, steps)` in order: the PRNG
+    events, each program's wave events `steps` times, and the load/store
+    event.  Built, with its text, once per issue log and PRNG word count."""
+    events = [perf.PRNG_EVENT] * prng_cycles
+    for prog, steps in issued:
+        events += _waves_and_events(prog)[1] * steps
+    events.append(perf.LOADSTORE_EVENT)
+    return perf.Trace(events)
+
+
 def scalar_mult(
     k: Scalar, x_p: FieldElement, cfg: EcsmConfig = EcsmConfig(), want_trace: bool = False
 ) -> EcsmResult:
@@ -180,11 +195,12 @@ def scalar_mult(
 
     Every phase issues its program through one `_issue` call, the ladder's
     with the scalar, and the `CycleReport` sums the cycles they return, plus
-    the PRNG words and the load/store cycle that latches x_Q."""
+    the PRNG words and the load/store cycle that latches x_Q.  A traced run
+    returns `_trace` of the issue log, shared by every scalar."""
     if k.curve is not x_p.curve:
         raise ValueError("scalar and point curves differ")
     curve = k.curve
-    events = [] if want_trace else None
+    issued = [] if want_trace else None
 
     # the plain initialization: X1 = X3 = x_P, Z1 = X2 = Z3 = 1, Z2 = 0.  With
     # DPA, Z1 = X2 = Z3 = R_RND = lambda, drawn from a fresh PRNG, and the init
@@ -195,22 +211,18 @@ def scalar_mult(
         prng = TriviumState(*cfg.prng_seed)
         lam = gen_lambda(prng, curve)
         prng_cycles = prng.next64_calls
-        if events is not None:
-            events.extend([perf.PRNG_EVENT] * prng_cycles)
         regs[Z1] = regs[X2] = regs[Z3] = regs[R_RND] = lam
-        overhead_cycles = _issue(_INIT[curve], regs, events)
+        overhead_cycles = _issue(_INIT[curve], regs, issued)
 
-    ladder_cycles = _issue(build_ladder_program(curve, cfg.dpa_enabled), regs, events, k.bits,
+    ladder_cycles = _issue(build_ladder_program(curve, cfg.dpa_enabled), regs, issued, k.bits,
                            PARAMS[curve].scalar_bits)
-    inversion_cycles = _issue(build_inversion_program(curve), regs, events)
-    overhead_cycles += _issue(_FINAL[curve], regs, events) + 1  # + the load/store cycle
-    if events is not None:
-        events.append(perf.LOADSTORE_EVENT)
+    inversion_cycles = _issue(build_inversion_program(curve), regs, issued)
+    overhead_cycles += _issue(_FINAL[curve], regs, issued) + 1  # + the load/store cycle
 
     return EcsmResult(
         x_q=FieldElement(regs[X2], curve),
         cycles=perf.CycleReport(ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles),
-        trace=tuple(events) if events is not None else None,
+        trace=_trace(tuple(issued), prng_cycles) if issued is not None else None,
     )
 
 

@@ -219,7 +219,10 @@ def lambda_invariance(rng, n) -> bool:
 
 
 def trace_constancy(rng, n) -> bool:
-    """One executed event stream for `n` random scalars per (curve, dpa) configuration."""
+    """One executed event stream for `n` random scalars per (curve, dpa)
+    configuration.  The engine builds the trace from its issue log, so a
+    scalar that changed what issued would give another trace; the traces
+    are compared by value, not by the identity that the cache gives."""
     ok = True
     for curve, dpa in DESIGN:
         cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=trivium.DEFAULT_SEED if dpa else None)

@@ -227,6 +227,26 @@ class TestTrace:
                           EcsmConfig(clamp_mode=RAW))
         assert res.trace is None
 
+    @pytest.mark.parametrize("curve", CURVES, ids=("25519", "448"))
+    def test_a_lambda_redraw_reaches_the_trace(self, monkeypatch, curve):
+        # the trace is cached per issue log and PRNG word count: a draw that
+        # takes one more batch of words must give a trace with those words
+        k, x_p = Scalar(12345, curve), fe(9, curve)
+        normal = scalar_mult(k, x_p, dpa_cfg(), want_trace=True).trace
+
+        def gen_lambda_redrawn(state, curve):
+            for _ in range(trivium.lambda_words(curve)):  # a draw that reduced to 0
+                trivium.next64(state)
+            return trivium.gen_lambda(state, curve)
+
+        monkeypatch.setattr(ecsm, "gen_lambda", gen_lambda_redrawn)
+        result = scalar_mult(k, x_p, dpa_cfg(), want_trace=True)
+        words = normal.count((perf.EV_PRNG,))
+        assert words == trivium.lambda_words(curve)
+        assert result.trace.count((perf.EV_PRNG,)) == 2 * words
+        assert len(result.trace) == result.cycles.total == len(normal) + words
+        assert result.trace != normal
+
 
 def executed_matches_recorded(monkeypatch, runs) -> bool:
     """Run each (k, x_p, cfg) traced, with `ecsm.execute_compiled_wave` wrapped:
@@ -281,11 +301,11 @@ def inject_on_one_bits(monkeypatch, through_seam):
     real = ecsm._issue
     extra = {curve: ScheduledProgram((EXTRA_WAVE,), "ladder", curve) for curve in CURVES}
 
-    def issue(prog, regs, events, k=0, steps=1):
-        cycles = real(prog, regs, events, k, steps)
+    def issue(prog, regs, issued, k=0, steps=1):
+        cycles = real(prog, regs, issued, k, steps)
         for _ in range(bin(k).count("1")):  # only the ladder's call carries a scalar
             if through_seam:
-                cycles += real(extra[prog.curve], regs, events)
+                cycles += real(extra[prog.curve], regs, issued)
             else:
                 ecsm.execute_compiled_wave(regs, EXTRA_WAVE.compiled(prog.curve), prog.curve)
         return cycles
@@ -297,12 +317,13 @@ class TestIssueSeam:
     """`ecsm._issue` executes, records and counts every wave of an ECSM."""
 
     def test_issue_runs_and_records_one_program(self):
+        # the issue log, the trace's only input, gets (program, steps) per issue
         for curve in CURVES:
             prog = build_ladder_program(curve, True)
             regs = registers()
-            events = []
-            assert ecsm._issue(prog, regs, events) == len(prog.waves)
-            assert events == [(perf.EV_WAVE, "ladder", w) for w in prog.waves]
+            issued = []
+            assert ecsm._issue(prog, regs, issued) == len(prog.waves)
+            assert issued == [(prog, 1)]
             assert ecsm._issue(prog, regs, None) == len(prog.waves)
 
     @pytest.mark.parametrize("curve,dpa", CONFIGS, ids=("25519", "25519-dpa", "448", "448-dpa"))

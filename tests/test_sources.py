@@ -5,8 +5,9 @@ reference import no model code, only `ffau` reads the register count,
 engine and the published table build a cycle report, each wave runs as
 generated straight-line code from the package's one code generator, which
 alone composes `field`'s product and fold text, every kernel keeps the
-registers canonical for every input (an interval proof), the trace printer
-renders no line itself, every seam the benchmark wraps
+registers canonical for every input (an interval proof), no scalar-derived
+value reaches the engine's control flow or its issue log (a taint check),
+the trace printer renders no line itself, every seam the benchmark wraps
 exists, importing the package loads neither `dataclasses` nor
 `inspect`, and a record's `_replace` and `_make` check their fields as its
 constructor does."""
@@ -346,3 +347,107 @@ def test_every_seam_the_benchmark_wraps_exists():
     for module, attr in targets:
         assert hasattr(importlib.import_module(f"uecc.{module}"), attr), (module, attr)
     assert callable(program.ScheduledProgram.compiled.cache_info)
+
+
+# The scalar's sources in each engine function: `_issue`'s `k`, the masked
+# swap's bit, and the `Scalar`'s bits in `scalar_mult` (its `curve` is public).
+SCALAR_SOURCES = {"_issue": {"k"}, "_cswap_running_pairs": {"swap_bit"}, "scalar_mult": {"k.bits"}}
+
+
+def scalar_taint(source):
+    """Where a scalar-derived value in the engine functions of `source` (the
+    `ecsm` module text) reaches the control flow or the issue log, after
+    ct-verif's rule (Almeida et al., USENIX Security 2016): neither control
+    flow nor memory indices may depend on a secret.  A name assigned from a
+    tainted expression is tainted, so `k` taints `swaps`, and `swap_bit`
+    taints `mask` and `d`.  No tainted value may reach a branch or loop
+    test, a comparison, a loop iterable, a subscript index, a return value
+    (the cycles issued) or a call, except as the argument of one of
+    SCALAR_SOURCES' own parameters, whose function is checked with it
+    tainted.  The issue log, which the trace is built from, is written by a
+    call, so nothing tainted reaches it.  A register write `regs[i] ^= d`
+    taints the stored value, not `i`: register values are data, which the
+    kernels handle straight-line (tested above), and reads of them are not
+    tracked.  `Scalar.__new__`'s range check is input validation, and the
+    decoding functions are outside the engine."""
+    funcs = {node.name: node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef) and node.name in SCALAR_SOURCES}
+    params = {name: [a.arg for a in func.args.args] for name, func in funcs.items()}
+    found = []
+    for name, func in funcs.items():
+        tainted = set(SCALAR_SOURCES[name])
+
+        def dirty(node):
+            if node is None:
+                return False
+            if isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) in tainted:
+                return True
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in SCALAR_SOURCES:
+                return False  # its arguments are checked below, and its returns are
+            return any(dirty(child) for child in ast.iter_child_nodes(node))
+
+        grown = True
+        while grown:  # flow-insensitive: taint every name assigned a tainted value
+            before = len(tainted)
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr)) \
+                        and dirty(node.value):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    # `regs[i] ^= d` stores to no name: `regs` and `i` are loads
+                    tainted |= {ast.unparse(n) for t in targets for n in ast.walk(t)
+                                if isinstance(n, (ast.Name, ast.Attribute))
+                                and isinstance(n.ctx, ast.Store)}
+            grown = len(tainted) > before
+
+        def reject(what, node):
+            found.append(f"{name}: scalar reaches {what}: {ast.unparse(node)}")
+
+        for node in ast.walk(func):
+            if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)) and dirty(node.test):
+                reject("a branch test", node.test)
+            elif isinstance(node, (ast.Compare, ast.BoolOp)) and dirty(node):
+                reject("a comparison", node)
+            elif isinstance(node, (ast.For, ast.comprehension)) and dirty(node.iter):
+                reject("a loop bound", node.iter)
+            elif isinstance(node, ast.Subscript) and dirty(node.slice):
+                reject("a subscript index", node)
+            elif isinstance(node, ast.Return) and dirty(node.value):
+                reject("a return value", node)
+            elif isinstance(node, ast.Match) and dirty(node.subject):
+                reject("a branch test", node.subject)
+            elif isinstance(node, ast.Call):
+                callee = ast.unparse(node.func)
+                bound = list(zip(params.get(callee, []), node.args))
+                bound += [(kw.arg, kw.value) for kw in node.keywords]
+                if dirty(node.func) or any(dirty(arg) for arg in node.args[len(bound):]) or any(
+                        dirty(arg) and param not in SCALAR_SOURCES.get(callee, ())
+                        for param, arg in bound):
+                    reject("a call", node)
+    assert set(funcs) == set(SCALAR_SOURCES), "an engine function is gone"
+    return found
+
+
+def test_the_scalar_reaches_no_control_flow_and_no_issue_log():
+    # proves, for every scalar, what the trace-constancy checks sample: the
+    # waves issued, their count and the issue log do not depend on the scalar
+    assert scalar_taint(pathlib.Path(ecsm.__file__).read_text()) == []
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("    _cswap_running_pairs(regs, k & 1)\n",
+     "    if k & 1:\n        _cswap_running_pairs(regs, 1)\n", "_issue: scalar reaches a branch test"),
+    ("range(steps - 1, -1, -1)", "range(k.bit_length() - 1, -1, -1)", "_issue: scalar reaches a loop"),
+    ("    _cswap_running_pairs(regs, k & 1)\n",
+     "    regs[X2 + (k & 1)] ^= 0\n", "_issue: scalar reaches a subscript index"),
+    ("    mask = -swap_bit\n", "    if not swap_bit:\n        return\n    mask = -swap_bit\n",
+     "_cswap_running_pairs: scalar reaches a branch test"),
+    ("issued.append((prog, steps))", "issued.append((prog, steps, k & 1))", "_issue: scalar reaches a call"),
+    ("PARAMS[curve].scalar_bits)\n", "k.bits.bit_length())\n", "scalar_mult: scalar reaches a call"),
+    ("return len(waves) * steps", "return len(waves) * steps + (swaps & 1)", "scalar reaches a return"),
+], ids=("if-k", "loop-bound", "index", "early-return", "issue-log", "steps", "cycles"))
+def test_scalar_taint_rejects_a_scalar_dependent_engine(old, new, message):
+    # the proof can fail: each edit makes the issued waves, the cycles or the
+    # trace depend on the scalar
+    source = pathlib.Path(ecsm.__file__).read_text()
+    assert source.count(old) == 1, old
+    assert message in "\n".join(scalar_taint(source.replace(old, new)))
