@@ -5,7 +5,7 @@ published vectors paste in directly.  Identical invocations produce
 byte-identical output; the PRNG seed comes from --prng-key/--prng-iv, the
 UECC_PRNG_KEY/UECC_PRNG_IV environment variables, or a fixed documented
 default (00010203...).  `trace` writes the engine's trace text
-(`perf.Trace.text`), built once per (curve, dpa) configuration, as one string.
+(`EcsmResult.trace`), built once per (curve, dpa) configuration, as one string.
 """
 
 from __future__ import annotations
@@ -102,11 +102,10 @@ def cmd_scalarmult(args) -> int:
     return 0
 
 
-def _print_trace(trace):
-    """One line per executed event, written at once: the `perf.Trace` carries
-    its rendered text, built once per issue log, so this renders and joins
-    nothing."""
-    sys.stdout.write(trace.text)
+def _print_trace(trace: str):
+    """One line per executed cycle, written at once: the trace is its text,
+    built once per issue log, so this renders and joins nothing."""
+    sys.stdout.write(trace)
 
 
 def cmd_program_dump(args) -> int:

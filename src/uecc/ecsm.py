@@ -7,8 +7,9 @@ block by `ffau.registers` (with DPA: lambda drawn from a fresh Trivium, then
 the init program).
 Every wave issues through `_issue`, which executes, counts and, when
 tracing, records one program in the issue log, so the trace, the cycle
-report and the product count are what ran.  The trace is a cached function
-of the issue log (`_trace`), so every scalar of a configuration shares one.
+report and the product count are what ran.  The trace is text, a cached
+function of the issue log (`_trace`), so every scalar of a configuration
+shares one string.
 Each program issues once per ECSM: the ladder's call carries the scalar, and
 `_issue` runs its bit loop and masked swaps itself.
 Each wave writes its results `% p`, so every register is canonical at every
@@ -86,7 +87,7 @@ class EcsmConfig(collections.namedtuple("EcsmConfig", "dpa_enabled clamp_mode pr
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
 
-# x_q: FieldElement; cycles: perf.CycleReport; trace: the perf.Trace, when asked for
+# x_q: FieldElement; cycles: perf.CycleReport; trace: the trace text (`_trace`), when asked for
 EcsmResult = collections.namedtuple("EcsmResult", "x_q cycles trace", defaults=(None,))
 
 
@@ -154,7 +155,7 @@ def _issue(prog: ScheduledProgram, regs: list[int], issued: list | None, k: int 
     k & 1.  A program issued once passes no scalar, and k = 0 masks every
     swap off."""
     curve = prog.curve
-    waves = _waves_and_events(prog)[0]
+    waves = prog.compiled()
     swaps = k ^ (k >> 1)
     for i in range(steps - 1, -1, -1):
         _cswap_running_pairs(regs, (swaps >> i) & 1)
@@ -168,23 +169,18 @@ def _issue(prog: ScheduledProgram, regs: list[int], issued: list | None, k: int 
 
 
 @functools.cache
-def _waves_and_events(prog: ScheduledProgram) -> tuple[tuple, tuple]:
-    """The compiled waves of `prog` and their trace events (each with its
-    rendered line), built once per program."""
-    return prog.compiled(), tuple(perf.wave_event(prog.phase_tag, w) for w in prog.waves)
-
-
-@functools.cache
-def _trace(issued: tuple, prng_cycles: int) -> perf.Trace:
-    """The trace of an ECSM that drew `prng_cycles` PRNG words and then
-    issued the issue log `issued`, its `(program, steps)` in order: the PRNG
-    events, each program's wave events `steps` times, and the load/store
-    event.  Built, with its text, once per issue log and PRNG word count."""
-    events = [perf.PRNG_EVENT] * prng_cycles
+def _trace(issued: tuple, prng_cycles: int) -> str:
+    """The trace text of an ECSM that drew `prng_cycles` PRNG words and then
+    issued the issue log `issued`, its `(program, steps)` in order: one line
+    per cycle, `cycle N` and then a PRNG word, a wave with its program's
+    phase, or the load/store cycle.  Each program's wave lines are rendered
+    once and repeated `steps` times.  Built once per issue log and PRNG word
+    count."""
+    lines = ["prng       next64\n"] * prng_cycles
     for prog, steps in issued:
-        events += _waves_and_events(prog)[1] * steps
-    events.append(perf.LOADSTORE_EVENT)
-    return perf.Trace(events)
+        lines += [f"{prog.phase_tag:9s}  {wave.text}\n" for wave in prog.waves] * steps
+    lines.append("overhead   load/store\n")
+    return "".join([f"cycle {cycle:5d}  {line}" for cycle, line in enumerate(lines)])
 
 
 def scalar_mult(

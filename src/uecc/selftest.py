@@ -112,10 +112,9 @@ def _edge_operands(curve: CurveId) -> tuple[int, ...]:
 
 
 def field_ops(rng, n) -> bool:
-    """The FFAU add/sub selectors and `mul_int` == `% p`, `n` samples per
-    curve, plus `mul_int`/`mul_small_int` on every pair of edge operands,
-    with p and a24 from `reference`, not from the constants the kernels
-    are built from."""
+    """The FFAU add/sub selectors, `mul_int` and `mul_small_int` == `% p`,
+    `n` samples per curve and every pair of edge operands, with p and a24
+    from `reference`, not from the constants the kernels are built from."""
     ok = True
     for curve in CurveId:
         p, a24 = reference.P[curve], reference.A24[curve]
@@ -123,10 +122,13 @@ def field_ops(rng, n) -> bool:
             a, b = rng.randrange(p), rng.randrange(p)
             ok &= add_sub(curve, a, b) == ((a + b) % p, (a - b) % p)
             ok &= mul_int(a, b, curve) == a * b % p
+            ok &= mul_small_int(a, curve) == a * a24 % p
         edges = _edge_operands(curve)
         for a in edges:
             ok &= mul_small_int(a, curve) == a * a24 % p
-            ok &= all(mul_int(a, b, curve) == a * b % p for b in edges)
+            for b in edges:
+                ok &= add_sub(curve, a, b) == ((a + b) % p, (a - b) % p)
+                ok &= mul_int(a, b, curve) == a * b % p
     return ok
 
 
@@ -219,10 +221,10 @@ def lambda_invariance(rng, n) -> bool:
 
 
 def trace_constancy(rng, n) -> bool:
-    """One executed event stream for `n` random scalars per (curve, dpa)
-    configuration.  The engine builds the trace from its issue log, so a
-    scalar that changed what issued would give another trace; the traces
-    are compared by value, not by the identity that the cache gives."""
+    """One trace text for `n` random scalars per (curve, dpa) configuration.
+    The engine builds the trace from its issue log, so a scalar that changed
+    what issued would give another trace; the traces are compared by value,
+    not by the identity that the cache gives."""
     ok = True
     for curve, dpa in DESIGN:
         cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=trivium.DEFAULT_SEED if dpa else None)

@@ -1,11 +1,12 @@
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from uecc import ecsm, field, perf, selftest, trivium
+from uecc import ecsm, ffau, field, selftest, trivium
 from uecc.bigmul import counters, kar256_structural_int
 from uecc.ecsm import (
     EcsmConfig,
@@ -241,21 +242,51 @@ class TestTrace:
 
         monkeypatch.setattr(ecsm, "gen_lambda", gen_lambda_redrawn)
         result = scalar_mult(k, x_p, dpa_cfg(), want_trace=True)
-        words = normal.count((perf.EV_PRNG,))
+        words = normal.count("  prng       next64\n")
         assert words == trivium.lambda_words(curve)
-        assert result.trace.count((perf.EV_PRNG,)) == 2 * words
-        assert len(result.trace) == result.cycles.total == len(normal) + words
+        assert result.trace.count("  prng       next64\n") == 2 * words
+        assert result.trace.count("\n") == result.cycles.total == normal.count("\n") + words
         assert result.trace != normal
+
+    def test_a_cold_trace_renders_each_issued_wave_once(self, monkeypatch):
+        # the trace renders each wave of each issued program once, however
+        # many times the program issues: one `format_op` call per op of the
+        # issue log, far below one line per cycle
+        calls = 0
+        real = ffau.format_op
+
+        def format_op(op):
+            nonlocal calls
+            calls += 1
+            return real(op)
+
+        monkeypatch.setattr(ffau, "format_op", format_op)
+        for curve, dpa in CONFIGS:
+            progs = programs(curve)
+            issued = [progs["ladder-dpa" if dpa else "ladder"], progs["inversion"], progs["final"]]
+            issued += [progs["init"]] if dpa else []
+            ecsm._trace.cache_clear()
+            calls = 0
+            cfg = dpa_cfg() if dpa else EcsmConfig()
+            result = scalar_mult(Scalar(12345, curve), fe(9, curve), cfg, want_trace=True)
+            assert calls == sum(prog.op_count for prog in issued) < result.cycles.total
+            if (curve, dpa) == (CurveId.CURVE25519, False):
+                assert calls == 11 + 265 + 1
+
+
+def wave_text(ops) -> str:
+    """The trace text of a wave's ops, rendered here from `ffau.format_op`."""
+    return "; ".join(map(ffau.format_op, ops))
 
 
 def executed_matches_recorded(monkeypatch, runs) -> bool:
     """Run each (k, x_p, cfg) traced, with `ecsm.execute_compiled_wave` wrapped:
-    True when every ECSM executed, in order, exactly the ops of the wave events
-    in its trace, the trace holds one event per reported cycle, and each
+    True when every ECSM executed, in order, exactly the ops of the wave lines
+    in its trace, the trace holds one line per reported cycle, and each
     executed wave is the very object its program's `compiled()` holds.  The
     traced benchmark run tells phases apart by those identities, and the
     init and final waves by equality with their op tuples, which the
-    comparison with the trace's ops checks."""
+    comparison with the trace's op text checks."""
     executed = []
     real = ecsm.execute_compiled_wave
 
@@ -268,9 +299,11 @@ def executed_matches_recorded(monkeypatch, runs) -> bool:
     for k, x_p, cfg in runs:
         executed.clear()
         result = scalar_mult(k, x_p, cfg, want_trace=True)
-        recorded = [ev[2].compiled() for ev in result.trace if ev[0] == perf.EV_WAVE]
+        lines = [re.fullmatch(r"cycle +\d+  (\w+) +(.*)", line).groups()
+                 for line in result.trace.splitlines()]
+        recorded = [text for unit, text in lines if unit not in ("prng", "overhead")]
         compiled = {id(ops) for prog in programs(k.curve).values() for ops in prog.compiled()}
-        ok &= executed == recorded and len(result.trace) == result.cycles.total
+        ok &= [wave_text(ops) for ops in executed] == recorded and len(lines) == result.cycles.total
         ok &= all(id(ops) in compiled for ops in executed)
     return ok
 

@@ -6,21 +6,12 @@ from uecc import ecsm, ffau, field, selftest
 from uecc.bigmul import counters
 from uecc.ecsm import RAW, decode_u
 from uecc.field import CurveId, P25519, P448, PARAMS, PHI
-from uecc.ffau import mul_int, mul_small_int, registers
+from uecc.ffau import mul_int, registers
 from uecc.program import build_inversion_program
-from uecc.selftest import add_sub
 
 from spec import programs
 
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
-
-
-def add(a, b, curve):
-    return add_sub(curve, a, b)[0]
-
-
-def sub(a, b, curve):
-    return add_sub(curve, a, b)[1]
 
 
 class TestParams:
@@ -38,28 +29,6 @@ class TestParams:
         assert PARAMS[CurveId.CURVE448].scalar_bits == 448
         assert len(build_inversion_program(CurveId.CURVE25519).waves) == 265
         assert len(build_inversion_program(CurveId.CURVE448).waves) == 462
-
-
-class TestAddSub:
-    """The FFAU's add/sub operand selectors, run through `execute_wave`."""
-
-    def test_wraparound(self):
-        for curve in CURVES:
-            p = PARAMS[curve].p
-            assert add(p - 1, 1, curve) == 0
-
-    def test_identity(self):
-        for curve in CURVES:
-            assert add(0, 12345, curve) == 12345
-
-    def test_self_cancel(self):
-        for curve in CURVES:
-            assert sub(98765, 98765, curve) == 0
-
-    def test_negation(self):
-        for curve in CURVES:
-            p = PARAMS[curve].p
-            assert sub(0, 1, curve) == p - 1
 
 
 class TestMul:
@@ -116,44 +85,6 @@ class TestMul:
                 charged = tuple(b - a for a, b in zip(before, counters.snapshot()))
                 assert prog.products == calls == want[name], (curve, name)
                 assert charged == (9 * calls, 3 * calls, calls), (curve, name)
-
-
-class TestFieldAxioms:
-    def test_axioms_random(self):
-        rng = random.Random(14)
-        for curve in CURVES:
-            p = PARAMS[curve].p
-
-            def mul(x, y):
-                return mul_int(x, y, curve)
-
-            for _ in range(100):
-                a, b, c = (rng.randrange(p) for _ in range(3))
-                assert add(a, b, curve) == add(b, a, curve)
-                assert mul(a, b) == mul(b, a)
-                assert add(add(a, b, curve), c, curve) == add(a, add(b, c, curve), curve)
-                assert mul(mul(a, b), c) == mul(a, mul(b, c))
-                assert mul(a, add(b, c, curve)) == add(mul(a, b), mul(a, c), curve)
-                assert mul(a, add(b, c, curve)) == a * (b + c) % p
-
-
-class TestMulA24:
-    def test_unit(self):
-        assert mul_small_int(1, CurveId.CURVE25519) == 121665
-        assert mul_small_int(1, CurveId.CURVE448) == 39081
-
-    def test_zero(self):
-        for curve in CURVES:
-            assert mul_small_int(0, curve) == 0
-
-    def test_equals_full_multiplication(self):
-        rng = random.Random(15)
-        for curve in CURVES:
-            p = PARAMS[curve].p
-            a24 = PARAMS[curve].a24
-            for _ in range(300):
-                a = rng.randrange(p)
-                assert mul_small_int(a, curve) == mul_int(a, a24, curve)
 
 
 class TestBytes:

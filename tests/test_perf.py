@@ -2,6 +2,7 @@ import pytest
 
 from uecc import perf, selftest
 from uecc.ecsm import EcsmConfig, Scalar, scalar_mult
+from uecc.ffau import format_op
 from uecc.field import PARAMS, fe
 from uecc.program import FINAL_WAVE, INIT_WAVES, build_inversion_program, build_ladder_program
 from uecc.trivium import DEFAULT_SEED, lambda_words
@@ -22,45 +23,32 @@ class TestCycleReport:
         assert "modeled_latency_us=10.32" in text
 
 
-def reference_line(ev):
-    """The trace line of one event, rendered here independently of `perf`."""
-    if ev[0] == perf.EV_WAVE:
-        return f"{ev[1]:9s}  {ev[2].text}\n"
-    if ev[0] == perf.EV_PRNG:
-        return "prng       next64\n"
-    assert ev == (perf.EV_LOADSTORE,)
-    return "overhead   load/store\n"
-
-
 class TestEventLines:
-    """The trace carries its rendered text, each event's line after its cycle
-    number, is one object for every scalar of a configuration, and still
-    reads as the plain tuple of event tuples."""
+    """The trace is its text, one line per cycle after its cycle number, and
+    one object for every scalar of a configuration."""
 
     @pytest.mark.parametrize(
         "curve, dpa", list(selftest.DESIGN), ids=["25519", "25519-dpa", "448", "448-dpa"]
     )
     def test_lines_match_a_reference_renderer(self, curve, dpa):
         # the trace is a cached function of the issue log, which no scalar
-        # changes, so two scalars get the very same object and its text
+        # changes, so two scalars get the very same object
         cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=DEFAULT_SEED if dpa else None)
         trace, other = (scalar_mult(Scalar(bits, curve), fe(9, curve), cfg, want_trace=True).trace
                         for bits in (12345, 2 ** 200 + 54321))
-        assert isinstance(trace, perf.Trace) and trace is other
-        assert len(trace) == selftest.DESIGN[curve, dpa][0]
-        assert all(isinstance(ev, perf.Event) for ev in trace)
-        assert trace.text == "".join(
-            "cycle " + str(cycle).rjust(5) + "  " + reference_line(ev) for cycle, ev in enumerate(trace)
-        )
+        assert isinstance(trace, str) and trace is other
+        assert trace.count("\n") == selftest.DESIGN[curve, dpa][0]
 
-        plain = tuple(tuple(ev) for ev in trace)
-        assert trace == plain and hash(trace) == hash(plain)
+        # the lines rendered here from the programs, independently of `ecsm`
+        def wave_lines(phase, waves):
+            return [phase.ljust(9) + "  " + "; ".join(map(format_op, w.ops)) + "\n" for w in waves]
+
         ladder, inversion = build_ladder_program(curve, dpa), build_inversion_program(curve)
-        prng = [(perf.EV_PRNG,)] * lambda_words(curve)
-        init = [(perf.EV_WAVE, "init", w) for w in INIT_WAVES]
-        assert list(plain) == (
-            (prng + init if dpa else [])
-            + [(perf.EV_WAVE, "ladder", w) for w in ladder.waves] * PARAMS[curve].scalar_bits
-            + [(perf.EV_WAVE, "inversion", w) for w in inversion.waves]
-            + [(perf.EV_WAVE, "final", FINAL_WAVE), (perf.EV_LOADSTORE,)]
+        lines = (["prng       next64\n"] * lambda_words(curve) + wave_lines("init", INIT_WAVES)
+                 if dpa else [])
+        lines += wave_lines("ladder", ladder.waves) * PARAMS[curve].scalar_bits
+        lines += wave_lines("inversion", inversion.waves) + wave_lines("final", [FINAL_WAVE])
+        lines.append("overhead   load/store\n")
+        assert trace == "".join(
+            "cycle " + str(cycle).rjust(5) + "  " + line for cycle, line in enumerate(lines)
         )

@@ -197,9 +197,9 @@ def test_selftest_issues_whole_programs_through_the_engine():
 
 
 def test_the_trace_printer_renders_no_line():
-    # each event's line is rendered once, in `perf`, when its program's events
-    # are built; a per-event loop or f-string here would render every line of
-    # every traced run again
+    # the trace is its text, rendered once per issue log in `ecsm._trace`; a
+    # per-line loop or f-string here would render every line of every traced
+    # run again
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     (printer,) = [node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_print_trace"]
