@@ -1,4 +1,6 @@
-"""Scalar multiplication: constant-structure ladder loop over the datapath model.
+"""Scalar multiplication: constant-structure ladder loop over the datapath model,
+its records (`Scalar`, `EcsmConfig`, `CycleReport`, `EcsmResult`) and its
+RFC 7748 wire format (`decode_scalar`, `decode_u`, read off `field.PARAMS`).
 
 The executed instruction stream for a given (curve, dpa) configuration is
 fixed: scalar bits only steer the masked conditional swaps, never which waves
@@ -6,8 +8,8 @@ issue.  `scalar_mult` holds its registers in a plain list, loaded in one
 block by `ffau.registers` (with DPA: lambda drawn from a fresh Trivium, then
 the init program).
 Every wave issues through `_issue`, which executes, counts and, when
-tracing, records one program in the issue log, so the trace, the cycle
-report and the product count are what ran.  The trace is text, a cached
+tracing, records one program in the issue log, so the trace, the
+`CycleReport` and the product count are what ran.  The trace is text, a cached
 function of the issue log (`_trace`), so every scalar of a configuration
 shares one string.
 Each program issues once per ECSM: the ladder's call carries the scalar, and
@@ -22,7 +24,6 @@ from __future__ import annotations
 import collections
 import functools
 
-from . import perf
 from .bigmul import counters
 from .field import PARAMS, CurveId, FieldElement, check_width, curve_params, fe
 from .ffau import execute_compiled_wave, registers
@@ -87,43 +88,77 @@ class EcsmConfig(collections.namedtuple("EcsmConfig", "dpa_enabled clamp_mode pr
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
 
-# x_q: FieldElement; cycles: perf.CycleReport; trace: the trace text (`_trace`), when asked for
+CLOCK_MHZ = 100
+
+
+class CycleReport(collections.namedtuple(
+        "CycleReport", "ladder_cycles inversion_cycles overhead_cycles prng_cycles")):
+    """An ECSM's cycles by phase, as `scalar_mult` sums them; `selftest.DESIGN`
+    states each configuration's published decomposition as a literal report."""
+
+    __slots__ = ()
+
+    def __new__(cls, ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles):
+        self = super().__new__(cls, ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles)
+        for name, cycles in zip(self._fields, self):
+            if cycles < 0:
+                raise ValueError(f"{name} must be non-negative")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
+
+    @property
+    def total(self) -> int:
+        return sum(self)
+
+    @property
+    def latency_us(self) -> float:
+        """Modeled latency at the design's 100 MHz clock."""
+        return self.total / CLOCK_MHZ
+
+    def as_kv(self) -> str:
+        return "\n".join(
+            [
+                f"ladder_cycles={self.ladder_cycles}",
+                f"inversion_cycles={self.inversion_cycles}",
+                f"overhead_cycles={self.overhead_cycles}",
+                f"prng_cycles={self.prng_cycles}",
+                f"total_cycles={self.total}",
+                f"modeled_latency_us={self.latency_us:.2f}",
+            ]
+        )
+
+    def as_text(self) -> str:
+        return (
+            f"cycles: ladder={self.ladder_cycles} inversion={self.inversion_cycles} "
+            f"overhead={self.overhead_cycles} prng={self.prng_cycles} "
+            f"total={self.total} ({self.latency_us:.2f} us @ {CLOCK_MHZ} MHz)"
+        )
+
+
+# x_q: FieldElement; cycles: CycleReport; trace: the trace text (`_trace`), when asked for
 EcsmResult = collections.namedtuple("EcsmResult", "x_q cycles trace", defaults=(None,))
 
 
-def clamp_scalar(data: bytes, curve: CurveId) -> Scalar:
-    """Scalar decoding with the standard clamp (cofactor bits cleared, top bit set)."""
-    check_width(data, curve, "scalar")
-    buf = bytearray(data)
-    if curve is CurveId.CURVE25519:
-        buf[0] &= 248
-        buf[31] &= 127
-        buf[31] |= 64
-    else:
-        buf[0] &= 252
-        buf[55] |= 128
-    return Scalar(int.from_bytes(buf, "little"), curve)
-
-
-def raw_scalar(data: bytes, curve: CurveId) -> Scalar:
-    """Scalar bytes taken verbatim as a t-bit little-endian integer."""
-    check_width(data, curve, "scalar")
-    mask = (1 << PARAMS[curve].scalar_bits) - 1
-    return Scalar(int.from_bytes(data, "little") & mask, curve)
-
-
 def decode_scalar(data: bytes, curve: CurveId, clamp_mode: str) -> Scalar:
+    """RFC 7748's scalar decoding: the low `scalar_bits` bits of the
+    little-endian octets, and when clamping the cofactor's bits cleared and
+    the top bit set."""
+    check_width(data, curve, "scalar")
+    params = PARAMS[curve]
+    bits = int.from_bytes(data, "little") & ((1 << params.scalar_bits) - 1)
     if _clamps(clamp_mode):
-        return clamp_scalar(data, curve)
-    return raw_scalar(data, curve)
+        bits = bits & -params.cofactor | 1 << (params.scalar_bits - 1)
+    return Scalar(bits, curve)
 
 
 def decode_u(data: bytes, curve: CurveId, clamp_mode: str) -> FieldElement:
-    """u-coordinate decoding; the ignored Curve25519 top bit is masked when clamping."""
+    """RFC 7748's u-coordinate decoding: when clamping, the low `scalar_bits`
+    bits (the ignored Curve25519 top bit masked), reduced mod p."""
     check_width(data, curve, "u-coordinate")
     value = int.from_bytes(data, "little")
-    if _clamps(clamp_mode) and curve is CurveId.CURVE25519:
-        value &= (1 << 255) - 1
+    if _clamps(clamp_mode):
+        value &= (1 << PARAMS[curve].scalar_bits) - 1
     return fe(value, curve)
 
 
@@ -217,7 +252,7 @@ def scalar_mult(
 
     return EcsmResult(
         x_q=FieldElement(regs[X2], curve),
-        cycles=perf.CycleReport(ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles),
+        cycles=CycleReport(ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles),
         trace=_trace(tuple(issued), prng_cycles) if issued is not None else None,
     )
 

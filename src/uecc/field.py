@@ -48,7 +48,8 @@ class CurveId(enum.Enum):
     __hash__ = object.__hash__
 
 
-CurveParams = collections.namedtuple("CurveParams", "p a24 scalar_bits field_bytes")
+# scalar_bits and cofactor: RFC 7748's `bits` (section 5) and cofactor (sections 4.1, 4.2)
+CurveParams = collections.namedtuple("CurveParams", "p a24 scalar_bits field_bytes cofactor")
 
 
 P25519 = 2**255 - 19
@@ -61,12 +62,14 @@ PARAMS = {
         a24=121665,
         scalar_bits=255,
         field_bytes=32,
+        cofactor=8,
     ),
     CurveId.CURVE448: CurveParams(
         p=P448,
         a24=39081,
         scalar_bits=448,
         field_bytes=56,
+        cofactor=4,
     ),
 }
 

@@ -2,7 +2,8 @@
 
 Each `check(rng, n) -> bool` pits the model against an independent route or
 against the published figures, which stay literals here and are never read
-off the programs.  A check that runs waves loads `ffau.registers`, as the
+off the programs: `DESIGN` states each configuration's cycles as a literal
+`ecsm.CycleReport`.  A check that runs waves loads `ffau.registers`, as the
 engine does.  It issues a whole program through the engine's own seam,
 `ecsm._issue`, and a single ad-hoc wave through the checked
 `ffau.execute_wave`.  `CHECKS` holds the sample counts `uecc selftest` uses.
@@ -14,12 +15,11 @@ import random
 
 from . import ecsm, field, program, reference, trivium
 from .bigmul import karatsuba_level, kar256_structural_int, mul_schoolbook
-from .ecsm import EcsmConfig, Scalar, scalar_mult, scalar_mult_bytes
+from .ecsm import CycleReport, EcsmConfig, Scalar, scalar_mult, scalar_mult_bytes
 from .field import PARAMS, CurveId, fe
 from .ffau import (
     OP_ADD, OP_SUB, ZERO, QuadOpInstruction, Wave, execute_wave, mul_int, mul_small_int, registers,
 )
-from .perf import CycleReport
 from .vectors import SINGLE_SHOT
 
 _SEED = 20240901
@@ -256,7 +256,7 @@ CHECKS = (
     ("engine ECSM == branching reference ladder", ecsm_vs_reference, 1, 3),
     ("RFC 7748 single-shot vectors through the byte API", rfc_single_shot, 1, 1),
     ("lambda-invariance: DPA leaves x_Q unchanged", lambda_invariance, 1, 10),
-    ("event stream independent of the scalar", trace_constancy, 2, 5),
+    ("trace independent of the scalar", trace_constancy, 2, 5),
     ("cycle totals = 1032/1038/4944/5401", cycle_totals, 1, 1),
 )
 

@@ -14,17 +14,19 @@ from uecc.ecsm import (
     RFC_CLAMPED,
     Scalar,
     _cswap_running_pairs,
-    clamp_scalar,
     decode_scalar,
     decode_u,
-    raw_scalar,
     scalar_mult,
     scalar_mult_bytes,
 )
 from uecc.field import CurveId, FieldElement, PARAMS, fe
-from uecc.ffau import NUM_REGISTERS, Wave, mul_op, registers
-from uecc.program import R_RND, T0, X1, X2, X3, Z2, Z3, ScheduledProgram, build_ladder_program
+from uecc.ffau import NUM_REGISTERS, Wave, format_op, mul_op, registers
+from uecc.program import (
+    FINAL_WAVE, INIT_WAVES, R_RND, T0, X1, X2, X3, Z2, Z3, ScheduledProgram, build_inversion_program,
+    build_ladder_program,
+)
 from uecc.reference import ladder_step, scalar_mult_ref
+from uecc.trivium import DEFAULT_SEED, lambda_words
 from uecc.vectors import BASE_U, SINGLE_SHOT
 
 from spec import programs
@@ -38,44 +40,75 @@ def dpa_cfg(seed=trivium.DEFAULT_SEED):
 
 class TestClamp:
     def test_zero_bytes_curve25519(self):
-        k = clamp_scalar(bytes(32), CurveId.CURVE25519)
+        k = decode_scalar(bytes(32), CurveId.CURVE25519, RFC_CLAMPED)
         assert k.bits == 1 << 254
 
     def test_zero_bytes_curve448(self):
-        k = clamp_scalar(bytes(56), CurveId.CURVE448)
+        k = decode_scalar(bytes(56), CurveId.CURVE448, RFC_CLAMPED)
         assert k.bits == 1 << 447
 
     def test_rfc_rules_independent_rederivation(self):
         # Curve25519: clear bits 0-2 and bit 255, set bit 254; Curve448: clear
-        # bits 0-1, set bit 447.  Re-derived here at the integer level.
+        # bits 0-1, set bit 447.  Re-derived here at the integer level, on
+        # all-ones bytes and random bytes.
+        rules = {
+            CurveId.CURVE25519: lambda n: (n & ~7 & ((1 << 255) - 1)) | (1 << 254),
+            CurveId.CURVE448: lambda n: (n & ~3) | (1 << 447),
+        }
         rng = random.Random(51)
-        for _ in range(100):
-            data = rng.randbytes(32)
-            want = (int.from_bytes(data, "little") & ~7 & ((1 << 255) - 1)) | (1 << 254)
-            assert clamp_scalar(data, CurveId.CURVE25519).bits == want
-            data = rng.randbytes(56)
-            want = (int.from_bytes(data, "little") & ~3) | (1 << 447)
-            assert clamp_scalar(data, CurveId.CURVE448).bits == want
+        for curve, rule in rules.items():
+            nbytes = PARAMS[curve].field_bytes
+            for data in [b"\xff" * nbytes] + [rng.randbytes(nbytes) for _ in range(100)]:
+                want = rule(int.from_bytes(data, "little"))
+                assert decode_scalar(data, curve, RFC_CLAMPED).bits == want
 
     def test_rfc_vector_scalar_decodes(self):
         data = bytes.fromhex(SINGLE_SHOT[CurveId.CURVE25519][0][0])
-        k = clamp_scalar(data, CurveId.CURVE25519)
+        k = decode_scalar(data, CurveId.CURVE25519, RFC_CLAMPED)
         assert k.bits % 8 == 0
         assert k.bits >> 254 == 1
 
     def test_raw_mode_masks_to_t_bits(self):
         data = bytes([0xFF] * 32)
-        k = raw_scalar(data, CurveId.CURVE25519)
+        k = decode_scalar(data, CurveId.CURVE25519, RAW)
         assert k.bits == (1 << 255) - 1
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            clamp_scalar(bytes(31), CurveId.CURVE25519)
+            decode_scalar(bytes(31), CurveId.CURVE25519, RFC_CLAMPED)
         with pytest.raises(ValueError):
-            raw_scalar(bytes(32), CurveId.CURVE448)
+            decode_scalar(bytes(32), CurveId.CURVE448, RAW)
 
 
 class TestDecodeU:
+    """The engine's u-coordinate decoding from the wire: verbatim (`RAW`) but
+    for the reduction mod p, or with RFC 7748's mask when clamping."""
+
+    def test_zero(self):
+        assert decode_u(bytes(32), CurveId.CURVE25519, RAW).n == 0
+        assert decode_u(bytes(56), CurveId.CURVE448, RAW).n == 0
+
+    def test_base_point_u(self):
+        data = bytes([9]) + bytes(31)
+        assert decode_u(data, CurveId.CURVE25519, RAW).n == 9
+
+    def test_round_trip(self):
+        rng = random.Random(18)
+        for curve in CURVES:
+            p = PARAMS[curve].p
+            nbytes = PARAMS[curve].field_bytes
+            for _ in range(100):
+                data = rng.randbytes(nbytes)
+                a = decode_u(data, curve, RAW)
+                assert a.n == int.from_bytes(data, "little") % p
+                assert decode_u(a.n.to_bytes(nbytes, "little"), curve, RAW) == a
+
+    def test_wrong_length(self):
+        with pytest.raises(ValueError):
+            decode_u(bytes(56), CurveId.CURVE25519, RAW)
+        with pytest.raises(ValueError):
+            decode_u(bytes(32), CurveId.CURVE448, RAW)
+
     def test_top_bit_masked_when_clamping(self):
         data = bytearray(32)
         data[0] = 6
@@ -86,9 +119,11 @@ class TestDecodeU:
         assert u_raw.n == (6 + (1 << 255)) % PARAMS[CurveId.CURVE25519].p
 
     def test_reduces_mod_p(self):
-        p = PARAMS[CurveId.CURVE448].p
-        data = (p + 9).to_bytes(56, "little")
-        assert decode_u(data, CurveId.CURVE448, RFC_CLAMPED).n == 9
+        # p + 9 is below 2^255 on Curve25519, so the clamp's mask leaves it
+        for curve in CURVES:
+            data = (PARAMS[curve].p + 9).to_bytes(PARAMS[curve].field_bytes, "little")
+            for mode in (RAW, RFC_CLAMPED):
+                assert decode_u(data, curve, mode).n == 9
 
 
 class TestCswap:
@@ -272,6 +307,32 @@ class TestTrace:
             assert calls == sum(prog.op_count for prog in issued) < result.cycles.total
             if (curve, dpa) == (CurveId.CURVE25519, False):
                 assert calls == 11 + 265 + 1
+
+    @pytest.mark.parametrize(
+        "curve, dpa", list(selftest.DESIGN), ids=["25519", "25519-dpa", "448", "448-dpa"]
+    )
+    def test_lines_match_a_reference_renderer(self, curve, dpa):
+        # the trace is a cached function of the issue log, which no scalar
+        # changes, so two scalars get the very same object
+        cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=DEFAULT_SEED if dpa else None)
+        trace, other = (scalar_mult(Scalar(bits, curve), fe(9, curve), cfg, want_trace=True).trace
+                        for bits in (12345, 2 ** 200 + 54321))
+        assert isinstance(trace, str) and trace is other
+        assert trace.count("\n") == selftest.DESIGN[curve, dpa][0]
+
+        # the lines rendered here from the programs, independently of `ecsm`
+        def wave_lines(phase, waves):
+            return [phase.ljust(9) + "  " + "; ".join(map(format_op, w.ops)) + "\n" for w in waves]
+
+        ladder, inversion = build_ladder_program(curve, dpa), build_inversion_program(curve)
+        lines = (["prng       next64\n"] * lambda_words(curve) + wave_lines("init", INIT_WAVES)
+                 if dpa else [])
+        lines += wave_lines("ladder", ladder.waves) * PARAMS[curve].scalar_bits
+        lines += wave_lines("inversion", inversion.waves) + wave_lines("final", [FINAL_WAVE])
+        lines.append("overhead   load/store\n")
+        assert trace == "".join(
+            "cycle " + str(cycle).rjust(5) + "  " + line for cycle, line in enumerate(lines)
+        )
 
 
 def wave_text(ops) -> str:

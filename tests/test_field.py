@@ -11,8 +11,6 @@ from uecc.program import build_inversion_program
 
 from spec import programs
 
-CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
-
 
 class TestParams:
     def test_moduli(self):
@@ -88,37 +86,13 @@ class TestMul:
 
 
 class TestBytes:
-    """Field elements from the wire: the engine's u-coordinate decoding with the
-    octets taken verbatim (`RAW`), and the little-endian encoding of x_Q."""
-
-    def test_zero(self):
-        assert decode_u(bytes(32), CurveId.CURVE25519, RAW).n == 0
-        assert decode_u(bytes(56), CurveId.CURVE448, RAW).n == 0
-
-    def test_base_point_u(self):
-        data = bytes([9]) + bytes(31)
-        assert decode_u(data, CurveId.CURVE25519, RAW).n == 9
-
-    def test_round_trip(self):
-        rng = random.Random(18)
-        for curve in CURVES:
-            p = PARAMS[curve].p
-            nbytes = PARAMS[curve].field_bytes
-            for _ in range(100):
-                data = rng.randbytes(nbytes)
-                a = decode_u(data, curve, RAW)
-                assert a.n == int.from_bytes(data, "little") % p
-                assert decode_u(a.n.to_bytes(nbytes, "little"), curve, RAW) == a
+    """`FieldElement`'s own checks, and the reduction of a non-canonical
+    u-coordinate from the wire; the rest of decoding is `ecsm`'s
+    (`tests/test_ecsm.py::TestDecodeU`)."""
 
     def test_non_canonical_reduced(self):
         data = (P25519 + 5).to_bytes(32, "little")
         assert decode_u(data, CurveId.CURVE25519, RAW).n == 5
-
-    def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            decode_u(bytes(56), CurveId.CURVE25519, RAW)
-        with pytest.raises(ValueError):
-            decode_u(bytes(32), CurveId.CURVE448, RAW)
 
     def test_canonical_required(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from uecc.program import (
     Z3,
     build_inversion_program,
     build_ladder_program,
-    dump_program,
     pack,
     _ladder_ops,
 )
@@ -249,14 +248,3 @@ class TestValidateSchedule:
         for name in ("inversion", "init", "final"):
             waves = programs(curve)[name].waves
             assert pack([op for w in waves for op in w.ops], curve) == waves
-
-
-class TestDump:
-    def test_dump_lists_every_op(self):
-        for curve in CURVES:
-            prog = build_ladder_program(curve, dpa=True)
-            text = dump_program(prog)
-            assert text.count("<-") == 12
-            assert "a24" in text
-        text = dump_program(build_inversion_program(CurveId.CURVE25519))
-        assert text.count("<-") == 265

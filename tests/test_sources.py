@@ -1,6 +1,6 @@
 """Every module of the package compiles without a warning, the engine
-issues its waves and charges their products at one site, `perf` and the
-reference import no model code, only `ffau` reads the register count,
+issues its waves and charges their products at one site, the reference
+imports no model code, only `ffau` reads the register count,
 `selftest` issues each whole program through the engine's seam, only the
 engine and the published table build a cycle report, each wave runs as
 generated straight-line code from the package's one code generator, which
@@ -23,7 +23,7 @@ import warnings
 import pytest
 
 import uecc
-from uecc import cli, ecsm, ffau, field, perf, program, reference, selftest
+from uecc import cli, ecsm, ffau, field, program, reference, selftest
 from uecc.field import PARAMS, CurveId
 
 from spec import programs
@@ -54,7 +54,7 @@ def test_import_loads_neither_dataclasses_nor_inspect(flags):
 @pytest.mark.parametrize("record, field, value, message", [
     (ffau.mul_op(0, 1, 2), "dst", 99, "dst address 99 out of range"),
     (ffau.Wave((ffau.mul_op(0, 1, 2),)), "ops", (), "wave must hold 1-4 ops"),
-    (perf.CycleReport(1, 2, 3, 4), "prng_cycles", -5, "prng_cycles must be non-negative"),
+    (ecsm.CycleReport(1, 2, 3, 4), "prng_cycles", -5, "prng_cycles must be non-negative"),
     (ecsm.Scalar(1, CurveId.CURVE25519), "bits", 1 << 255, "scalar out of range"),
     (ecsm.EcsmConfig(), "dpa_enabled", True, "dpa_enabled requires a prng_seed"),
 ], ids=("QuadOpInstruction", "Wave", "CycleReport", "Scalar", "EcsmConfig"))
@@ -110,11 +110,9 @@ def package_imports(module):
     return found
 
 
-def test_perf_and_the_reference_import_no_model_code():
-    # `perf` holds only records, so no second model of the cycles can grow in
-    # it; the reference states RFC 7748's constants itself, so a wrong model
+def test_the_reference_imports_no_model_code():
+    # the reference states RFC 7748's constants itself, so a wrong model
     # constant cannot move the oracle along with the model
-    assert package_imports(perf) == set()
     assert package_imports(reference) == {("field", "CurveId")}
 
 
@@ -163,7 +161,6 @@ def test_only_ffau_and_program_read_the_multiplier_array():
     for name in ("MULTIPLIERS", "UNITS"):
         stems = {stem for stem, tree in trees.items() if functions_referencing(tree, name)}
         assert "ffau" in stems and stems <= {"ffau", "program"}, name
-    assert not hasattr(perf, "products")
 
 
 def names_in(node):
