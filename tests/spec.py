@@ -3,12 +3,13 @@
 `spec_wave` is the tests' one statement of what a wave computes: every op,
 dst := (A +/- B) x (C +/- D) mod p or (A +/- B) x a24 mod p, reads the
 pre-wave registers, with p and a24 from `reference` (RFC 7748), not from
-the constants the kernels are built from.  On ints it checks sampled
-states; on `Poly` registers, each register its own variable, it proves a
-whole program for every input.  `programs` names every program the
-engine issues.
+the constants the kernels are built from.  On `Poly` registers, each
+register its own variable, it proves for every input a whole program, and
+in `test_sources.kernel_bounds` each kernel.  `programs` names every
+program the engine issues.
 """
 
+import itertools
 import math
 
 from uecc import ecsm
@@ -32,20 +33,24 @@ def spec_wave(regs, ops, curve):
 
 
 class Poly:
-    """A polynomial over GF(p) in the register variables, as {exponent tuple:
-    coefficient}.  Its `% p` is a no-op, so `spec_wave` and
-    `reference.ladder_step` run on it unchanged."""
+    """A polynomial over GF(p) in the variables x_0, x_1, ..., as {exponent
+    tuple: coefficient}; a tuple may have any length, and its trailing zeros
+    are stripped, so the register variables and any fresh ones mix.  Its
+    `% p` is a no-op, so `spec_wave` and `reference.ladder_step` run on it
+    unchanged."""
 
     def __init__(self, terms, p):
-        self.terms = {e: c % p for e, c in terms.items() if c % p}
-        self.p = p
+        self.terms, self.p = {}, p
+        for e, c in terms.items():
+            e = tuple(e)[:max([i + 1 for i, n in enumerate(e) if n], default=0)]
+            if c := (self.terms.pop(e, 0) + c) % p:
+                self.terms[e] = c
 
     @classmethod
     def registers(cls, p):
         """A register list whose register i is the variable x_i, and whose
         zero source is the zero polynomial."""
-        return [cls({tuple(int(j == i) for j in range(NUM_REGISTERS)): 1}, p)
-                for i in range(NUM_REGISTERS)] + [cls({}, p)]
+        return [cls({(0,) * i + (1,): 1}, p) for i in range(NUM_REGISTERS)] + [cls({}, p)]
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -62,7 +67,7 @@ class Poly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(sum, itertools.zip_longest(e1, e2, fillvalue=0)))
                 terms[e] = terms.get(e, 0) + c1 * c2
         return Poly(terms, self.p)
 

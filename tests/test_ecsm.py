@@ -13,7 +13,6 @@ from uecc.ecsm import (
     RAW,
     RFC_CLAMPED,
     Scalar,
-    _cswap_running_pairs,
     decode_scalar,
     decode_u,
     scalar_mult,
@@ -22,7 +21,7 @@ from uecc.ecsm import (
 from uecc.field import CurveId, FieldElement, PARAMS, fe
 from uecc.ffau import NUM_REGISTERS, Wave, format_op, mul_op, registers
 from uecc.program import (
-    FINAL_WAVE, INIT_WAVES, R_RND, T0, X1, X2, X3, Z2, Z3, ScheduledProgram, build_inversion_program,
+    FINAL_WAVE, INIT_WAVES, R_RND, T0, X1, X2, X3, Z1, Z2, Z3, ScheduledProgram, build_inversion_program,
     build_ladder_program,
 )
 from uecc.reference import ladder_step, scalar_mult_ref
@@ -126,31 +125,6 @@ class TestDecodeU:
                 assert decode_u(data, curve, mode).n == 9
 
 
-class TestCswap:
-    """The in-place masked swap of (X2, Z2) with (X3, Z3) that the ladder runs."""
-
-    def test_identity(self):
-        regs = registers(*range(1, NUM_REGISTERS + 1))
-        _cswap_running_pairs(regs, 0)
-        assert regs == registers(*range(1, NUM_REGISTERS + 1))
-
-    def test_swap(self):
-        regs = registers(*range(1, NUM_REGISTERS + 1))
-        want = list(regs)
-        want[X2], want[Z2], want[X3], want[Z3] = regs[X3], regs[Z3], regs[X2], regs[Z2]
-        _cswap_running_pairs(regs, 1)
-        assert regs == want
-
-    def test_involution(self):
-        rng = random.Random(52)
-        for bit in (0, 1):
-            regs = registers(*(rng.getrandbits(448) for _ in range(NUM_REGISTERS)))
-            before = list(regs)
-            _cswap_running_pairs(regs, bit)
-            _cswap_running_pairs(regs, bit)
-            assert regs == before
-
-
 def record_issues(patch):
     """Wrap the engine's seam `ecsm._issue` through `patch` (a monkeypatch):
     the list it returns gets (phase, registers before the issue, cycles
@@ -221,7 +195,8 @@ class TestScalarMult:
         assert selftest.rfc_single_shot(None, 0)
 
     def test_matches_branching_reference_100_per_curve(self):
-        assert selftest.ecsm_vs_reference(random.Random(57), 100)
+        # a smoke check: the proofs (README, tests) cover every input, 5 per curve sample it
+        assert selftest.ecsm_vs_reference(random.Random(57), 5)
 
     @pytest.mark.parametrize("curve, wrong_a24", [(CurveId.CURVE25519, 121666),
                                                   (CurveId.CURVE448, 39082)], ids=("25519", "448"))
@@ -438,6 +413,33 @@ class TestIssueSeam:
     def test_executed_equals_recorded(self, monkeypatch, curve, dpa):
         rng = random.Random(f"executed:{curve.value}:{dpa}")
         assert executed_matches_recorded(monkeypatch, random_runs(rng, [(curve, dpa)], 3))
+
+    @pytest.mark.parametrize("curve,dpa", CONFIGS, ids=("25519", "25519-dpa", "448", "448-dpa"))
+    def test_scalar_loop_equals_the_branching_ladder(self, curve, dpa):
+        """`_issue`'s bit loop equals a t-bit branching ladder over
+        `ladder_step`, by induction over the steps.  With b_i bit i of k and
+        b_t = 0, the running pairs hold the branching ladder's (R0, R1)
+        before step i, swapped iff b_(i+1).  The swap by bit i of
+        k ^ (k >> 1), b_(i+1) ^ b_i, leaves them swapped iff b_i, so the
+        program, proved equal to `ladder_step` in `test_program`, takes the
+        branch of b_i, and the closing swap by b_0 undoes the last.  As
+        `scalar_taint` proves, k reaches the loop only through those swap
+        bits, so every k < 2^t, t = 1..5, covers each (b_(i+1), b_i) at the
+        first, a middle and the last step, and the closing swap both ways."""
+        p, prog = PARAMS[curve].p, build_ladder_program(curve, dpa)
+        rng = random.Random(f"scalar-loop:{curve.value}:{dpa}")
+        for t in range(1, 6):
+            for k in range(1 << t):
+                regs = registers(*(rng.randrange(p) for _ in range(NUM_REGISTERS)))
+                x1, z1, x2, z2, x3, z3 = regs[:Z3 + 1]
+                rnd = regs[R_RND] * pow(z1, t if dpa else 0, p) % p
+                ecsm._issue(prog, regs, None, k, t)
+                for i in range(t - 1, -1, -1):
+                    if k >> i & 1:
+                        x3, z3, x2, z2 = ladder_step(curve, x1, z1, x3, z3, x2, z2)
+                    else:
+                        x2, z2, x3, z3 = ladder_step(curve, x1, z1, x2, z2, x3, z3)
+                assert regs[:Z3 + 1] + [regs[R_RND]] == [x1, z1, x2, z2, x3, z3, rnd], (t, k)
 
     def test_wave_injected_through_the_seam_breaks_trace_constancy(self, monkeypatch):
         inject_on_one_bits(monkeypatch, through_seam=True)

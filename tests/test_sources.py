@@ -1,19 +1,21 @@
 """Every module of the package compiles without a warning, the engine
 issues its waves and charges their products at one site, the reference
-imports no model code, only `ffau` reads the register count,
-`selftest` issues each whole program through the engine's seam, only the
-engine and the published table build a cycle report, each wave runs as
-generated straight-line code from the package's one code generator, which
-alone composes `field`'s product and fold text, every kernel keeps the
-registers canonical for every input (an interval proof), no scalar-derived
-value reaches the engine's control flow or its issue log (a taint check),
-the trace printer renders no line itself, every seam the benchmark wraps
-exists, importing the package loads neither `dataclasses` nor
-`inspect`, and a record's `_replace` and `_make` check their fields as its
-constructor does."""
+imports no model code, only `ffau` reads the register count, `selftest`
+issues each whole program through the engine's seam, only the engine and
+the published table build a cycle report, each wave runs as generated
+straight-line code from the package's one code generator, which alone
+composes `field`'s product and fold text, every kernel, the engine's and
+ad-hoc ones, writes `spec_wave`'s canonical value for every canonical input
+(one AST walk: an interval proof beside symbolic execution), no
+scalar-derived value reaches the engine's control flow or its issue log (a
+taint check), the trace printer renders no line itself, every seam the
+benchmark wraps exists, importing the package loads neither `dataclasses`
+nor `inspect`, and a record's `_replace` and `_make` check their fields as
+its constructor does."""
 
 import ast
 import importlib
+import itertools
 import os
 import pathlib
 import subprocess
@@ -24,9 +26,10 @@ import pytest
 
 import uecc
 from uecc import cli, ecsm, ffau, field, program, reference, selftest
+from uecc.ffau import OP_ADD, OP_SUB, Wave
 from uecc.field import PARAMS, CurveId
 
-from spec import programs
+from spec import Poly, programs, spec_wave
 
 SOURCES = sorted(pathlib.Path(uecc.__file__).parent.glob("*.py"))
 
@@ -216,81 +219,96 @@ def test_wave_kernels_are_straight_line_and_built_once_per_distinct_wave():
     distinct = {(curve, tuple(ops)) for curve, ops in waves}
     # one kernel per curve and distinct op tuple, not one per wave: that caps the set-up cost
     assert len({id(ops.kernel) for _, ops in waves}) == len(distinct) == 50
+    # straight-line, with no call but the unit: `kernel_bounds` admits no
+    # other form.  Each op ends in the one `% p` that writes its destination,
+    # and the products are inline: one unit call per product charged
     for curve, ops in distinct:
-        (kernel,) = ast.parse(ffau.kernel_source(ops, curve)).body
-        assert isinstance(kernel, ast.FunctionDef)
-        assert all(isinstance(stmt, ast.Assign) for stmt in kernel.body), ops
-        nodes = list(ast.walk(kernel))
-        assert not any(isinstance(node, (ast.If, ast.IfExp, ast.BoolOp, ast.Compare))
-                       for node in nodes), ops
-        # each op ends in the one `% p` that writes its destination
+        nodes = list(ast.walk(ast.parse(ffau.kernel_source(ops, curve))))
         mods = [ast.unparse(node.right) for node in nodes
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)]
         assert mods == [field.PRIME[curve]] * len(ops), ops
-        # the products are inline: the only call is the unit, once per product charged
-        calls = [node.func for node in nodes if isinstance(node, ast.Call)]
-        assert all(isinstance(f, ast.Name) and f.id == "kar256_int" for f in calls), ops
+        calls = [node for node in nodes if isinstance(node, ast.Call)]
         assert len(calls) == program.ScheduledProgram((ffau.Wave(ops),), "ladder", curve).products
 
 
-def kernel_bounds(source, curve):
-    """Prove one wave kernel's bounds for every input, by interval analysis
-    (Cousot & Cousot, POPL 1977): with every register in [0, p-1] (the zero
-    source [0, 0]), each unit operand is in [0, 2^256), each `x % P` sees a
-    dividend in [0, 2^30 p), so that its quotient is one 30-bit digit and a
-    dropped fold fails the proof, and yields [0, p-1], and each register
-    write lands in [0, p-1].  Names of `field` are its values.  Any other
-    form fails the proof with AssertionError."""
+def kernel_bounds(source, ops, curve):
+    """Prove for every input that one wave kernel keeps its bounds and
+    writes what `spec_wave` says of `ops`: one walk of its AST gives each
+    node an interval (Cousot & Cousot, POPL 1977) and a `Poly` over GF(p)
+    (symbolic execution: King, CACM 1976).  With the registers in [0, p-1]
+    (the zero source 0), each unit operand is in [0, 2^256), each `x % P`
+    sees a dividend in [0, 2^30 p), so that a dropped fold fails, and each
+    write lands in [0, p-1].  Register i is x_i; `v >> k` is a fresh
+    variable H per operand value and k, and `v & (2^k - 1)` is v - 2^k H,
+    an identity for every int; the unit, `*`, `+`, `-` and `<< k` are
+    polynomial operations, and `x % P` is x mod p.  Reading a register the
+    kernel wrote, a register that ends other than as the spec's polynomial,
+    and a form with no rule (names of `field` are its values) fail with
+    AssertionError."""
     p = PARAMS[curve].p
     (kernel,) = ast.parse(source).body
     assert ast.unparse(kernel.args) == "r", ast.unparse(kernel.args)
-    env = {}
+    regs, env, line_of, fresh, written = Poly.registers(p), {}, {}, {}, set()
 
-    def span(node):
+    def quotient(node, k):
+        # the operand's text and the statements that assigned its names identify its value
+        key = (ast.unparse(node), k, tuple(line_of.get(n) for n in sorted(names_in(node))))
+        return fresh.setdefault(key, Poly({(0,) * (len(regs) + len(fresh)) + (1,): 1}, p))
+
+    def value(node):
         match node:
             case ast.Constant(int(c)):
-                return c, c
+                return (c, c), Poly({(): c}, p)
             case ast.Name(name) if name in env:
                 return env[name]
             case ast.Name(name) if type(c := vars(field).get(name)) is int:
-                return c, c
+                return (c, c), Poly({(): c}, p)
             case ast.Subscript(ast.Name("r"), ast.Constant(int(i))) if 0 <= i <= ffau.ZERO:
-                return (0, 0) if i == ffau.ZERO else (0, p - 1)
+                assert i not in written, f"r[{i}] read after the kernel wrote it"
+                return (0, 0 if i == ffau.ZERO else p - 1), regs[i]
             case ast.Call(ast.Name("kar256_int"), [a, b], []):
-                (alo, ahi), (blo, bhi) = span(a), span(b)
+                ((alo, ahi), x), ((blo, bhi), y) = value(a), value(b)
                 assert 0 <= alo and 0 <= blo and ahi >> 256 == bhi >> 256 == 0, \
                     f"unit operand {max(ahi, bhi).bit_length()} bits: {ast.unparse(node)}"
-                return alo * blo, ahi * bhi
-            case ast.BinOp(x, ast.Mod(), P) if span(P) == (p, p):
-                lo, hi = span(x)
+                return (alo * blo, ahi * bhi), x * y
+            case ast.BinOp(x, ast.Mod(), P) if value(P)[0] == (p, p):
+                (lo, hi), poly = value(x)
                 assert 0 <= lo and hi < p << 30, f"dividend {hi.bit_length()} bits, not < 2^30 p"
-                return 0, p - 1
+                return (0, p - 1), poly
             case ast.BinOp(left, ast.Add() | ast.Sub() as op, right):
-                (alo, ahi), (blo, bhi) = span(left), span(right)
-                return (alo + blo, ahi + bhi) if isinstance(op, ast.Add) else (alo - bhi, ahi - blo)
+                ((alo, ahi), x), ((blo, bhi), y) = value(left), value(right)
+                if isinstance(op, ast.Add):
+                    return (alo + blo, ahi + bhi), x + y
+                return (alo - bhi, ahi - blo), x - y
             case ast.BinOp(left, op, right):
-                (alo, ahi), (blo, bhi) = span(left), span(right)
+                ((alo, ahi), x), ((blo, bhi), y) = value(left), value(right)
                 assert 0 <= alo and 0 <= blo, f"negative operand: {ast.unparse(node)}"
                 if isinstance(op, ast.Mult):
-                    return alo * blo, ahi * bhi
-                if isinstance(op, ast.RShift):
-                    return alo >> bhi, ahi >> blo
-                if isinstance(op, ast.LShift):
-                    return alo << blo, ahi << bhi
-                if isinstance(op, ast.BitAnd) and blo == bhi and bhi & (bhi + 1) == 0:
-                    return 0, min(ahi, bhi)  # a constant mask 2^k - 1
+                    return (alo * blo, ahi * bhi), x * y
+                if blo == bhi and isinstance(op, ast.LShift):  # by a constant k
+                    return (alo << bhi, ahi << bhi), x * 2**bhi
+                if blo == bhi and isinstance(op, ast.RShift):
+                    return (alo >> bhi, ahi >> bhi), quotient(left, bhi)
+                if blo == bhi and isinstance(op, ast.BitAnd) and bhi & (bhi + 1) == 0:
+                    n = bhi.bit_length()  # a constant mask 2^n - 1
+                    return (0, min(ahi, bhi)), x - quotient(left, n) * 2**n
         raise AssertionError(f"no rule for {ast.unparse(node)}")
 
-    for stmt in kernel.body:
+    for line, stmt in enumerate(kernel.body):
         match stmt:
-            case ast.Assign([ast.Name(name)], value):
-                env[name] = span(value)
-            case ast.Assign([ast.Subscript(ast.Name("r"), ast.Constant(int(i)))], value) \
+            case ast.Assign([ast.Name(name)], expr):
+                env[name], line_of[name] = value(expr), line
+            case ast.Assign([ast.Subscript(ast.Name("r"), ast.Constant(int(i)))], expr) \
                     if 0 <= i < ffau.NUM_REGISTERS:
-                lo, hi = span(value)
+                (lo, hi), regs[i] = value(expr)
                 assert 0 <= lo and hi < p, f"r[{i}] written outside [0, p-1]"
+                written.add(i)
             case _:
                 raise AssertionError(f"no rule for {ast.unparse(stmt)}")
+    spec = Poly.registers(p)
+    spec_wave(spec, ops, curve)
+    for i, (got, want) in enumerate(zip(regs, spec)):
+        assert got == want, f"r[{i}] is not spec_wave's value mod p"
 
 
 DISTINCT_KERNELS = sorted({(curve.value, tuple(ops)) for curve, ops in every_compiled_wave()})
@@ -299,10 +317,45 @@ DISTINCT_KERNELS = sorted({(curve.value, tuple(ops)) for curve, ops in every_com
 @pytest.mark.parametrize("curve, ops", DISTINCT_KERNELS,
                          ids=[f"{curve}-{i:02d}" for i, (curve, _) in enumerate(DISTINCT_KERNELS)])
 def test_kernel_bounds_hold_for_every_input(curve, ops):
-    # the bound comments in `field` become a theorem: each kernel keeps every
-    # register canonical, and every load is canonical, so by induction every
-    # register is canonical at every cycle
-    kernel_bounds(ffau.kernel_source(ops, CurveId(curve)), CurveId(curve))
+    # the bound comments in `field` become a theorem: each kernel writes the
+    # spec's canonical value, and every load is canonical, so by induction
+    # every register is canonical and as the spec says at every cycle
+    kernel_bounds(ffau.kernel_source(ops, CurveId(curve)), ops, CurveId(curve))
+
+
+# four ops that read eight registers and write four others
+FOUR_OPS = (
+    ffau.QuadOpInstruction(OP_ADD, 0, 1, OP_SUB, 2, 3, 8),
+    ffau.QuadOpInstruction(OP_SUB, 4, 5, OP_ADD, 6, 7, 9),
+    ffau.QuadOpInstruction(OP_ADD, 0, 2, OP_ADD, 4, 6, 10),
+    ffau.QuadOpInstruction(OP_SUB, 1, 3, OP_SUB, 5, 7, 11),
+)
+
+# ad-hoc waves, none of them a program's: name -> the waves
+AD_HOC_WAVES = {
+    "sum-times-difference": [Wave((ffau.QuadOpInstruction(OP_ADD, 0, 1, OP_SUB, 0, 1, 2),))],
+    "square": [Wave((ffau.QuadOpInstruction(OP_SUB, 0, 1, OP_SUB, 0, 1, 2),))],
+    "a24": [Wave((ffau.a24_op(OP_SUB, 0, 1, 2),))],
+    "four-ops-in-every-order": [Wave(ops) for ops in itertools.permutations(FOUR_OPS)],
+    "overwrites-own-source": [Wave((ffau.mul_op(0, 1, 0), ffau.mul_op(2, 2, 3))),
+                              Wave((ffau.QuadOpInstruction(OP_SUB, 4, 5, OP_ADD, 5, 4, 4),))],
+    "full-width-beside-a24": [Wave((ffau.mul_op(0, 1, 3), ffau.a24_op(OP_ADD, 4, 5, 6)))],
+}
+
+
+@pytest.mark.parametrize("waves", AD_HOC_WAVES.values(), ids=AD_HOC_WAVES.keys())
+def test_kernel_bounds_hold_on_ad_hoc_waves(waves):
+    # the proof on each curve whose issue rule admits the wave
+    for wave in waves:
+        admitted = []
+        for curve in CurveId:
+            try:
+                wave.check(curve)
+            except ffau.ScheduleError:
+                continue
+            admitted.append(curve)
+            kernel_bounds(ffau.kernel_source(wave.ops, curve), wave.ops, curve)
+        assert admitted, wave.text
 
 
 C25519, C448 = CurveId.CURVE25519, CurveId.CURVE448
@@ -315,13 +368,22 @@ C25519, C448 = CurveId.CURVE25519, CurveId.CURVE448
     (C25519, "x % P25519", "x", r"r\[2\] written outside"),
     (C448, "x % P448", "x % P25519", "no rule"),
     (C448, " >> ", " // ", "no rule"),
-], ids=("25519-no-fold", "448-no-fold", "no-modulo", "wrong-prime", "unknown-form"))
+    (C25519, "19 * (x", "18 * (x", r"r\[2\] is not spec_wave's"),
+    (C448, "x = p11 + p00 + h1 + ", "x = p11 + p00 + ", r"r\[2\] is not spec_wave's"),
+    (C448, "(h & _M224) + h1", "h & _M224", r"r\[2\] is not spec_wave's"),
+    (C448, "kar256_int(s0l, s1h)", "kar256_int(s0h, s1h)", r"r\[2\] is not spec_wave's"),
+    (C25519, "    s1 = r[1]\n", "    r[1] = r[0]\n    s1 = r[1]\n", r"r\[1\] read after"),
+], ids=("25519-no-fold", "448-no-fold", "no-modulo", "wrong-prime", "unknown-form",
+        "25519-fold-by-18", "448-no-leading-h1", "448-no-inner-h1", "448-wrong-cross-partial",
+        "write-before-read"))
 def test_kernel_bounds_reject_a_broken_kernel(curve, old, new, message):
-    # the proof can fail: each edit of the r2 <- r0 x r1 kernel breaks a bound
-    source = ffau.kernel_source((ffau.mul_op(0, 1, 2),), curve)
+    # the proof can fail: each edit of the r2 <- r0 x r1 kernel breaks a
+    # bound or the kernel's value mod p
+    ops = (ffau.mul_op(0, 1, 2),)
+    source = ffau.kernel_source(ops, curve)
     assert old in source
     with pytest.raises(AssertionError, match=message):
-        kernel_bounds(source.replace(old, new, 1), curve)
+        kernel_bounds(source.replace(old, new, 1), ops, curve)
 
 
 def tracer_install_targets():
