@@ -149,6 +149,7 @@ def cmd_vectors(args) -> int:
         curve = curves[0] if args.curve else None
         if curve is None:
             raise CliError("--file requires --curve")
+        checked = 0
         with open(args.file) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -158,6 +159,9 @@ def cmd_vectors(args) -> int:
                 if len(parts) != 3:
                     raise CliError(f"{args.file}:{lineno}: expected 'scalar_hex u_hex expected_hex'")
                 ok &= _run_vector(curve, *parts, label=f"{args.file}:{lineno}")
+                checked += 1
+        if not checked:  # a run that checked nothing must not pass
+            raise CliError(f"{args.file}: no vectors")
         return 0 if ok else 1
     for curve in curves:
         if args.iterations is None:

@@ -43,10 +43,6 @@ class CurveId(enum.Enum):
     CURVE25519 = "curve25519"
     CURVE448 = "curve448"
 
-    # Members are singletons compared by identity; Enum's own __hash__ is a
-    # Python-level call, paid on every PARAMS[curve] lookup in the hot path.
-    __hash__ = object.__hash__
-
 
 # scalar_bits and cofactor: RFC 7748's `bits` (section 5) and cofactor (sections 4.1, 4.2)
 CurveParams = collections.namedtuple("CurveParams", "p a24 scalar_bits field_bytes cofactor")

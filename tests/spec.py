@@ -6,16 +6,20 @@ pre-wave registers, with p and a24 from `reference` (RFC 7748), not from
 the constants the kernels are built from.  On `Poly` registers, each
 register its own variable, it proves for every input a whole program, and
 in `test_sources.kernel_bounds` each kernel.  `programs` names every
-program the engine issues.
+program the engine issues, and `CURVES` every curve.
 """
 
 import itertools
 import math
 
 from uecc import ecsm
+from uecc.field import CurveId
 from uecc.ffau import NUM_REGISTERS
 from uecc.program import build_inversion_program, build_ladder_program
 from uecc.reference import A24, P
+
+# every curve, Curve25519 first: the order the tests run them in
+CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
 
 
 def spec_wave(regs, ops, curve):

@@ -211,6 +211,16 @@ class TestVectors:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: {f}:2: {what} {error}\n"
 
+    @pytest.mark.parametrize("text", ("", "\n  \n", "# comment\n\n# another\n"),
+                             ids=("empty", "blank", "comments"))
+    def test_file_without_vectors_is_an_error(self, tmp_path, capsys, text):
+        # a run that checked nothing would otherwise pass with exit code 0
+        f = tmp_path / "v.txt"
+        f.write_text(text)
+        code, out = run_cli("vectors", "--curve", "25519", "--file", str(f))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {f}: no vectors\n"
+
     @pytest.mark.parametrize("count", ("1000", "7"))
     def test_file_with_iterations_is_an_error(self, tmp_path, capsys, count):
         # the file's vectors alone would run, silently dropping --iterations

@@ -28,9 +28,7 @@ from uecc.reference import ladder_step, scalar_mult_ref
 from uecc.trivium import DEFAULT_SEED, lambda_words
 from uecc.vectors import BASE_U, SINGLE_SHOT
 
-from spec import programs
-
-CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
+from spec import CURVES, programs
 
 
 def dpa_cfg(seed=trivium.DEFAULT_SEED):

@@ -16,9 +16,7 @@ from uecc.ffau import (
     registers,
 )
 
-from spec import spec_wave
-
-CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
+from spec import CURVES, spec_wave
 
 
 class TestInstructionValidation:

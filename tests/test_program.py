@@ -25,9 +25,7 @@ from uecc.program import (
 )
 from uecc.reference import ladder_step
 
-from spec import Poly, programs, spec_wave
-
-CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
+from spec import CURVES, Poly, programs, spec_wave
 
 
 def spec_run(prog):

@@ -1,17 +1,14 @@
-"""Every module of the package compiles without a warning, the engine
-issues its waves and charges their products at one site, the reference
-imports no model code, only `ffau` reads the register count, `selftest`
-issues each whole program through the engine's seam, only the engine and
-the published table build a cycle report, each wave runs as generated
-straight-line code from the package's one code generator, which alone
-composes `field`'s product and fold text, every kernel, the engine's and
-ad-hoc ones, writes `spec_wave`'s canonical value for every canonical input
-(one AST walk: an interval proof beside symbolic execution), no
-scalar-derived value reaches the engine's control flow or its issue log (a
-taint check), the trace printer renders no line itself, every seam the
-benchmark wraps exists, importing the package loads neither `dataclasses`
-nor `inspect`, and a record's `_replace` and `_make` check their fields as
-its constructor does."""
+"""Source checks over one parse of the package (`TREES`): every module
+compiles without a warning; one table, `OWNERS`, states which code may name
+each engine fact (the issue seam, the product charge, the cycle report, code
+generation, `field`'s product text, the multiplier array, the register
+count), and short tests state what a name table cannot; every kernel, the
+engine's and ad-hoc ones, writes `spec_wave`'s canonical value for every
+canonical input (one AST walk: an interval proof beside symbolic execution);
+no scalar-derived value reaches the engine's control flow or its issue log
+(a taint check); every seam the benchmark wraps exists; importing the
+package loads neither `dataclasses` nor `inspect`; and a record's `_replace`
+and `_make` check their fields as its constructor does."""
 
 import ast
 import importlib
@@ -25,7 +22,7 @@ import warnings
 import pytest
 
 import uecc
-from uecc import cli, ecsm, ffau, field, program, reference, selftest
+from uecc import ecsm, ffau, field, program
 from uecc.ffau import OP_ADD, OP_SUB, Wave
 from uecc.field import PARAMS, CurveId
 
@@ -71,39 +68,86 @@ def test_replace_and_make_check_like_the_constructor(record, field, value, messa
         type(record)._make(fields.values())
 
 
-def functions_referencing(tree, name):
-    """The enclosing function of every use of `name`, or None at module level."""
-    found = []
+# one parse of the package, shared by every test that reads its source
+TREES = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
 
-    def visit(node, func):
+
+def places(name, trees=TREES):
+    """(reads, bindings) of `name` in `trees`, each a list of places: a module
+    for its top level, else the path of the enclosing defs (`ffau.Wave.check`).
+    A read loads the name or an attribute so named, or imports it renamed; a
+    binding stores or deletes either, or is a `def` or `class`."""
+    reads, bindings = [], []
+
+    def visit(node, place):
         for child in ast.iter_child_nodes(node):
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
-            if isinstance(child, ast.Name) and child.id == name or (
+            inner = place
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if child.name == name:
+                    bindings.append(place)
+                inner = f"{place}.{child.name}"
+            elif isinstance(child, ast.Name) and child.id == name or (
                     isinstance(child, ast.Attribute) and child.attr == name):
-                found.append(inner)
+                (reads if isinstance(child.ctx, ast.Load) else bindings).append(place)
+            elif isinstance(child, ast.alias) and child.name.split(".")[-1] == name and (
+                    child.asname not in (None, name)):
+                reads.append(place)
             visit(child, inner)
 
-    visit(tree, None)
-    return found
+    for stem, tree in trees.items():
+        visit(tree, stem)
+    return reads, bindings
 
 
-def test_ecsm_executes_waves_only_in_the_seam():
-    # `_issue` records and counts what it executes; a wave issued anywhere
-    # else in the engine would run without appearing in the trace or cycles
-    tree = ast.parse(pathlib.Path(ecsm.__file__).read_text())
-    assert functions_referencing(tree, "execute_compiled_wave") == ["_issue"]
+def covers(entry, place):
+    """Whether the `OWNERS` entry `entry` admits `place`."""
+    return place == entry or "." not in entry and place.split(".")[0] == entry
 
 
-def test_ecsm_charges_products_only_in_the_seam():
-    # `_issue` charges each issued program's products; a charge anywhere else
-    # in the engine could drift from the products the waves execute
-    tree = ast.parse(pathlib.Path(ecsm.__file__).read_text())
-    assert functions_referencing(tree, "counters") == ["_issue"]
+# Which code may name each engine fact: name -> (the one module whose top level
+# binds it, None for a builtin; the places that may read it, each a module, all
+# its code, or `module.function` (`module.Class.method`), its body; why).
+OWNERS = {
+    "execute_compiled_wave": ("ffau", {"ffau.execute_wave", "ecsm._issue"},
+                              "`ecsm._issue` records and counts what it runs, `execute_wave`"
+                              " checks it; a wave run elsewhere escapes trace, cycles or check"),
+    "_issue": ("ecsm", {"ecsm.scalar_mult", "selftest.inversion", "selftest.ladder"},
+               "the engine and the checks issue whole programs through the engine's own issue"
+               " loop; a loop of waves over a program would be a copy of it"),
+    "counters": ("bigmul", {"ecsm._issue"},
+                 "`ecsm._issue` charges each issued program's products; a charge anywhere else"
+                 " could drift from the products the waves execute"),
+    "CycleReport": ("ecsm", {"ecsm.scalar_mult", "selftest"},
+                    "`ecsm.scalar_mult` models an ECSM's cycles and `selftest.DESIGN` states the"
+                    " published ones; a report built elsewhere would be a second model"),
+    **dict.fromkeys(("exec", "compile"), (
+        None, {"ffau.compile_ops"}, "`field` holds each curve's arithmetic as text and"
+        " generates nothing; `ffau.compile_ops` is the one place that turns text into code")),
+    **dict.fromkeys(("PRIME", "PRODUCT", "PRODUCT_A24", "SPLIT448"), (
+        "field", {"ffau.kernel_source"}, "`field` holds each curve's product and fold as data"
+        " and composes none of it; one function lays out every kernel and its local names")),
+    **dict.fromkeys(("MULTIPLIERS", "UNITS"), (
+        "ffau", {"ffau"}, "the issue rule reads the multiplier array and the product charge"
+        " sums its units; a count of units or slots elsewhere could drift from the waves")),
+    "NUM_REGISTERS": ("ffau", {"ffau"},
+                      "`ffau.registers` lays out the register list; a module that read the"
+                      " register count could lay it out a second way, which could drift"),
+}
 
 
-def package_imports(module):
-    """(module, name) for each name a package module imports from the package."""
-    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+@pytest.mark.parametrize("name", OWNERS)
+def test_only_the_owners_name_an_engine_fact(name):
+    definer, readers, reason = OWNERS[name]
+    reads, bindings = places(name)
+    assert bindings == ([definer] if definer else []), f"{name} bound in {bindings}: {reason}"
+    stray = sorted({place for place in reads if not any(covers(e, place) for e in readers)})
+    assert not stray, f"{name} read in {stray}: {reason}"
+    unused = sorted({e for e in readers if not any(covers(e, place) for place in reads)})
+    assert not unused, f"no read of {name} in {unused}: stale row"
+
+
+def package_imports(tree):
+    """(module, name) for each name a package module's `tree` imports from the package."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "uecc"):
@@ -116,54 +160,21 @@ def package_imports(module):
 def test_the_reference_imports_no_model_code():
     # the reference states RFC 7748's constants itself, so a wrong model
     # constant cannot move the oracle along with the model
-    assert package_imports(reference) == {("field", "CurveId")}
+    assert package_imports(TREES["reference"]) == {("field", "CurveId")}
 
 
 def test_only_the_engine_and_the_literal_table_build_a_cycle_report():
-    # `ecsm.scalar_mult` is the one model of an ECSM's cycles and
-    # `selftest.DESIGN` the one statement of the published decomposition; a
-    # report built anywhere else would be a second model to keep in step
-    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    sites = {(stem, func) for stem, tree in trees.items()
-             for func in functions_referencing(tree, "CycleReport")}
-    assert sites == {("ecsm", "scalar_mult"), ("selftest", None)}
-    (design,) = [node for node in trees["selftest"].body if isinstance(node, ast.Assign)
+    # `OWNERS` admits `selftest` for `DESIGN`, which holds its every report
+    (design,) = [node for node in TREES["selftest"].body if isinstance(node, ast.Assign)
                  and [ast.unparse(target) for target in node.targets] == ["DESIGN"]]
-    assert (len(functions_referencing(design, "CycleReport"))
-            == len(functions_referencing(trees["selftest"], "CycleReport")))
+    in_selftest = [place for place in places("CycleReport")[0] if covers("selftest", place)]
+    assert places("CycleReport", {"selftest": design})[0] == in_selftest
 
 
-def test_the_wave_kernels_are_the_only_generated_code():
-    # `field` holds each curve's arithmetic as text and generates nothing;
-    # `ffau.compile_ops` is the one place that turns text into code
-    sites = {}
-    for path in SOURCES:
-        tree = ast.parse(path.read_text())
-        for name in ("exec", "compile"):
-            for func in functions_referencing(tree, name):
-                sites.setdefault(name, []).append((path.stem, func))
-    assert sites == {"exec": [("ffau", "compile_ops")], "compile": [("ffau", "compile_ops")]}
-
-
-def test_only_kernel_source_composes_the_curve_text():
-    # `field` holds each curve's product and fold as data, defined at module
-    # level and composed by none of its functions; one function lays out
-    # every kernel, so its layout and its local names are decided in one place
-    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    for name in ("PRIME", "PRODUCT", "PRODUCT_A24", "SPLIT448"):
-        sites = [(stem, func) for stem, tree in trees.items()
-                 for func in functions_referencing(tree, name)]
-        assert sites == [("ffau", "kernel_source"), ("field", None)], name
-
-
-def test_only_ffau_and_program_read_the_multiplier_array():
-    # the array is stated once, in `ffau`, and read by the issue rule and the
-    # product charge; a count of units or slots anywhere else could drift
-    # from the waves that issue
-    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
-    for name in ("MULTIPLIERS", "UNITS"):
-        stems = {stem for stem, tree in trees.items() if functions_referencing(tree, name)}
-        assert "ffau" in stems and stems <= {"ffau", "program"}, name
+def test_only_ffau_states_the_register_file():
+    # `OWNERS` admits only `ffau` to read the count; no module imports it either
+    assert not [stem for stem, tree in TREES.items()
+                if "NUM_REGISTERS" in {name for _, name in package_imports(tree)}]
 
 
 def names_in(node):
@@ -172,36 +183,22 @@ def names_in(node):
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_only_ffau_states_the_register_file():
-    # `ffau.registers` lays out the register list; a module that read the
-    # register count could lay it out a second way, which could drift
-    modules = [uecc] + [importlib.import_module(f"uecc.{path.stem}")
-                        for path in SOURCES if path.stem != "__init__"]
-    assert not [(m.__name__, name) for m in modules for _, name in package_imports(m)
-                if name == "NUM_REGISTERS"]
-    assert {path.stem for path in SOURCES if "NUM_REGISTERS" in names_in(ast.parse(path.read_text()))
-            } == {"ffau"}
-
-
 def test_selftest_issues_whole_programs_through_the_engine():
-    # the checks run a whole program through `ecsm._issue`, the engine's own
-    # issue loop; a loop of checked waves over a program would be a copy of it
-    tree = ast.parse(pathlib.Path(selftest.__file__).read_text())
+    # `OWNERS` has the checks issue programs through `ecsm._issue`; no
+    # checked wave of theirs runs in a loop over a program's waves either
     comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-    loops = [node for node in ast.walk(tree)
+    loops = [node for node in ast.walk(TREES["selftest"])
              if isinstance(node, ast.For) and "waves" in names_in(node.iter)
              or isinstance(node, comprehensions)
              and any("waves" in names_in(gen.iter) for gen in node.generators)]
     assert not [ast.unparse(loop) for loop in loops if "execute_wave" in names_in(loop)]
-    assert {"inversion", "ladder"} <= set(functions_referencing(tree, "_issue"))
 
 
 def test_the_trace_printer_renders_no_line():
     # the trace is its text, rendered once per issue log in `ecsm._trace`; a
     # per-line loop or f-string here would render every line of every traced
     # run again
-    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
-    (printer,) = [node for node in tree.body
+    (printer,) = [node for node in TREES["cli"].body
                   if isinstance(node, ast.FunctionDef) and node.name == "_print_trace"]
     per_line = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
                 ast.JoinedStr)
