@@ -9,26 +9,32 @@ pre-wave state, so ops inside a wave are simultaneous.  Each distinct wave
 runs, per curve, as a generated straight-line function, its kernel: the
 kernel reads every distinct operand selector (A + B, A - B + p, or plain A)
 from the pre-wave registers into a local, then computes each op's product and
-fold inline, and writes the result in place as `x % p`.  `kernel_source`
-composes every kernel from the curve's product and fold text in `field`,
-which composes nothing.  Every read precedes every write, so the pre-wave
-semantics hold by construction.  The selectors are left unreduced, below 2p,
-which the fold and `% p` absorb.  Every write is a `% p`, so every register
-is canonical whatever integer the multiplier unit returns.
+fold inline, and writes the result in place as `x % p`.  Like the hardware's
+one datapath driven by the LUT's register addresses, a kernel's code takes
+the addresses as parameters: it is compiled once per op pattern and curve,
+and each wave's kernel binds its own addresses to that shared code.
+`kernel_source` composes every kernel from the curve's product and fold
+text in `field`, which composes nothing.  Every read precedes every write,
+so the pre-wave semantics hold by construction.  The selectors are left
+unreduced, below 2p, which the fold and `% p` absorb.  Every write is a
+`% p`, so every register is canonical whatever integer the multiplier unit
+returns.
 The multiplier array is stated once, in `MULTIPLIERS` and `UNITS`, and the
 issue rule (`Wave`, `Wave.check`) and the product charge
 (`program.ScheduledProgram.products`) both read it.
 
-`compile_ops` is the package's one code generator.  Every whole program,
-the engine's and the checks', runs its kernels through
-`execute_compiled_wave` in `ecsm._issue`.  The checked `execute_wave` runs
-single ad-hoc waves: `mul_int` and `mul_small_int` each issue one that way.
+`_kernel_code`, which `compile_ops` calls, is the package's one code
+generator.  Every whole program, the engine's and the checks', runs its
+kernels through `execute_compiled_wave` in `ecsm._issue`.  The checked
+`execute_wave` runs single ad-hoc waves: `mul_int` and `mul_small_int` each
+issue one that way.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import types
 
 from . import field
 from .field import PARAMS, CurveId
@@ -162,40 +168,52 @@ class Wave(collections.namedtuple("Wave", "ops")):
 
 class CompiledWave(tuple):
     """A wave's ops, carrying in `kernel(regs)` the generated function that
-    executes them on one curve.  It compares, hashes and unpacks as the
-    wave's op tuple."""
+    executes them on one curve, its register addresses bound as defaults.
+    It compares, hashes and unpacks as the wave's op tuple."""
 
 
-def kernel_source(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> str:
-    """Python source of the straight-line function executing the wave `ops`
-    on `curve`: the one place that composes a kernel from `field`'s text.
+def kernel_source(ops: tuple[QuadOpInstruction, ...],
+                  curve: CurveId) -> tuple[str, tuple[int, ...]]:
+    """(source, addresses): the Python source of the straight-line function
+    executing the wave `ops` on `curve`, over its register addresses as
+    parameters, and the wave's addresses in parameter order.  This is the
+    one place that composes a kernel from `field`'s text.
 
-    Each distinct operand selector is read once from the pre-wave registers:
-    `A + 0` as `r[a]`, a sum as `r[a] + r[b]` and a difference as
-    `r[a] - r[b] + p`, each below 2p and left unreduced.  Then, in op order,
-    each op's product and fold (`field.PRODUCT`, or `field.PRODUCT_A24` with
-    the curve's a24) is followed by the `x % p` that writes its destination;
-    a square passes one selector as both factors.  On Curve448 each
-    full-width factor is first split at phi (`field.SPLIT448`), once, before
-    its first product.  The selectors are
-    named `s0`, `s1`, ..., which no product's locals (`x`, `h`, `h1`, `p11`,
-    `p00`, and the halves `s0h`, `s0l`, ...) collide with."""
-    reads, names, split, products = [], {}, set(), []
+    The kernel is `def kernel(r, g0, g1, ..., w0, w1, ...)`: `g0`, `g1`, ...
+    are the distinct source addresses in order of first read, and `w0`,
+    `w1`, ... the ops' destinations.  The text depends only on the wave's
+    op pattern: its add/sub flags, a24 flags, zero sources and which source
+    addresses are equal, so waves of one pattern share it.  Each distinct
+    operand selector is read once from the pre-wave registers: `A + 0` as
+    `r[g0]`, a sum as `r[g0] + r[g1]` and a difference as
+    `r[g0] - r[g1] + p`, each below 2p and left unreduced.  Then, in op
+    order, each op's product and fold (`field.PRODUCT`, or
+    `field.PRODUCT_A24` with the curve's a24) is followed by the `x % p`
+    that writes its destination; a square passes one selector as both
+    factors.  On Curve448 each full-width factor is first split at phi
+    (`field.SPLIT448`), once, before its first product.  The selectors are
+    named `s0`, `s1`, ..., which neither a product's locals (`x`, `h`, `h1`,
+    `p11`, `p00`, and the halves `s0h`, `s0l`, ...) nor the parameters
+    collide with."""
+    sources, reads, names, split, products = {}, [], {}, set(), []
     p = field.PRIME[curve]
 
+    def address(x):
+        return sources.setdefault(x, f"g{len(sources)}")
+
     def selector(sub, x, y):
+        x = address(x)
         if y == ZERO:
             key, expr = (x,), f"r[{x}]"
-        elif sub:
-            key, expr = (sub, x, y), f"r[{x}] - r[{y}] + {p}"
         else:
-            key, expr = (sub, x, y), f"r[{x}] + r[{y}]"
+            y = address(y)
+            key, expr = (sub, x, y), f"r[{x}] - r[{y}] + {p}" if sub else f"r[{x}] + r[{y}]"
         if key not in names:
             names[key] = f"s{len(names)}"
             reads.append(f"{names[key]} = {expr}\n")
         return names[key]
 
-    for op in ops:
+    for w, op in enumerate(ops):
         a = selector(op.sub_left, op.src_a, op.src_b)
         if op.const_tag:
             b, product = PARAMS[curve].a24, field.PRODUCT_A24
@@ -206,21 +224,33 @@ def kernel_source(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> str:
                     if v not in split:
                         split.add(v)
                         products.append(field.SPLIT448.format(v=v))
-        products.append(product.format(a=a, b=b) + f"r[{op.dst}] = x % {p}\n")
+        products.append(product.format(a=a, b=b) + f"r[w{w}] = x % {p}\n")
+    params = ", ".join(["r", *sources.values(), *(f"w{w}" for w in range(len(ops)))])
     body = "".join(reads + products)
-    return "def kernel(r):\n" + "".join("    " + line for line in body.splitlines(True))
+    source = f"def kernel({params}):\n" + "".join("    " + line for line in body.splitlines(True))
+    return source, (*sources, *(op.dst for op in ops))
+
+
+@functools.cache
+def _kernel_code(source: str) -> types.CodeType:
+    """The code object of the kernel `source`, compiled once per distinct
+    text: the package's one code generator."""
+    namespace = {}
+    exec(compile(source, "<ffau kernel>", "exec"), namespace)
+    return namespace["kernel"].__code__
 
 
 @functools.cache
 def compile_ops(ops: tuple[QuadOpInstruction, ...], curve: CurveId) -> CompiledWave:
     """The `CompiledWave` of a wave's ops on `curve`, built once per distinct
-    (op tuple, curve): the package's one code generator.  The kernel runs in
-    `field`'s globals, so it looks up the unit `kar256_int` there at call
-    time."""
-    namespace = {}
-    exec(compile(kernel_source(ops, curve), "<ffau kernel>", "exec"), vars(field), namespace)
+    (op tuple, curve).  Its kernel is a function over its op pattern's
+    shared code (`_kernel_code`), with the wave's register addresses bound
+    as the parameters' defaults, so waves of one pattern compile once.  The
+    kernel runs in `field`'s globals, so it looks up the unit `kar256_int`
+    there at call time."""
+    source, addresses = kernel_source(ops, curve)
     wave = CompiledWave(ops)
-    wave.kernel = namespace["kernel"]
+    wave.kernel = types.FunctionType(_kernel_code(source), vars(field), "kernel", addresses)
     return wave
 
 

@@ -11,6 +11,7 @@ from uecc.ffau import (
     Wave,
     ZERO,
     a24_op,
+    compile_ops,
     execute_wave,
     mul_op,
     registers,
@@ -112,3 +113,18 @@ class TestExecuteWave:
             spec_wave(expected, wave.ops, curve)
             assert all(0 <= v < p for v in regs[:NUM_REGISTERS])
             assert regs[1] == expected[1] * pow(2, 512, p) % p != expected[1]
+
+    def test_waves_of_one_op_pattern_share_one_code_object(self):
+        # r2 <- r0 x r1 and r5 <- r3 x r4 are one op pattern: one code object
+        # with each wave's addresses bound, so each writes only its own
+        # destination
+        waves = (Wave((mul_op(0, 1, 2),)), Wave((mul_op(3, 4, 5),)))
+        for curve in CURVES:
+            kernels = [compile_ops(wave.ops, curve).kernel for wave in waves]
+            assert kernels[0] is not kernels[1] and kernels[0].__code__ is kernels[1].__code__
+            for wave, kernel in zip(waves, kernels):
+                regs = registers(*range(2, 2 + NUM_REGISTERS))
+                expected = list(regs)
+                spec_wave(expected, wave.ops, curve)
+                kernel(regs)
+                assert regs == expected

@@ -121,8 +121,8 @@ OWNERS = {
                     "`ecsm.scalar_mult` models an ECSM's cycles and `selftest.DESIGN` states the"
                     " published ones; a report built elsewhere would be a second model"),
     **dict.fromkeys(("exec", "compile"), (
-        None, {"ffau.compile_ops"}, "`field` holds each curve's arithmetic as text and"
-        " generates nothing; `ffau.compile_ops` is the one place that turns text into code")),
+        None, {"ffau._kernel_code"}, "`field` holds each curve's arithmetic as text and"
+        " generates nothing; `ffau._kernel_code` is the one place that turns text into code")),
     **dict.fromkeys(("PRIME", "PRODUCT", "PRODUCT_A24", "SPLIT448"), (
         "field", {"ffau.kernel_source"}, "`field` holds each curve's product and fold as data"
         " and composes none of it; one function lays out every kernel and its local names")),
@@ -211,16 +211,38 @@ def every_compiled_wave():
             for ops in prog.compiled()]
 
 
+# a cold build of every engine program: the `compile` calls it makes, its
+# kernel functions and their distinct code objects
+COLD_BUILD = """
+from uecc import ffau
+import spec
+calls = []
+ffau.compile = lambda *args: calls.append(args) or compile(*args)
+kernels = [ops.kernel for curve in spec.CURVES for prog in spec.programs(curve).values()
+           for ops in prog.compiled()]
+print(len(calls), len(set(kernels)), len({kernel.__code__ for kernel in kernels}))
+"""
+
+
 def test_wave_kernels_are_straight_line_and_built_once_per_distinct_wave():
     waves = every_compiled_wave()
     distinct = {(curve, tuple(ops)) for curve, ops in waves}
     # one kernel per curve and distinct op tuple, not one per wave: that caps the set-up cost
     assert len({id(ops.kernel) for _, ops in waves}) == len(distinct) == 50
+    # and one compile per op pattern and curve, not one per kernel: 6 code
+    # objects on Curve25519 and 8 on Curve448, shared by the 50 kernels
+    path = [str(pathlib.Path(uecc.__file__).parents[1]), str(pathlib.Path(__file__).parent)]
+    out = subprocess.run([sys.executable, "-c", COLD_BUILD], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert out.stdout.split() == ["14", "50", "14"]
     # straight-line, with no call but the unit: `kernel_bounds` admits no
     # other form.  Each op ends in the one `% p` that writes its destination,
-    # and the products are inline: one unit call per product charged
+    # and the products are inline: one unit call per product charged.  The
+    # kernel the engine runs has the addresses the proof binds
     for curve, ops in distinct:
-        nodes = list(ast.walk(ast.parse(ffau.kernel_source(ops, curve))))
+        source, addresses = ffau.kernel_source(ops, curve)
+        assert ffau.compile_ops(ops, curve).kernel.__defaults__ == addresses
+        nodes = list(ast.walk(ast.parse(source)))
         mods = [ast.unparse(node.right) for node in nodes
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)]
         assert mods == [field.PRIME[curve]] * len(ops), ops
@@ -228,9 +250,10 @@ def test_wave_kernels_are_straight_line_and_built_once_per_distinct_wave():
         assert len(calls) == program.ScheduledProgram((ffau.Wave(ops),), "ladder", curve).products
 
 
-def kernel_bounds(source, ops, curve):
-    """Prove for every input that one wave kernel keeps its bounds and
-    writes what `spec_wave` says of `ops`: one walk of its AST gives each
+def kernel_bounds(source, addresses, ops, curve):
+    """Prove for every input that one wave kernel, its address parameters
+    bound in order to `addresses`, keeps its bounds and writes what
+    `spec_wave` says of `ops`: one walk of its AST gives each
     node an interval (Cousot & Cousot, POPL 1977) and a `Poly` over GF(p)
     (symbolic execution: King, CACM 1976).  With the registers in [0, p-1]
     (the zero source 0), each unit operand is in [0, 2^256), each `x % P`
@@ -238,13 +261,17 @@ def kernel_bounds(source, ops, curve):
     write lands in [0, p-1].  Register i is x_i; `v >> k` is a fresh
     variable H per operand value and k, and `v & (2^k - 1)` is v - 2^k H,
     an identity for every int; the unit, `*`, `+`, `-` and `<< k` are
-    polynomial operations, and `x % P` is x mod p.  Reading a register the
-    kernel wrote, a register that ends other than as the spec's polynomial,
-    and a form with no rule (names of `field` are its values) fail with
-    AssertionError."""
+    polynomial operations, and `x % P` is x mod p.  A register is indexed
+    only by an address parameter, which nothing assigns.  Reading a register
+    the kernel wrote, a register that ends other than as the spec's
+    polynomial, and a form with no rule (names of `field` are its values)
+    fail with AssertionError."""
     p = PARAMS[curve].p
     (kernel,) = ast.parse(source).body
-    assert ast.unparse(kernel.args) == "r", ast.unparse(kernel.args)
+    params = [arg.arg for arg in kernel.args.args]  # with no default, star or keyword argument
+    assert ast.unparse(kernel.args) == ", ".join(params) and params[0] == "r", ast.unparse(kernel.args)
+    address = dict(zip(params[1:], addresses))
+    assert len(address) == len(params) - 1 == len(addresses), (params, addresses)
     regs, env, line_of, fresh, written = Poly.registers(p), {}, {}, {}, set()
 
     def quotient(node, k):
@@ -260,7 +287,8 @@ def kernel_bounds(source, ops, curve):
                 return env[name]
             case ast.Name(name) if type(c := vars(field).get(name)) is int:
                 return (c, c), Poly({(): c}, p)
-            case ast.Subscript(ast.Name("r"), ast.Constant(int(i))) if 0 <= i <= ffau.ZERO:
+            case ast.Subscript(ast.Name("r"), ast.Name(g)) \
+                    if 0 <= (i := address.get(g, -1)) <= ffau.ZERO:
                 assert i not in written, f"r[{i}] read after the kernel wrote it"
                 return (0, 0 if i == ffau.ZERO else p - 1), regs[i]
             case ast.Call(ast.Name("kar256_int"), [a, b], []):
@@ -293,10 +321,10 @@ def kernel_bounds(source, ops, curve):
 
     for line, stmt in enumerate(kernel.body):
         match stmt:
-            case ast.Assign([ast.Name(name)], expr):
+            case ast.Assign([ast.Name(name)], expr) if name not in address:
                 env[name], line_of[name] = value(expr), line
-            case ast.Assign([ast.Subscript(ast.Name("r"), ast.Constant(int(i)))], expr) \
-                    if 0 <= i < ffau.NUM_REGISTERS:
+            case ast.Assign([ast.Subscript(ast.Name("r"), ast.Name(g))], expr) \
+                    if 0 <= (i := address.get(g, -1)) < ffau.NUM_REGISTERS:
                 (lo, hi), regs[i] = value(expr)
                 assert 0 <= lo and hi < p, f"r[{i}] written outside [0, p-1]"
                 written.add(i)
@@ -317,7 +345,7 @@ def test_kernel_bounds_hold_for_every_input(curve, ops):
     # the bound comments in `field` become a theorem: each kernel writes the
     # spec's canonical value, and every load is canonical, so by induction
     # every register is canonical and as the spec says at every cycle
-    kernel_bounds(ffau.kernel_source(ops, CurveId(curve)), ops, CurveId(curve))
+    kernel_bounds(*ffau.kernel_source(ops, CurveId(curve)), ops, CurveId(curve))
 
 
 # four ops that read eight registers and write four others
@@ -351,7 +379,7 @@ def test_kernel_bounds_hold_on_ad_hoc_waves(waves):
             except ffau.ScheduleError:
                 continue
             admitted.append(curve)
-            kernel_bounds(ffau.kernel_source(wave.ops, curve), wave.ops, curve)
+            kernel_bounds(*ffau.kernel_source(wave.ops, curve), wave.ops, curve)
         assert admitted, wave.text
 
 
@@ -369,7 +397,7 @@ C25519, C448 = CurveId.CURVE25519, CurveId.CURVE448
     (C448, "x = p11 + p00 + h1 + ", "x = p11 + p00 + ", r"r\[2\] is not spec_wave's"),
     (C448, "(h & _M224) + h1", "h & _M224", r"r\[2\] is not spec_wave's"),
     (C448, "kar256_int(s0l, s1h)", "kar256_int(s0h, s1h)", r"r\[2\] is not spec_wave's"),
-    (C25519, "    s1 = r[1]\n", "    r[1] = r[0]\n    s1 = r[1]\n", r"r\[1\] read after"),
+    (C25519, "    s1 = r[g1]\n", "    r[g1] = r[g0]\n    s1 = r[g1]\n", r"r\[1\] read after"),
 ], ids=("25519-no-fold", "448-no-fold", "no-modulo", "wrong-prime", "unknown-form",
         "25519-fold-by-18", "448-no-leading-h1", "448-no-inner-h1", "448-wrong-cross-partial",
         "write-before-read"))
@@ -377,10 +405,21 @@ def test_kernel_bounds_reject_a_broken_kernel(curve, old, new, message):
     # the proof can fail: each edit of the r2 <- r0 x r1 kernel breaks a
     # bound or the kernel's value mod p
     ops = (ffau.mul_op(0, 1, 2),)
-    source = ffau.kernel_source(ops, curve)
+    source, addresses = ffau.kernel_source(ops, curve)
     assert old in source
     with pytest.raises(AssertionError, match=message):
-        kernel_bounds(source.replace(old, new, 1), ops, curve)
+        kernel_bounds(source.replace(old, new, 1), addresses, ops, curve)
+
+
+def test_kernel_bounds_reject_addresses_bound_in_the_wrong_order():
+    # the proof binds the parameters to the wave's addresses, so the kernel
+    # of r2 <- (r0 - r1) x (r0 + r1) with its two sources swapped, which
+    # computes (r1 - r0) x (r1 + r0), fails
+    ops = (ffau.QuadOpInstruction(OP_SUB, 0, 1, OP_ADD, 0, 1, 2),)
+    for curve in CurveId:
+        source, (g0, g1, w0) = ffau.kernel_source(ops, curve)
+        with pytest.raises(AssertionError, match=r"r\[2\] is not spec_wave's"):
+            kernel_bounds(source, (g1, g0, w0), ops, curve)
 
 
 def tracer_install_targets():
