@@ -1,6 +1,6 @@
 """Arithmetic in F_(2^255-19) and F_(2^448-2^224-1).
 
-Multiplication always funnels through the 256-bit multiplier unit
+Every full-width product funnels through the 256-bit multiplier unit
 `kar256_int`, `ffau.UNITS[curve]` times per product: on Curve448 these are
 the 224x224 partial products of the golden ratio split of its Solinas prime
 (p = phi^2 - phi - 1, phi = 2^224), where a square splits its operand once.

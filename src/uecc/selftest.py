@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from . import ecsm, field, program, reference, trivium
-from .bigmul import karatsuba_level, kar256_structural_int, mul_schoolbook
+from .bigmul import karatsuba_level, kar256_int, kar256_structural_int, mul_schoolbook
 from .ecsm import CycleReport, EcsmConfig, Scalar, scalar_mult, scalar_mult_bytes
 from .field import PARAMS, CurveId, fe
 from .ffau import (
@@ -40,10 +40,14 @@ def _random_input(rng, curve: CurveId) -> tuple[Scalar, field.FieldElement]:
     return Scalar(rng.getrandbits(params.scalar_bits), curve), fe(rng.randrange(params.p), curve)
 
 
+# 0, 1, a limb's carry, a 128-bit half's all-ones and carry, and all-ones
+_KARATSUBA_EDGES = (0, 1, 2**64, 2**128 - 1, 2**128, 2**256 - 1)
+
+
 def karatsuba(rng, n) -> bool:
-    """Structural Karatsuba == schoolbook == native, `n` products, and 9/3/1
-    sub-products per product of a two-level `karatsuba_level` composition
-    that tallies each level."""
+    """Structural Karatsuba == the unit == schoolbook == native on every pair
+    of edge operands and `n` random pairs, and 9/3/1 sub-products per product
+    of a two-level `karatsuba_level` composition that tallies each level."""
     tally = [0, 0, 0]  # 64-, 128- and 256-bit products
 
     def base(x, y):
@@ -58,11 +62,11 @@ def karatsuba(rng, n) -> bool:
         tally[2] += 1
         return karatsuba_level(x, y, 128, mid)
 
-    ok = True
-    for _ in range(n):
-        x, y = rng.getrandbits(256), rng.getrandbits(256)
-        ok &= kar256_structural_int(x, y) == mul_schoolbook(x, y) == x * y == top(x, y)
-    return ok and tally == [9 * n, 3 * n, n]
+    pairs = [(x, y) for x in _KARATSUBA_EDGES for y in _KARATSUBA_EDGES]
+    pairs += [(rng.getrandbits(256), rng.getrandbits(256)) for _ in range(n)]
+    ok = all(kar256_structural_int(x, y) == kar256_int(x, y) == mul_schoolbook(x, y) == x * y
+             == top(x, y) for x, y in pairs)
+    return ok and tally == [9 * len(pairs), 3 * len(pairs), len(pairs)]
 
 
 def golden_ratio(rng, n) -> bool:

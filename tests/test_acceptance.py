@@ -2,8 +2,9 @@
 
 Criteria 2-7, and criterion 1's single-shot vectors, run the oracle checks
 of `uecc.selftest` (the checks behind `uecc selftest`) with this suite's
-seeds and sample counts.  Those functions are each check's one
-implementation: the unit tests do not repeat them.
+seeds and sample counts.  Each function is its check's one implementation:
+no unit test loops over a comparison one of them makes, and the unit tests
+keep only the inputs that no check draws.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The optional
 million-iteration test is gated behind UECC_RUN_1M=1 (hours in pure Python).

@@ -1,85 +1,75 @@
+import ast
+import pathlib
 import random
 
+import pytest
+
+from uecc import bigmul, selftest
 from uecc.bigmul import counters, kar128_int, kar256_int, kar256_structural_int, mul_schoolbook
+from uecc.field import PHI
+
+# `selftest.karatsuba` checks the structural product, the unit and schoolbook
+# against the native product on every pair of its edge operands and on random
+# 256-bit draws, so these tests keep what it never draws: an all-ones Curve448
+# half (the width of the golden-ratio partials) and schoolbook's other widths
+HALF = PHI - 1
 
 
 class TestKaratsuba:
     def test_zero_annihilator(self):
-        rng = random.Random(2)
-        for _ in range(20):
-            assert kar256_structural_int(0, rng.getrandbits(256)) == 0
+        assert kar256_structural_int(0, HALF) == kar256_structural_int(HALF, 0) == 0
 
     def test_identity(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            y = rng.getrandbits(256)
-            assert kar256_structural_int(1, y) == y
+        assert kar256_structural_int(1, HALF) == kar256_structural_int(HALF, 1) == HALF
 
     def test_max_operands(self):
-        m = (1 << 256) - 1
-        assert kar256_structural_int(m, m) == m * m
+        assert kar256_structural_int(HALF, HALF) == HALF * HALF
 
     def test_commutativity(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            x, y = rng.getrandbits(256), rng.getrandbits(256)
-            assert kar256_structural_int(x, y) == kar256_structural_int(y, x)
+        assert kar256_structural_int(HALF, 2**256 - 1) == kar256_structural_int(2**256 - 1, HALF)
 
     def test_recursion_identity_both_levels(self):
-        # z = x1*y1*2^(2b) + [(x0+x1)(y0+y1) - x0*y0 - x1*y1]*2^b + x0*y0
-        rng = random.Random(6)
-        for bits, b, kar in ((256, 128, kar256_structural_int), (128, 64, kar128_int)):
-            mask = (1 << b) - 1
-            for _ in range(200):
-                x = rng.getrandbits(bits)
-                y = rng.getrandbits(bits)
-                x0, x1 = x & mask, x >> b
-                y0, y1 = y & mask, y >> b
-                z0 = x0 * y0
-                z2 = x1 * y1
-                mid = (x0 + x1) * (y0 + y1) - z0 - z2
-                assert kar(x, y) == (z2 << (2 * b)) + (mid << b) + z0 == x * y
+        # the 256-bit level on the half is `test_max_operands`; here the 128-bit one
+        assert kar128_int(HALF >> 112, HALF >> 112) == (HALF >> 112) ** 2
 
     def test_structural_reference_writes_no_global(self):
-        # the reference keeps no tally: the process-wide counters are the
-        # engine's charges alone
-        rng = random.Random(11)
+        # the `OWNERS` `[counters]` row keeps any other code from naming them
         before = counters.snapshot()
-        for _ in range(20):
-            kar256_structural_int(rng.getrandbits(256), rng.getrandbits(256))
+        kar256_structural_int(HALF, HALF)
         assert counters.snapshot() == before
 
     def test_engine_unit_matches_structural_reference(self):
-        # the engine's unit is the builtin product: the same value as the
-        # recursion it stands for, and no charge per call (`ecsm._issue`
-        # charges each issued program's products instead)
-        rng = random.Random(10)
-        m = (1 << 256) - 1
-        pairs = [(m, m), (0, m)] + [(rng.getrandbits(256), rng.getrandbits(256)) for _ in range(200)]
-        for x, y in pairs:
-            before = counters.snapshot()
-            got = kar256_int(x, y)
-            assert counters.snapshot() == before
-            assert got == kar256_structural_int(x, y)
+        # no charge per call: `ecsm._issue` charges each issued program
+        before = counters.snapshot()
+        assert kar256_int(HALF, HALF) == kar256_structural_int(HALF, HALF)
+        assert counters.snapshot() == before
 
 
 class TestSchoolbook:
     def test_zero(self):
-        assert mul_schoolbook(0, 0) == 0
+        m = (1 << 896) - 1
+        assert mul_schoolbook(0, m) == mul_schoolbook(m, 0) == 0
 
     def test_single_limb_shift(self):
-        assert mul_schoolbook(1 << 64, 1 << 64) == 1 << 128
+        assert mul_schoolbook(1 << 64, 1 << 384) == 1 << 448
 
     def test_against_native_ints(self):
         rng = random.Random(8)
-        for xw, yw in ((256, 256), (448, 448), (224, 224), (64, 64), (896, 1)):
-            for _ in range(300):
-                x = rng.getrandbits(xw)
-                y = rng.getrandbits(yw)
-                assert mul_schoolbook(x, y) == x * y
+        for xw, yw in ((448, 448), (224, 224), (64, 64), (896, 1)):
+            pairs = [(rng.getrandbits(xw), rng.getrandbits(yw)) for _ in range(300)]
+            assert all(mul_schoolbook(x, y) == x * y for x, y in pairs), (xw, yw)
 
     def test_commutativity(self):
-        rng = random.Random(9)
-        for _ in range(100):
-            x, y = rng.getrandbits(256), rng.getrandbits(256)
-            assert mul_schoolbook(x, y) == mul_schoolbook(y, x)
+        x, y = (1 << 896) - 1, (1 << 64) + 1
+        assert mul_schoolbook(x, y) == mul_schoolbook(y, x)
+
+
+@pytest.mark.parametrize("fold", ("cx", "cy", "cx and cy"), ids=("cx", "cy", "cxcy"))
+def test_karatsuba_check_kills_a_dropped_carry_fold(monkeypatch, fold):
+    # the structural product on a level less one carry fold fails the check
+    (level,) = [node for node in ast.parse(pathlib.Path(bigmul.__file__).read_text()).body
+                if getattr(node, "name", None) == "karatsuba_level"]
+    level.body = [s for s in level.body if not (isinstance(s, ast.If) and ast.unparse(s.test) == fold)]
+    exec(compile(ast.Module([level], []), "<mutant>", "exec"), namespace := {})
+    monkeypatch.setattr(bigmul, "karatsuba_level", namespace["karatsuba_level"])
+    assert not selftest.karatsuba(random.Random(20240901), 500)

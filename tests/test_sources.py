@@ -6,7 +6,8 @@ count), and short tests state what a name table cannot; every kernel, the
 engine's and ad-hoc ones, writes `spec_wave`'s canonical value for every
 canonical input (one AST walk: an interval proof beside symbolic execution);
 no scalar-derived value reaches the engine's control flow or its issue log
-(a taint check); every seam the benchmark wraps exists; importing the
+(a taint check); no module of the package or the tests imports a name it
+never reads; every seam the benchmark wraps exists; importing the
 package loads neither `dataclasses` nor `inspect`; and a record's `_replace`
 and `_make` check their fields as its constructor does."""
 
@@ -161,6 +162,23 @@ def test_the_reference_imports_no_model_code():
     # the reference states RFC 7748's constants itself, so a wrong model
     # constant cannot move the oracle along with the model
     assert package_imports(TREES["reference"]) == {("field", "CurveId")}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a name in `__all__` counts as read, and a `__future__` import is a
+    # directive; `field` keeps `kar256_int` unread, because the wave kernels
+    # run in `vars(field)` and look the unit up there at call time
+    tests = {path.stem: ast.parse(path.read_text()) for path in pathlib.Path(__file__).parent.glob("*.py")}
+    unread = set()
+    for stem, tree in {**TREES, **tests}.items():
+        nodes = list(ast.walk(tree))
+        reads = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        reads.update(c.value for n in nodes if isinstance(n, ast.Assign) and "__all__" in
+                     map(ast.unparse, n.targets) for c in ast.walk(n.value) if isinstance(c, ast.Constant))
+        unread |= {(stem, name) for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))
+                   and getattr(n, "module", None) != "__future__" for alias in n.names
+                   if (name := (alias.asname or alias.name).split(".")[0]) not in reads}
+    assert unread == {("field", "kar256_int")}
 
 
 def test_only_the_engine_and_the_literal_table_build_a_cycle_report():

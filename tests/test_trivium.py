@@ -22,6 +22,15 @@ KAT = [
 ]
 
 
+class ScriptedPrng:  # a PRNG for `gen_lambda` that returns `words` in order
+    def __init__(self, words):
+        self.words = list(words)
+        self.next64_calls = 0
+
+    def _step64(self):
+        return self.words.pop(0)
+
+
 class TestInit:
     def test_key_iv_length_checked(self):
         with pytest.raises(ValueError):
@@ -30,10 +39,9 @@ class TestInit:
             trivium.TriviumState(bytes(10), bytes(11))
 
     def test_determinism(self):
-        key, iv = bytes(range(10)), bytes(range(10, 20))
-        a = trivium.TriviumState(key, iv)
-        b = trivium.TriviumState(key, iv)
-        assert [trivium.next64(a) for _ in range(8)] == [trivium.next64(b) for _ in range(8)]
+        # two states of one key/IV, read in turn, share no state
+        a, b = (trivium.TriviumState(*trivium.DEFAULT_SEED) for _ in range(2))
+        assert [trivium.next64(a) == trivium.next64(b) for _ in range(2)] == [True, True]
 
     def test_single_iv_bit_changes_first_128_bits(self):
         key = bytes(10)
@@ -65,9 +73,10 @@ class TestKeystream:
         assert trivium_words(key, iv, 1)[0] == sum(b << i for i, b in enumerate(bits))
 
     def test_consecutive_calls_are_disjoint_segments(self):
-        key, iv = bytes(range(10)), bytes(range(10, 20))
-        st = trivium.TriviumState(key, iv)
-        assert [trivium.next64(st) for _ in range(4)] == trivium_words(key, iv, 4)
+        # word-sized `keystream_bytes` calls continue where the last stopped
+        one, two = (trivium.TriviumState(*trivium.DEFAULT_SEED) for _ in range(2))
+        halves = trivium.keystream_bytes(one, 8) + trivium.keystream_bytes(one, 8)
+        assert halves == trivium.keystream_bytes(two, 16)
 
     def test_call_counter(self):
         st = trivium.TriviumState(bytes(10), bytes(10))
@@ -98,14 +107,6 @@ class TestGenLambda:
                 assert type(lam) is int
 
     def test_zero_draw_regenerated(self):
-        class ScriptedPrng:
-            def __init__(self, words):
-                self.words = list(words)
-                self.next64_calls = 0
-
-            def _step64(self):
-                return self.words.pop(0)
-
         # first draw is all-zero words -> lambda would be 0 -> redrawn
         prng = ScriptedPrng([0, 0, 0, 0, 5, 0, 0, 0])
         lam = trivium.gen_lambda(prng, CurveId.CURVE25519)
@@ -113,31 +114,19 @@ class TestGenLambda:
         assert prng.next64_calls == 8
 
     def test_stuck_prng_raises(self):
-        class ZeroPrng:
-            next64_calls = 0
-
-            def _step64(self):
-                return 0
-
-        prng = ZeroPrng()
+        prng = ScriptedPrng([0] * 7 * trivium.MAX_LAMBDA_DRAWS)
         with pytest.raises(RuntimeError, match="stuck"):
             trivium.gen_lambda(prng, CurveId.CURVE448)
         assert prng.next64_calls == 7 * trivium.MAX_LAMBDA_DRAWS
 
     def test_truncation_keeps_low_bits(self):
-        key, iv = bytes(range(10)), bytes(range(10, 20))
-        st = trivium.TriviumState(key, iv)
-        lam = trivium.gen_lambda(st, CurveId.CURVE448)
-        value = 0
-        for i, w in enumerate(trivium_words(key, iv, 7)):
-            value |= w << (64 * i)
-        assert lam == value % PARAMS[CurveId.CURVE448].p
+        # lambda is the low scalar_bits bits of the draw's words, LSW first, mod p
+        for curve, params in PARAMS.items():
+            words = trivium_words(*trivium.DEFAULT_SEED, trivium.lambda_words(curve))
+            value = sum(w << (64 * i) for i, w in enumerate(words))
+            lam = trivium.gen_lambda(trivium.TriviumState(*trivium.DEFAULT_SEED), curve)
+            assert lam == (value & ((1 << params.scalar_bits) - 1)) % params.p
 
     def test_curve25519_mask_to_255_bits(self):
-        key, iv = bytes(range(10)), bytes(range(10, 20))
-        st = trivium.TriviumState(key, iv)
-        lam = trivium.gen_lambda(st, CurveId.CURVE25519)
-        value = 0
-        for i, w in enumerate(trivium_words(key, iv, 4)):
-            value |= w << (64 * i)
-        assert lam == (value & ((1 << 255) - 1)) % PARAMS[CurveId.CURVE25519].p
+        # an all-ones draw: the mask drops bit 255, leaving (2^255 - 1) % p = 18
+        assert trivium.gen_lambda(ScriptedPrng([2**64 - 1] * 4), CurveId.CURVE25519) == 18
