@@ -82,29 +82,19 @@ _M224 = (1 << 224) - 1
 _M255 = (1 << 255) - 1
 
 
-class FieldElement:
+class FieldElement(collections.namedtuple("FieldElement", "n curve")):
     """Canonical element of the selected prime field."""
 
-    __slots__ = ("n", "curve")
+    __slots__ = ()
 
-    def __init__(self, n: int, curve: CurveId):
+    def __new__(cls, n, curve):
         if not isinstance(n, int):
             raise TypeError(f"n must be an int, got {n!r}")
         if not 0 <= n < curve_params(curve).p:
             raise ValueError("value not canonical")
-        self.n = n
-        self.curve = curve
+        return super().__new__(cls, n, curve)
 
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.n == other.n and self.curve == other.curve
-
-    def __hash__(self):
-        return hash((self.n, self.curve))
-
-    def __repr__(self):
-        return f"FieldElement(0x{self.n:x}, {self.curve.value})"
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
 
 def fe(n: int, curve: CurveId) -> FieldElement:

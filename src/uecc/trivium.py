@@ -78,11 +78,12 @@ def next64(state: TriviumState) -> int:
 
 
 def keystream_bytes(state: TriviumState, nbytes: int) -> bytes:
-    """Packed keystream (LSB-first within each byte), for vector checks."""
-    out = bytearray()
-    while len(out) < nbytes:
-        out.extend(next64(state).to_bytes(8, "little"))
-    return bytes(out[:nbytes])
+    """Packed keystream (LSB-first within each byte), for vector checks, in
+    whole 64-bit words: ValueError, before any word is drawn, unless `nbytes`
+    is a multiple of 8, so consecutive calls skip no keystream."""
+    if nbytes % 8:
+        raise ValueError(f"keystream is drawn in 8-byte words, got {nbytes} bytes")
+    return b"".join(next64(state).to_bytes(8, "little") for _ in range(nbytes // 8))
 
 
 def lambda_words(curve: CurveId) -> int:

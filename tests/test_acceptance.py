@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 2-7, and criterion 1's single-shot vectors, run the oracle checks
+Criteria 2-6, and criterion 1's single-shot vectors, run the oracle checks
 of `uecc.selftest` (the checks behind `uecc selftest`) with this suite's
-seeds and sample counts.  Each function is its check's one implementation:
-no unit test loops over a comparison one of them makes, and the unit tests
-keep only the inputs that no check draws.
+seeds and sample counts; criterion 7 checks how an ECSM's report displays
+the published cycles and latency.  Each function is its check's one
+implementation: no unit test loops over a comparison one of them makes, and
+the unit tests keep only the inputs that no check draws.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The optional
 million-iteration test is gated behind UECC_RUN_1M=1 (hours in pure Python).
@@ -15,7 +16,8 @@ import random
 
 import pytest
 
-from uecc import selftest
+from uecc import ecsm, field, selftest
+from uecc.trivium import DEFAULT_SEED
 from uecc.vectors import ITERATED, iterate
 
 from spec import CURVES
@@ -74,8 +76,14 @@ def test_criterion_6_countermeasure_properties():
 
 def test_criterion_7_modeled_latency_display():
     # ASIC power/energy/area are out of scope; the model substitutes cycle
-    # counts and displays cycles / 100 MHz as modeled latency.  The check sums
-    # each published decomposition to the published cycles and us, and one
-    # random ECSM per configuration must report that decomposition.
-    ok = selftest.cycle_totals(random.Random(77), 1)
+    # counts and displays cycles / 100 MHz as modeled latency.  One random
+    # ECSM per configuration shows the published total and microseconds in
+    # both renderings of its report.
+    rng, ok = random.Random(77), True
+    for (curve, dpa), (total, latency_us, _, _) in selftest.DESIGN.items():
+        k = ecsm.Scalar(rng.getrandbits(field.PARAMS[curve].scalar_bits), curve)
+        cfg = ecsm.EcsmConfig(dpa, prng_seed=DEFAULT_SEED)  # the seed is unused without DPA
+        cycles = ecsm.scalar_mult(k, field.fe(9, curve), cfg).cycles
+        ok &= f"total={total} ({latency_us:.2f} us @ 100 MHz)" in cycles.as_text()
+        ok &= f"total_cycles={total}\nmodeled_latency_us={latency_us:.2f}" in cycles.as_kv()
     _report("7. modeled latency = cycles / 100 MHz -> 10.32/10.38/49.44/54.01 us", ok)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -24,9 +25,9 @@ from uecc.program import (
     FINAL_WAVE, INIT_WAVES, R_RND, T0, X1, X3, Z2, Z3, ScheduledProgram, build_inversion_program,
     build_ladder_program,
 )
-from uecc.reference import ladder_step, scalar_mult_ref
+from uecc.reference import P as RFC_P, ladder_step, scalar_mult_ref
 from uecc.trivium import DEFAULT_SEED, lambda_words
-from uecc.vectors import BASE_U, SINGLE_SHOT
+from uecc.vectors import BASE_U, ITERATED, SINGLE_SHOT
 
 from spec import CURVES, programs
 
@@ -35,92 +36,97 @@ def dpa_cfg(seed=trivium.DEFAULT_SEED):
     return EcsmConfig(dpa_enabled=True, prng_seed=seed)
 
 
-class TestClamp:
-    def test_zero_bytes_curve25519(self):
-        k = decode_scalar(bytes(32), CurveId.CURVE25519, RFC_CLAMPED)
-        assert k.bits == 1 << 254
+C25519, C448 = CurveId.CURVE25519, CurveId.CURVE448
 
-    def test_zero_bytes_curve448(self):
-        k = decode_scalar(bytes(56), CurveId.CURVE448, RFC_CLAMPED)
-        assert k.bits == 1 << 447
+
+def decoder_inputs(curve):
+    """Octets that both decoders' RFC 7748 rules are checked on: 0, 9, p,
+    p + 5, p + 9, all-ones, 6 | 2^255, the single-shot scalars and u, and
+    100 random draws.  The other decoding tests take inputs outside these."""
+    nbytes, p = len(BASE_U[curve]), RFC_P[curve]
+    rng = random.Random(f"decoders:{curve.value}")
+    values = (0, 9, p, p + 5, p + 9, 2 ** (8 * nbytes) - 1, 6 | 2**255)
+    return ([n.to_bytes(nbytes, "little") for n in values]
+            + [bytes.fromhex(h) for k, u, _ in SINGLE_SHOT[curve] for h in (k, u)]
+            + [rng.randbytes(nbytes) for _ in range(100)])
+
+
+def check_wrong_length(decode, what):
+    """`decode` refuses, on each curve, a byte short and the other curve's
+    width, naming `what` it decodes and both lengths."""
+    for curve, other in ((C25519, C448), (C448, C25519)):
+        nbytes = len(BASE_U[curve])
+        for wrong in (nbytes - 1, len(BASE_U[other])):
+            message = f"{curve.value} {what} must be {nbytes} bytes, got {wrong}"
+            with pytest.raises(ValueError, match=message):
+                decode(bytes(wrong), curve, RAW)
+
+
+class TestClamp:
+    # RFC 7748 section 5, written here rather than read from `field.PARAMS`:
+    # decodeScalar25519 clears bits 0-2 and 255 and sets bit 254, and
+    # decodeScalar448 clears bits 0-1 and sets bit 447; RAW keeps the low
+    # 255 or 448 bits
+    RULES = {(C25519, RFC_CLAMPED): lambda n: n & ~7 & (2**255 - 1) | 2**254,
+             (C448, RFC_CLAMPED): lambda n: n & ~3 | 2**447,
+             (C25519, RAW): lambda n: n & (2**255 - 1), (C448, RAW): lambda n: n}
 
     def test_rfc_rules_independent_rederivation(self):
-        # Curve25519: clear bits 0-2 and bit 255, set bit 254; Curve448: clear
-        # bits 0-1, set bit 447.  Re-derived here at the integer level, on
-        # all-ones bytes and random bytes.
-        rules = {
-            CurveId.CURVE25519: lambda n: (n & ~7 & ((1 << 255) - 1)) | (1 << 254),
-            CurveId.CURVE448: lambda n: (n & ~3) | (1 << 447),
-        }
-        rng = random.Random(51)
-        for curve, rule in rules.items():
-            nbytes = PARAMS[curve].field_bytes
-            for data in [b"\xff" * nbytes] + [rng.randbytes(nbytes) for _ in range(100)]:
-                want = rule(int.from_bytes(data, "little"))
-                assert decode_scalar(data, curve, RFC_CLAMPED).bits == want
+        for (curve, mode), rule in self.RULES.items():
+            for data in decoder_inputs(curve):
+                want = Scalar(rule(int.from_bytes(data, "little")), curve)
+                assert decode_scalar(data, curve, mode) == want, (curve, mode, data.hex())
+
+    def test_zero_bytes_curve25519(self):
+        # the cofactor's bits alone decode as zero bytes do
+        assert decode_scalar(b"\x07" + bytes(31), C25519, RFC_CLAMPED).bits == 1 << 254
+
+    def test_zero_bytes_curve448(self):
+        assert decode_scalar(b"\x03" + bytes(55), C448, RFC_CLAMPED).bits == 1 << 447
 
     def test_rfc_vector_scalar_decodes(self):
-        data = bytes.fromhex(SINGLE_SHOT[CurveId.CURVE25519][0][0])
-        k = decode_scalar(data, CurveId.CURVE25519, RFC_CLAMPED)
-        assert k.bits % 8 == 0
-        assert k.bits >> 254 == 1
+        # the first iteration's output, which the next round takes as its scalar
+        k = decode_scalar(bytes.fromhex(ITERATED[C25519][1]), C25519, RFC_CLAMPED)
+        assert k.bits % 8 == 0 and k.bits >> 254 == 1
 
     def test_raw_mode_masks_to_t_bits(self):
-        data = bytes([0xFF] * 32)
-        k = decode_scalar(data, CurveId.CURVE25519, RAW)
-        assert k.bits == (1 << 255) - 1
+        assert decode_scalar(bytes(31) + b"\x80", C25519, RAW).bits == 0
 
     def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            decode_scalar(bytes(31), CurveId.CURVE25519, RFC_CLAMPED)
-        with pytest.raises(ValueError):
-            decode_scalar(bytes(32), CurveId.CURVE448, RAW)
+        check_wrong_length(decode_scalar, "scalar")
 
 
 class TestDecodeU:
-    """The engine's u-coordinate decoding from the wire: verbatim (`RAW`) but
-    for the reduction mod p, or with RFC 7748's mask when clamping."""
-
-    def test_zero(self):
-        assert decode_u(bytes(32), CurveId.CURVE25519, RAW).n == 0
-        assert decode_u(bytes(56), CurveId.CURVE448, RAW).n == 0
-
-    def test_base_point_u(self):
-        data = bytes([9]) + bytes(31)
-        assert decode_u(data, CurveId.CURVE25519, RAW).n == 9
+    """The engine's u-coordinate decoding from the wire, RFC 7748 section 5's
+    decodeUCoordinate written here: when clamping, Curve25519's bit 255 is
+    masked; then, in both modes, the value is reduced mod p."""
 
     def test_round_trip(self):
-        rng = random.Random(18)
-        for curve in CURVES:
-            p = PARAMS[curve].p
-            nbytes = PARAMS[curve].field_bytes
-            for _ in range(100):
-                data = rng.randbytes(nbytes)
-                a = decode_u(data, curve, RAW)
-                assert a.n == int.from_bytes(data, "little") % p
-                assert decode_u(a.n.to_bytes(nbytes, "little"), curve, RAW) == a
+        # and the canonical encoding of what was decoded decodes to it again
+        for curve, mode in itertools.product(CURVES, (RAW, RFC_CLAMPED)):
+            mask = 2**255 - 1 if (curve, mode) == (C25519, RFC_CLAMPED) else -1
+            for data in decoder_inputs(curve):
+                u = decode_u(data, curve, mode)
+                assert u == FieldElement((int.from_bytes(data, "little") & mask) % RFC_P[curve], curve)
+                assert decode_u(u.n.to_bytes(len(data), "little"), curve, mode) == u
 
-    def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            decode_u(bytes(56), CurveId.CURVE25519, RAW)
-        with pytest.raises(ValueError):
-            decode_u(bytes(32), CurveId.CURVE448, RAW)
+    def test_zero(self):
+        # 2p, which fits 32 bytes only on Curve25519
+        assert decode_u((2 * RFC_P[C25519]).to_bytes(32, "little"), C25519, RAW).n == 0
+
+    def test_base_point_u(self):
+        assert decode_u(BASE_U[C448], C448, RFC_CLAMPED).n == 5
 
     def test_top_bit_masked_when_clamping(self):
-        data = bytearray(32)
-        data[0] = 6
-        data[31] = 0x80  # the ignored bit
-        u_clamped = decode_u(bytes(data), CurveId.CURVE25519, RFC_CLAMPED)
-        assert u_clamped.n == 6
-        u_raw = decode_u(bytes(data), CurveId.CURVE25519, RAW)
-        assert u_raw.n == (6 + (1 << 255)) % PARAMS[CurveId.CURVE25519].p
+        # Curve448 ignores no bit: its top bit is kept
+        assert decode_u((1 << 447).to_bytes(56, "little"), C448, RFC_CLAMPED).n == 1 << 447
 
     def test_reduces_mod_p(self):
-        # p + 9 is below 2^255 on Curve25519, so the clamp's mask leaves it
-        for curve in CURVES:
-            data = (PARAMS[curve].p + 9).to_bytes(PARAMS[curve].field_bytes, "little")
-            for mode in (RAW, RFC_CLAMPED):
-                assert decode_u(data, curve, mode).n == 9
+        for mode in (RAW, RFC_CLAMPED):
+            assert decode_u((2**255 - 1).to_bytes(32, "little"), C25519, mode).n == 18
+
+    def test_wrong_length(self):
+        check_wrong_length(decode_u, "u-coordinate")
 
 
 def record_issues(patch):
@@ -226,8 +232,10 @@ class TestScalarMult:
             scalar_mult(Scalar(1, CurveId.CURVE25519), fe(9, CurveId.CURVE448))
 
     def test_scalar_range_checked(self):
-        with pytest.raises(ValueError):
-            Scalar(1 << 255, CurveId.CURVE25519)
+        # the range is the curve's: 2^255, out of Curve25519's, is in Curve448's
+        assert Scalar(1 << 255, C448).bits == 1 << 255
+        with pytest.raises(ValueError, match="scalar out of range"):
+            Scalar(-1, C25519)
 
 
 class TestTrace:
@@ -455,17 +463,20 @@ class TestIssueSeam:
 
 
 class TestConfig:
+    # each record rule is a row of `tests/test_sources.py::test_replace_and_make_
+    # check_like_the_constructor`; these keep inputs its rows do not, and accepted ones
+
     def test_dpa_requires_seed(self):
-        with pytest.raises(ValueError):
+        # the seed's default is None, so DPA asked for without one is refused
+        with pytest.raises(ValueError, match="dpa_enabled requires a prng_seed"):
             EcsmConfig(dpa_enabled=True)
 
     def test_seed_length_checked(self):
-        with pytest.raises(ValueError):
-            EcsmConfig(dpa_enabled=True, prng_seed=(bytes(9), bytes(10)))
+        # 10-byte parts, the rows' bound, are taken
+        seed = (b"k" * 10, b"v" * 10)
+        assert EcsmConfig(True, RFC_CLAMPED, seed).prng_seed == seed
 
     def test_seed_length_checked_without_dpa(self):
-        with pytest.raises(ValueError):
-            EcsmConfig(prng_seed=(bytes(10), bytes(11)))
         assert EcsmConfig(prng_seed=trivium.DEFAULT_SEED).prng_seed == trivium.DEFAULT_SEED
 
     @pytest.mark.parametrize("seed", [b"x" * 20, ("a" * 10, "b" * 10), (bytes(10),),
@@ -473,20 +484,14 @@ class TestConfig:
                              ids=("bytes", "str-parts", "one-part", "three-parts", "list"))
     def test_malformed_seed_rejected_when_built(self, seed):
         # caught here, not as an unpacking error or inside Trivium at the first DPA run
-        for dpa in (False, True):
-            with pytest.raises(ValueError, match="prng_seed"):
-                EcsmConfig(dpa_enabled=dpa, prng_seed=seed)
+        with pytest.raises(ValueError, match="prng_seed"):
+            EcsmConfig(dpa_enabled=True, prng_seed=seed)
 
     def test_dpa_enabled_must_be_a_bool(self):
-        # a truthy "no" would run with DPA on, and None with it off
-        cfg = EcsmConfig(prng_seed=trivium.DEFAULT_SEED)
-        for dpa in ("no", 1, None):
+        # a truthy int would run with DPA on, and None with it off
+        for dpa in (1, None):
             with pytest.raises(TypeError, match="dpa_enabled must be a bool"):
                 EcsmConfig(dpa_enabled=dpa, prng_seed=trivium.DEFAULT_SEED)
-            with pytest.raises(TypeError, match="dpa_enabled must be a bool"):
-                cfg._replace(dpa_enabled=dpa)
-            with pytest.raises(TypeError, match="dpa_enabled must be a bool"):
-                EcsmConfig._make((dpa, RFC_CLAMPED, trivium.DEFAULT_SEED))
 
     def test_seed_is_copied_to_bytes(self):
         # a caller's bytearrays are not kept: the config hashes, and extending
@@ -500,11 +505,13 @@ class TestConfig:
         scalar_mult(Scalar(5, CurveId.CURVE25519), fe(9, CurveId.CURVE25519), cfg)
 
     def test_clamp_mode_checked(self):
-        with pytest.raises(ValueError):
-            EcsmConfig(clamp_mode="sideways")
+        # the constant's name is not its value
+        with pytest.raises(ValueError, match="unknown clamp mode"):
+            EcsmConfig(clamp_mode="RFC_CLAMPED")
 
     def test_scalar_curve_must_be_a_curve_id(self):
-        for curve in ("curve25519", "25519", None, [CurveId.CURVE25519]):
+        # an unhashable curve too, which fails the PARAMS lookup another way
+        for curve in ("25519", None, [CurveId.CURVE25519]):
             with pytest.raises(TypeError, match="curve must be a CurveId"):
                 Scalar(5, curve)
 
@@ -512,13 +519,10 @@ class TestConfig:
     def test_scalar_and_element_values_must_be_ints(self, value):
         # a float passes the range check and would fail only deep in the
         # engine, in the ladder's shifts or the masked swap's xor
-        curve = CurveId.CURVE25519
         with pytest.raises(TypeError, match="bits must be an int"):
-            Scalar(value, curve)
+            Scalar(value, C25519)
         with pytest.raises(TypeError, match="n must be an int"):
-            FieldElement(value, curve)
-        with pytest.raises(TypeError, match="bits must be an int"):
-            Scalar(5, curve)._replace(bits=value)
+            FieldElement(value, C25519)
 
     def test_bool_values_are_ints(self):
         curve = CurveId.CURVE25519

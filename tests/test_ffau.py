@@ -21,35 +21,31 @@ from spec import CURVES, spec_wave
 
 
 class TestInstructionValidation:
+    # each record rule is a row of `tests/test_sources.py::test_replace_and_make_
+    # check_like_the_constructor`; these keep inputs its rows do not, and accepted ones
+
     def test_address_bounds(self):
-        with pytest.raises(ValueError):
-            QuadOpInstruction(OP_ADD, 13, 0, OP_ADD, 0, 0, 0)
-        with pytest.raises(ValueError):
-            QuadOpInstruction(OP_ADD, 0, 0, OP_ADD, 0, 0, ZERO)  # dst can't be the zero slot
+        # a negative address would index the register list from its end
+        with pytest.raises(ValueError, match="src_d address -1 out of range"):
+            QuadOpInstruction(OP_ADD, 0, 0, OP_ADD, 0, -1, 1)
+        with pytest.raises(ValueError, match="dst address -1 out of range"):
+            mul_op(0, 1, -1)
 
     def test_opsel_bits(self):
         with pytest.raises(ValueError, match="left opsel"):
-            QuadOpInstruction(2, 0, 0, OP_ADD, 0, 0, 1)
+            QuadOpInstruction(-1, 0, 0, OP_ADD, 0, 0, 1)
         with pytest.raises(ValueError, match="right opsel"):
-            QuadOpInstruction(OP_ADD, 0, 0, 2, 0, 0, 1)
+            QuadOpInstruction(OP_ADD, 0, 0, -1, 0, 0, 1)
 
     def test_wave_size(self):
-        op = mul_op(0, 1, 2)
-        with pytest.raises(ValueError):
-            Wave(())
-        with pytest.raises(ValueError):
-            Wave((op,) * 5)
+        # the widest wave, one op per multiplier
+        assert len(Wave((mul_op(0, 1, 2),) * 4).ops) == 4
 
     def test_wave_holds_a_tuple_of_ops(self):
-        # a list would be kept as is and fail in the kernel cache, a stray
-        # element only once the wave executes
+        # a list would be kept as is and fail in the kernel cache
         op = mul_op(0, 1, 2)
         assert type(Wave([op]).ops) is tuple
         assert Wave([op]) == Wave((op,))
-        with pytest.raises(TypeError, match="wave op 'x' is not a QuadOpInstruction"):
-            Wave((op, "x"))
-        with pytest.raises(TypeError, match=r"wave op \(0, 1, 2\) is not"):
-            Wave([(0, 1, 2)])
 
     def test_curve448_issue_width(self):
         two_full = Wave((mul_op(0, 1, 2), mul_op(3, 4, 5)))

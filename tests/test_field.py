@@ -4,7 +4,6 @@ import pytest
 
 from uecc import ecsm, ffau, field, selftest
 from uecc.bigmul import counters
-from uecc.ecsm import RAW, decode_u
 from uecc.field import CurveId, P25519, P448, PARAMS, PHI
 from uecc.ffau import mul_int, registers
 from uecc.program import build_inversion_program
@@ -86,23 +85,20 @@ class TestMul:
 
 
 class TestBytes:
-    """`FieldElement`'s own checks, and the reduction of a non-canonical
-    u-coordinate from the wire; the rest of decoding is `ecsm`'s
-    (`tests/test_ecsm.py::TestDecodeU`)."""
+    """`FieldElement` inputs that its rows in `tests/test_sources.py` do not
+    hold, and `fe`; decoding from the wire is `tests/test_ecsm.py::TestDecodeU`'s."""
 
     def test_non_canonical_reduced(self):
-        data = (P25519 + 5).to_bytes(32, "little")
-        assert decode_u(data, CurveId.CURVE25519, RAW).n == 5
+        # `fe` reduces any integer, a negative one too
+        assert [field.fe(n, CurveId.CURVE25519).n for n in (P25519 + 5, -1)] == [5, P25519 - 1]
 
     def test_canonical_required(self):
-        with pytest.raises(ValueError):
-            field.FieldElement(P25519, CurveId.CURVE25519)
+        with pytest.raises(ValueError, match="value not canonical"):
+            field.FieldElement(-1, CurveId.CURVE25519)
 
     def test_curve_must_be_a_curve_id(self):
         # a clear error, not a bare KeyError from the PARAMS lookup
         for curve in ("25519", CurveId.CURVE25519.value, 448, None):
-            with pytest.raises(TypeError, match="curve must be a CurveId"):
-                field.FieldElement(9, curve)
             with pytest.raises(TypeError, match="curve must be a CurveId"):
                 field.fe(9, curve)
             with pytest.raises(TypeError, match="curve must be a CurveId"):

@@ -7,11 +7,13 @@ engine's and ad-hoc ones, writes `spec_wave`'s canonical value for every
 canonical input (one AST walk: an interval proof beside symbolic execution);
 no scalar-derived value reaches the engine's control flow or its issue log
 (a taint check); no module of the package or the tests imports a name it
-never reads; every seam the benchmark wraps exists; importing the
-package loads neither `dataclasses` nor `inspect`; and a record's `_replace`
-and `_make` check their fields as its constructor does."""
+never reads; every package name the benchmark reads or wraps exists;
+importing the package loads neither `dataclasses` nor `inspect`; and one
+table states every rule by which a record rejects a field, checked through
+its constructor, `_replace` and `_make`."""
 
 import ast
+import functools
 import importlib
 import itertools
 import os
@@ -25,7 +27,7 @@ import pytest
 import uecc
 from uecc import ecsm, ffau, field, program
 from uecc.ffau import OP_ADD, OP_SUB, Wave
-from uecc.field import PARAMS, CurveId
+from uecc.field import PARAMS, CurveId, FieldElement
 
 from spec import Poly, programs, spec_wave
 
@@ -52,21 +54,50 @@ def test_import_loads_neither_dataclasses_nor_inspect(flags):
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("record, field, value, message", [
-    (ffau.mul_op(0, 1, 2), "dst", 99, "dst address 99 out of range"),
-    (ffau.Wave((ffau.mul_op(0, 1, 2),)), "ops", (), "wave must hold 1-4 ops"),
-    (ecsm.CycleReport(1, 2, 3, 4), "prng_cycles", -5, "prng_cycles must be non-negative"),
-    (ecsm.Scalar(1, CurveId.CURVE25519), "bits", 1 << 255, "scalar out of range"),
-    (ecsm.EcsmConfig(), "dpa_enabled", True, "dpa_enabled requires a prng_seed"),
-], ids=("QuadOpInstruction", "Wave", "CycleReport", "Scalar", "EcsmConfig"))
-def test_replace_and_make_check_like_the_constructor(record, field, value, message):
+C25519, C448 = CurveId.CURVE25519, CurveId.CURVE448
+OP = ffau.mul_op(0, 1, 2)
+
+
+# Every rule by which a record rejects a field, one row each: (record, field,
+# value, error, message).  The constructor, `_replace` and `_make` must each
+# reject the record with `field` set to `value`.
+@pytest.mark.parametrize("record, field, value, error, message", [
+    (OP, "dst", ffau.ZERO, ValueError, "dst address 12 out of range"),
+    (OP, "src_a", ffau.ZERO + 1, ValueError, "src_a address 13 out of range"),
+    (OP, "sub_left", 2, ValueError, "left opsel must be 0"),
+    (OP, "sub_right", 2, ValueError, "right opsel must be 0"),
+    (Wave((OP,)), "ops", (), ValueError, "wave must hold 1-4 ops, got 0"),
+    (Wave((OP,)), "ops", (OP,) * 5, ValueError, "wave must hold 1-4 ops, got 5"),
+    (Wave((OP,)), "ops", (OP, (0, 1, 2)), TypeError, r"wave op \(0, 1, 2\) is not a QuadOpInstruction"),
+    (ecsm.CycleReport(1, 2, 3, 4), "prng_cycles", -5, ValueError, "prng_cycles must be non-negative"),
+    (ecsm.Scalar(1, C25519), "bits", 1 << 255, ValueError, "scalar out of range"),
+    (ecsm.Scalar(1, C25519), "bits", bytes(32), TypeError, "bits must be an int"),
+    (ecsm.Scalar(1, C25519), "curve", "curve25519", TypeError, "curve must be a CurveId"),
+    (FieldElement(9, C25519), "n", PARAMS[C25519].p, ValueError, "value not canonical"),
+    (FieldElement(9, C25519), "n", bytes(32), TypeError, "n must be an int"),
+    (FieldElement(9, C25519), "curve", "curve25519", TypeError, "curve must be a CurveId"),
+    (ecsm.EcsmConfig(), "dpa_enabled", True, ValueError, "dpa_enabled requires a prng_seed"),
+    (ecsm.EcsmConfig(), "dpa_enabled", "no", TypeError, "dpa_enabled must be a bool"),
+    (ecsm.EcsmConfig(), "clamp_mode", "sideways", ValueError, "unknown clamp mode 'sideways'"),
+    (ecsm.EcsmConfig(), "prng_seed", (bytes(10), None), ValueError,
+     r"prng_seed must be a \(key, iv\) tuple of bytes"),
+    (ecsm.EcsmConfig(True, ecsm.RFC_CLAMPED, (bytes(10),) * 2), "prng_seed", (bytes(9), bytes(10)),
+     ValueError, "prng_seed parts must be 10 bytes each"),
+    (ecsm.EcsmConfig(), "prng_seed", (bytes(10), bytes(11)), ValueError,
+     "prng_seed parts must be 10 bytes each"),
+], ids=("QuadOpInstruction", "QuadOpInstruction-src", "QuadOpInstruction-left-opsel",
+        "QuadOpInstruction-right-opsel", "Wave", "Wave-five-ops", "Wave-not-an-op", "CycleReport",
+        "Scalar", "Scalar-not-an-int", "Scalar-curve", "FieldElement", "FieldElement-not-an-int",
+        "FieldElement-curve", "EcsmConfig", "EcsmConfig-dpa-not-a-bool", "EcsmConfig-clamp-mode",
+        "EcsmConfig-seed-part", "EcsmConfig-key-length", "EcsmConfig-iv-length-without-dpa"))
+def test_replace_and_make_check_like_the_constructor(record, field, value, error, message):
     # namedtuple's own `_make` builds the tuple without `__new__`, and
     # `_replace` builds through `_make`
     fields = {**record._asdict(), field: value}
-    with pytest.raises(ValueError, match=message):
-        record._replace(**{field: value})
-    with pytest.raises(ValueError, match=message):
-        type(record)._make(fields.values())
+    for build in (lambda: type(record)(**fields), lambda: record._replace(**{field: value}),
+                  lambda: type(record)._make(fields.values())):
+        with pytest.raises(error, match=message):
+            build()
 
 
 # one parse of the package, shared by every test that reads its source
@@ -148,7 +179,7 @@ def test_only_the_owners_name_an_engine_fact(name):
 
 
 def package_imports(tree):
-    """(module, name) for each name a package module's `tree` imports from the package."""
+    """(module, name) for each name that `tree` imports from the package."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "uecc"):
@@ -401,16 +432,13 @@ def test_kernel_bounds_hold_on_ad_hoc_waves(waves):
         assert admitted, wave.text
 
 
-C25519, C448 = CurveId.CURVE25519, CurveId.CURVE448
-
-
 @pytest.mark.parametrize("curve, old, new, message", [
     (C25519, "    x = (x & _M255) + 19 * (x >> 255)\n", "", "dividend 510 bits"),
     (C448, "h1 = h >> 224\n    x = p11 + p00 + h1 + (((h & _M224) + h1) << 224)",
      "x = p11 + p00 + (h << 224)", "dividend 674 bits"),
     (C25519, "x % P25519", "x", r"r\[2\] written outside"),
     (C448, "x % P448", "x % P25519", "no rule"),
-    (C448, " >> ", " // ", "no rule"),
+    (C448, "h1 = h >> 224", "h1 = h // 224", "no rule"),
     (C25519, "19 * (x", "18 * (x", r"r\[2\] is not spec_wave's"),
     (C448, "x = p11 + p00 + h1 + ", "x = p11 + p00 + ", r"r\[2\] is not spec_wave's"),
     (C448, "(h & _M224) + h1", "h & _M224", r"r\[2\] is not spec_wave's"),
@@ -424,7 +452,7 @@ def test_kernel_bounds_reject_a_broken_kernel(curve, old, new, message):
     # bound or the kernel's value mod p
     ops = (ffau.mul_op(0, 1, 2),)
     source, addresses = ffau.kernel_source(ops, curve)
-    assert old in source
+    assert source.count(old) == 1, old
     with pytest.raises(AssertionError, match=message):
         kernel_bounds(source.replace(old, new, 1), addresses, ops, curve)
 
@@ -440,26 +468,52 @@ def test_kernel_bounds_reject_addresses_bound_in_the_wrong_order():
             kernel_bounds(source, (g1, g0, w0), ops, curve)
 
 
-def tracer_install_targets():
-    """(module, attribute) of every binding `perfbench/tracer.py`'s
-    `Tracer.install` replaces, read from its `(m.<module>, "<attribute>", ...)`
-    tuples."""
-    tree = ast.parse((pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
-    (install,) = [node for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef) and node.name == "install"]
-    return [(node.elts[0].attr, node.elts[1].value) for node in ast.walk(install)
-            if isinstance(node, ast.Tuple) and len(node.elts) >= 2
-            and isinstance(node.elts[0], ast.Attribute) and isinstance(node.elts[1], ast.Constant)]
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
+# names the benchmark reads through a local alias, which the scan does not
+# follow: `Tracer._phase_tables`' `ecsm` and `traced_run`'s `counters`
+ALIASED = {"ecsm.INIT_WAVES", "ecsm.FINAL_WAVE", "bigmul.counters.mul256", "bigmul.counters.mul64"}
+
+
+def benchmark_names():
+    """Every package name, as `module.attr...`, that `perfbench/run.py`,
+    `tracer.py` and `setup_probe.py` read: each `m.<module>` chain (`m`, also
+    `self.m`, is the runner's namespace of the package's modules), each
+    chain on a name imported from the package, each
+    `(m.<module>, "<attribute>")` binding that `Tracer.install` replaces,
+    and ALIASED."""
+    names = set(ALIASED)
+    for script in ("run.py", "tracer.py", "setup_probe.py"):
+        tree = ast.parse((PERFBENCH / script).read_text())
+        imports = package_imports(tree)  # `uecc.<module>` as `<module>`
+        roots = {"m": ""} | {name: f"{module[5:]}.{name}".lstrip(".") for module, name in imports if name}
+        names |= {module[5:] for module, name in imports if not name} | set(roots.values())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Tuple) and len(node.elts) > 1 and isinstance(
+                    getattr(node.elts[1], "value", None), str):
+                node = ast.Attribute(node.elts[0], node.elts[1].value)  # an install target
+            if not isinstance(node, ast.Attribute):
+                continue
+            parts = ast.unparse(node).split(".")
+            i = next((i for i, part in enumerate(parts) if part in roots), None)
+            if all(map(str.isidentifier, parts)) and i is not None and (i == 0 or parts[i] == "m"):
+                names.add(".".join(filter(None, [roots[parts[i]], *parts[i + 1:]])))
+    return names - {""}  # `uecc` and `self.m` themselves
 
 
 def test_every_seam_the_benchmark_wraps_exists():
-    # the traced benchmark run replaces these names; one that is gone fails
+    # the benchmark reads or replaces these names; one that is gone fails
     # here, not only in the benchmark's own smoke test
-    targets = tracer_install_targets()
-    assert targets, "no (m.<module>, <attribute>) target found in Tracer.install"
-    for module, attr in targets:
-        assert hasattr(importlib.import_module(f"uecc.{module}"), attr), (module, attr)
-    assert callable(program.ScheduledProgram.compiled.cache_info)
+    names = benchmark_names()
+    assert {"ecsm.execute_compiled_wave", "program.ScheduledProgram.compiled.cache_info"} < names
+    for name in names:
+        module, *attrs = name.split(".")
+        functools.reduce(getattr, attrs, importlib.import_module(f"uecc.{module}"))
+    # `Tracer._wave` tells the init and final waves by their op tuples, which
+    # compiled waves equal and hash as, and counts a wave's ops by its `len`
+    for wave, curve in itertools.product((*ecsm.INIT_WAVES, ecsm.FINAL_WAVE), CurveId):
+        compiled = wave.compiled(curve)
+        assert compiled in {wave.compiled()} and wave.compiled() == wave.ops == compiled
+        assert len(compiled) == len(wave.ops)
 
 
 # The scalar's sources in each engine function: `_issue`'s `k`, the masked

@@ -78,6 +78,14 @@ class TestKeystream:
         halves = trivium.keystream_bytes(one, 8) + trivium.keystream_bytes(one, 8)
         assert halves == trivium.keystream_bytes(two, 16)
 
+    def test_partial_word_rejected_before_any_draw(self):
+        # a partial last word would drop the rest of it, so the next call
+        # would skip keystream
+        st = trivium.TriviumState(*trivium.DEFAULT_SEED)
+        with pytest.raises(ValueError, match="8-byte words, got 12"):
+            trivium.keystream_bytes(st, 12)
+        assert st.next64_calls == 0
+
     def test_call_counter(self):
         st = trivium.TriviumState(bytes(10), bytes(10))
         assert st.next64_calls == 0  # warm-up emits nothing
