@@ -68,6 +68,12 @@ class QuadOpInstruction(collections.namedtuple(
     __slots__ = ()
 
     def __new__(cls, sub_left, src_a, src_b, sub_right, src_c, src_d, dst, const_tag=False):
+        fields = (sub_left, src_a, src_b, sub_right, src_c, src_d, dst)
+        for name, value in zip(cls._fields, fields):
+            if type(value) is not int:  # a bool or a float would pass the range checks
+                raise TypeError(f"{name} must be an int, got {value!r}")
+        if type(const_tag) is not bool:  # a truthy "no" must not make an a24 op
+            raise TypeError(f"const_tag must be a bool, got {const_tag!r}")
         if sub_left not in (OP_ADD, OP_SUB):
             raise ValueError("left opsel must be 0 (add) or 1 (sub)")
         if sub_right not in (OP_ADD, OP_SUB):

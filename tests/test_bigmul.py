@@ -1,10 +1,5 @@
-import ast
-import pathlib
 import random
 
-import pytest
-
-from uecc import bigmul, selftest
 from uecc.bigmul import counters, kar128_int, kar256_int, kar256_structural_int, mul_schoolbook
 from uecc.field import PHI
 
@@ -62,14 +57,3 @@ class TestSchoolbook:
     def test_commutativity(self):
         x, y = (1 << 896) - 1, (1 << 64) + 1
         assert mul_schoolbook(x, y) == mul_schoolbook(y, x)
-
-
-@pytest.mark.parametrize("fold", ("cx", "cy", "cx and cy"), ids=("cx", "cy", "cxcy"))
-def test_karatsuba_check_kills_a_dropped_carry_fold(monkeypatch, fold):
-    # the structural product on a level less one carry fold fails the check
-    (level,) = [node for node in ast.parse(pathlib.Path(bigmul.__file__).read_text()).body
-                if getattr(node, "name", None) == "karatsuba_level"]
-    level.body = [s for s in level.body if not (isinstance(s, ast.If) and ast.unparse(s.test) == fold)]
-    exec(compile(ast.Module([level], []), "<mutant>", "exec"), namespace := {})
-    monkeypatch.setattr(bigmul, "karatsuba_level", namespace["karatsuba_level"])
-    assert not selftest.karatsuba(random.Random(20240901), 500)

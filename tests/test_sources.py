@@ -66,6 +66,10 @@ OP = ffau.mul_op(0, 1, 2)
     (OP, "src_a", ffau.ZERO + 1, ValueError, "src_a address 13 out of range"),
     (OP, "sub_left", 2, ValueError, "left opsel must be 0"),
     (OP, "sub_right", 2, ValueError, "right opsel must be 0"),
+    (OP, "sub_left", 1.0, TypeError, "sub_left must be an int, got 1.0"),
+    (OP, "sub_right", True, TypeError, "sub_right must be an int, got True"),
+    (OP, "src_a", 1.0, TypeError, "src_a must be an int, got 1.0"),
+    (OP, "const_tag", "no", TypeError, "const_tag must be a bool, got 'no'"),
     (Wave((OP,)), "ops", (), ValueError, "wave must hold 1-4 ops, got 0"),
     (Wave((OP,)), "ops", (OP,) * 5, ValueError, "wave must hold 1-4 ops, got 5"),
     (Wave((OP,)), "ops", (OP, (0, 1, 2)), TypeError, r"wave op \(0, 1, 2\) is not a QuadOpInstruction"),
@@ -86,7 +90,9 @@ OP = ffau.mul_op(0, 1, 2)
     (ecsm.EcsmConfig(), "prng_seed", (bytes(10), bytes(11)), ValueError,
      "prng_seed parts must be 10 bytes each"),
 ], ids=("QuadOpInstruction", "QuadOpInstruction-src", "QuadOpInstruction-left-opsel",
-        "QuadOpInstruction-right-opsel", "Wave", "Wave-five-ops", "Wave-not-an-op", "CycleReport",
+        "QuadOpInstruction-right-opsel", "QuadOpInstruction-opsel-float",
+        "QuadOpInstruction-opsel-bool", "QuadOpInstruction-src-float", "QuadOpInstruction-const-tag",
+        "Wave", "Wave-five-ops", "Wave-not-an-op", "CycleReport",
         "Scalar", "Scalar-not-an-int", "Scalar-curve", "FieldElement", "FieldElement-not-an-int",
         "FieldElement-curve", "EcsmConfig", "EcsmConfig-dpa-not-a-bool", "EcsmConfig-clamp-mode",
         "EcsmConfig-seed-part", "EcsmConfig-key-length", "EcsmConfig-iv-length-without-dpa"))
@@ -218,12 +224,6 @@ def test_only_the_engine_and_the_literal_table_build_a_cycle_report():
                  and [ast.unparse(target) for target in node.targets] == ["DESIGN"]]
     in_selftest = [place for place in places("CycleReport")[0] if covers("selftest", place)]
     assert places("CycleReport", {"selftest": design})[0] == in_selftest
-
-
-def test_only_ffau_states_the_register_file():
-    # `OWNERS` admits only `ffau` to read the count; no module imports it either
-    assert not [stem for stem, tree in TREES.items()
-                if "NUM_REGISTERS" in {name for _, name in package_imports(tree)}]
 
 
 def names_in(node):
