@@ -148,7 +148,7 @@ class Wave(collections.namedtuple("Wave", "ops")):
             if op.dst in written:
                 raise ScheduleError(f"register {op.dst} written twice in one wave")
             written.add(op.dst)
-            consts += bool(op.const_tag)
+            consts += op.const_tag
         units = (len(self.ops) - consts) * UNITS[curve]
         if units > MULTIPLIERS or consts > 1:
             raise ScheduleError(f"wave takes {units} multiplier units and {consts} a24 ops;"

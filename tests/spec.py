@@ -6,7 +6,9 @@ pre-wave registers, with p and a24 from `reference` (RFC 7748), not from
 the constants the kernels are built from.  On `Poly` registers, each
 register its own variable, it proves for every input a whole program, and
 in `test_sources.kernel_bounds` each kernel.  `programs` names every
-program the engine issues, and `CURVES` every curve.
+program the engine issues, and `CURVES` every curve.  `spy` is the tests'
+one recording wrapper: it logs the calls of a function the engine looks up
+at call time, and a fake that changes behaviour is a plain `monkeypatch`.
 """
 
 import itertools
@@ -20,6 +22,23 @@ from uecc.reference import A24, P
 
 # every curve, Curve25519 first: the order the tests run them in
 CURVES = (CurveId.CURVE25519, CurveId.CURVE448)
+
+
+def spy(monkeypatch, owner, name, log, call=None, record=None):
+    """Replace `owner.name`, through `monkeypatch`, with a wrapper that calls
+    `call` (by default the original) and, once it returns, appends
+    `(name, record(*args) if record else args, result)` to `log`.  `record`
+    sees the arguments as the call was made, before the call mutates them.
+    Spies that share a log leave their calls in it in completion order."""
+    call = call or getattr(owner, name)
+
+    def wrapper(*args):
+        recorded = record(*args) if record else args
+        result = call(*args)
+        log.append((name, recorded, result))
+        return result
+
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 def spec_wave(regs, ops, curve):

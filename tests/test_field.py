@@ -1,14 +1,16 @@
+import itertools
 import random
 
 import pytest
 
-from uecc import ecsm, ffau, field
+from uecc import ecsm, field
 from uecc.bigmul import counters
-from uecc.field import CurveId, P25519, P448, PARAMS, PHI
-from uecc.ffau import mul_int, registers
+from uecc.ecsm import EcsmConfig, Scalar, scalar_mult
+from uecc.field import CurveId, P25519, P448, PARAMS, PHI, fe
+from uecc.ffau import mul_int
 from uecc.program import build_inversion_program
 
-from spec import programs
+from spec import CURVES, programs, spy
 
 
 class TestParams:
@@ -42,31 +44,46 @@ class TestMul:
     }
 
     def test_multiplier_unit_counts(self, monkeypatch):
-        # each program's charge is pinned, and issuing the program makes
-        # exactly that many calls to the unit and charges exactly that many
-        # products, each as one 2-level Karatsuba product (9, 3, 1)
-        calls = 0
-
+        # whole ECSMs in every configuration, the ladder issued once with the
+        # scalar's bits as its steps: the unit calls logged since the previous
+        # issue are the issued program's pinned charge (`products`) times its
+        # steps, and the ECSM charges exactly those calls, each as one 2-level
+        # Karatsuba product (9, 3, 1)
         def unit(x, y):
             # the modelled unit is 256 bits wide: a wider operand is a
             # reduction fault, which must fail here, not grow on each wave
             assert x >> 256 == 0 and y >> 256 == 0, "operand wider than the 256-bit unit"
-            nonlocal calls
-            calls += 1
             return x * y
 
-        monkeypatch.setattr(field, "kar256_int", unit)
+        names = {prog: name for curve in CURVES for name, prog in programs(curve).items()}
+        log = []
+        spy(monkeypatch, field, "kar256_int", log, call=unit)
+        spy(monkeypatch, ecsm, "_issue", log,
+            record=lambda prog, regs, issued, k=0, steps=1: (names[prog], steps))
         rng = random.Random(14)
-        for curve, want in self.PROGRAM_PRODUCTS.items():
-            p = PARAMS[curve].p
-            for name, prog in programs(curve).items():
-                regs = registers(*(rng.randrange(p) for _ in range(ffau.NUM_REGISTERS)))
+        for curve, dpa in itertools.product(CURVES, (False, True)):
+            params, want = PARAMS[curve], self.PROGRAM_PRODUCTS[curve]
+            assert {name: prog.products for name, prog in programs(curve).items()} == want
+            cfg = EcsmConfig(dpa, prng_seed=(rng.randbytes(10), rng.randbytes(10)))
+            log.clear()
+            before = counters.snapshot()
+            k, x_p = Scalar(rng.getrandbits(params.scalar_bits), curve), fe(rng.randrange(params.p), curve)
+            scalar_mult(k, x_p, cfg)
+            charged = tuple(b - a for a, b in zip(before, counters.snapshot()))
+            calls, issues = 0, []
+            for name, recorded, _ in log:
+                if name == "kar256_int":
+                    calls += 1
+                    continue
+                program, steps = recorded
+                assert calls == want[program] * steps, (curve, dpa, program)
+                issues.append(recorded)
                 calls = 0
-                before = counters.snapshot()
-                ecsm._issue(prog, regs, None)
-                charged = tuple(b - a for a, b in zip(before, counters.snapshot()))
-                assert prog.products == calls == want[name], (curve, name)
-                assert charged == (9 * calls, 3 * calls, calls), (curve, name)
+            assert calls == 0, (curve, dpa)  # no product after the last issue
+            ladder = ("ladder-dpa" if dpa else "ladder", params.scalar_bits)
+            assert issues == [("init", 1)] * dpa + [ladder, ("inversion", 1), ("final", 1)]
+            total = sum(name == "kar256_int" for name, _, _ in log)
+            assert charged == (9 * total, 3 * total, total), (curve, dpa)
 
 
 class TestBytes:

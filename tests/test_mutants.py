@@ -160,7 +160,7 @@ MUTANTS = [
      fails_selftest(FAIL["cycle_totals"])),
     ("ladder-charged-one-step", "ecsm", "counters.units += prog.products * steps",
      "counters.units += prog.products",
-     fails_tests("tests/test_ecsm.py::TestMultiplierUnit::test_structural_kernel_gives_identical_results")),
+     fails_tests("tests/test_field.py::TestMul::test_multiplier_unit_counts")),
     ("cycle-report-admits-negative", "ecsm", "            if cycles < 0:\n", "            if False:\n",
      fails_tests(f"{RECORD}[CycleReport]")),
     ("dpa-without-seed", "ecsm", "if dpa_enabled and prng_seed is None:", "if False:",
