@@ -4,8 +4,9 @@ Hex I/O uses little-endian octet strings (two hex digits per byte), so the
 published vectors paste in directly.  Identical invocations produce
 byte-identical output; the PRNG seed comes from --prng-key/--prng-iv, the
 UECC_PRNG_KEY/UECC_PRNG_IV environment variables, or a fixed documented
-default (00010203...).  `trace` writes the engine's trace text
-(`EcsmResult.trace`), built once per (curve, dpa) configuration, as one string.
+default (00010203...).  `trace` is `scalarmult --cycles` followed by the
+engine's trace text (`EcsmResult.trace`), built once per (curve, dpa)
+configuration, written as one string.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def cmd_scalarmult(args) -> int:
+    """x_Q, then the cycle report if `args.cycles`, then the trace if
+    `args.trace`, which only the `trace` command's parser sets."""
     curve = _CURVES[args.curve]
     nbytes = PARAMS[curve].field_bytes
     cfg = _config(args)
@@ -87,7 +90,7 @@ def cmd_scalarmult(args) -> int:
     u = _parse_hex(args.u, nbytes, "u-coordinate")
     k = decode_scalar(scalar, curve, cfg.clamp_mode)
     x_p = decode_u(u, curve, cfg.clamp_mode)
-    result = scalar_mult(k, x_p, cfg, want_trace=args.trace)
+    result = scalar_mult(k, x_p, cfg)
     out_hex = result.x_q.n.to_bytes(nbytes, "little").hex()
     if args.format == "kv":
         print(f"x_q={out_hex}")
@@ -189,10 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scalarmult", help="compute x_Q = k*P")
     _add_common(p)
     p.add_argument("--cycles", action="store_true", help="print the cycle report")
-    p.add_argument("--trace", action="store_true", help="print every executed wave")
-    p.set_defaults(fn=cmd_scalarmult)
+    p.set_defaults(fn=cmd_scalarmult, trace=False)
 
-    p = sub.add_parser("trace", help="scalarmult with a full instruction trace")
+    p = sub.add_parser("trace", help="scalarmult --cycles, then every executed wave")
     _add_common(p)
     p.set_defaults(fn=cmd_scalarmult, cycles=True, trace=True)
 

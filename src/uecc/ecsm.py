@@ -7,11 +7,11 @@ fixed: scalar bits only steer the masked conditional swaps, never which waves
 issue.  `scalar_mult` holds its registers in a plain list, loaded in one
 block by `ffau.registers` (with DPA: lambda drawn from a fresh Trivium, then
 the init program).
-Every wave issues through `_issue`, which executes, counts and, when
-tracing, records one program in the issue log, so the trace, the
-`CycleReport` and the product count are what ran.  The trace is text, a cached
-function of the issue log (`_trace`), so every scalar of a configuration
-shares one string.
+Every wave issues through `_issue`, which executes, counts and records one
+program in the issue log, so the trace, the `CycleReport` and the product
+count are what ran.  Every `EcsmResult` keeps its issue log, and its `trace`
+is text built from it on first read, a cached function of the log
+(`_trace`), so every scalar of a configuration shares one string.
 Each program issues once per ECSM: the ladder's call carries the scalar, and
 `_issue` runs its bit loop and masked swaps itself.
 Each wave writes its results `% p`, so every register is canonical at every
@@ -136,8 +136,25 @@ class CycleReport(collections.namedtuple(
         )
 
 
-# x_q: FieldElement; cycles: CycleReport; trace: the trace text (`_trace`), when asked for
-EcsmResult = collections.namedtuple("EcsmResult", "x_q cycles trace", defaults=(None,))
+class EcsmResult(collections.namedtuple("EcsmResult", "x_q cycles issued")):
+    """`x_q` is a `FieldElement` and `cycles` a `CycleReport`; `issued` is the
+    issue log, the `(program, steps)` the ECSM issued in order, as a tuple,
+    which `trace` renders."""
+
+    __slots__ = ()
+
+    def __new__(cls, x_q, cycles, issued):
+        if not isinstance(issued, tuple):  # `_trace` caches by the log, so it must hash
+            raise TypeError(f"issued must be a tuple, got {type(issued).__name__}")
+        return super().__new__(cls, x_q, cycles, issued)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
+
+    @property
+    def trace(self) -> str:
+        """The trace text (`_trace`): one line per cycle, shared by every
+        scalar of the configuration."""
+        return _trace(self.issued, self.cycles.prng_cycles)
 
 
 def decode_scalar(data: bytes, curve: CurveId, clamp_mode: str) -> Scalar:
@@ -175,14 +192,13 @@ def _cswap_running_pairs(regs: list[int], swap_bit: int) -> None:
     regs[Z3] ^= d
 
 
-def _issue(prog: ScheduledProgram, regs: list[int], issued: list | None, k: int = 0,
+def _issue(prog: ScheduledProgram, regs: list[int], issued: list, k: int = 0,
            steps: int = 1) -> int:
     """Issue `prog` on `regs` `steps` times, every wave one cycle, charge
     its products (`prog.products`, from `ffau.UNITS`) to `counters` once per
-    step, and, when tracing, record `(prog, steps)` in the issue log
-    `issued`.  Returns the cycles issued.  The engine issues waves, and
-    charges products, nowhere else, and the checks issue whole programs
-    through it too.
+    step, and record `(prog, steps)` in the issue log `issued`.  Returns
+    the cycles issued.  The engine issues waves, and charges products,
+    nowhere else, and the checks issue whole programs through it too.
 
     The ladder passes the scalar `k` and its t bits as `steps`: before step
     i (from t - 1 down to 0) the running pairs swap masked by bit i of
@@ -198,8 +214,7 @@ def _issue(prog: ScheduledProgram, regs: list[int], issued: list | None, k: int 
             execute_compiled_wave(regs, ops, curve)
     _cswap_running_pairs(regs, k & 1)
     counters.units += prog.products * steps
-    if issued is not None:
-        issued.append((prog, steps))
+    issued.append((prog, steps))
     return len(waves) * steps
 
 
@@ -218,20 +233,28 @@ def _trace(issued: tuple, prng_cycles: int) -> str:
     return "".join([f"cycle {cycle:5d}  {line}" for cycle, line in enumerate(lines)])
 
 
-def scalar_mult(
-    k: Scalar, x_p: FieldElement, cfg: EcsmConfig = EcsmConfig(), want_trace: bool = False
-) -> EcsmResult:
+def _check_arg(name: str, value, kind: type) -> None:
+    """TypeError naming the argument `name` unless `value` is a `kind`.  The
+    message gives the type, not the value, which may be a secret scalar."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+
+
+def scalar_mult(k: Scalar, x_p: FieldElement, cfg: EcsmConfig = EcsmConfig()) -> EcsmResult:
     """Algorithm: ladder init (randomized by lambda when dpa), t masked-swap
     ladder iterations, Fermat inversion of Z2, final multiplication X2 * Z2.
 
     Every phase issues its program through one `_issue` call, the ladder's
     with the scalar, and the `CycleReport` sums the cycles they return, plus
-    the PRNG words and the load/store cycle that latches x_Q.  A traced run
-    returns `_trace` of the issue log, shared by every scalar."""
+    the PRNG words and the load/store cycle that latches x_Q.  The result
+    keeps the issue log, from which `EcsmResult.trace` renders the trace."""
+    _check_arg("k", k, Scalar)
+    _check_arg("x_p", x_p, FieldElement)
+    _check_arg("cfg", cfg, EcsmConfig)
     if k.curve is not x_p.curve:
         raise ValueError("scalar and point curves differ")
     curve = k.curve
-    issued = [] if want_trace else None
+    issued = []
 
     # the plain initialization: X1 = X3 = x_P, Z1 = X2 = Z3 = 1, Z2 = 0.  With
     # DPA, Z1 = X2 = Z3 = R_RND = lambda, drawn from a fresh PRNG, and the init
@@ -253,7 +276,7 @@ def scalar_mult(
     return EcsmResult(
         x_q=FieldElement(regs[X2], curve),
         cycles=CycleReport(ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles),
-        trace=_trace(tuple(issued), prng_cycles) if issued is not None else None,
+        issued=tuple(issued),
     )
 
 
@@ -261,6 +284,7 @@ def scalar_mult_bytes(
     scalar: bytes, u: bytes, curve: CurveId, cfg: EcsmConfig = EcsmConfig(),
 ) -> bytes:
     """Octet-level entry point matching the 32/56-byte little-endian wire format."""
+    _check_arg("cfg", cfg, EcsmConfig)
     k = decode_scalar(scalar, curve, cfg.clamp_mode)
     x_p = decode_u(u, curve, cfg.clamp_mode)
     result = scalar_mult(k, x_p, cfg)

@@ -148,7 +148,10 @@ PRODUCT_A24 = "x = {a} * {b}\n"
 
 
 def check_width(data: bytes, curve: CurveId, what: str) -> None:
-    """Reject an octet string that is not exactly one field element wide."""
+    """Reject an octet string that is not bytes-like (TypeError: a hex
+    `str` is not its octets) or not exactly one field element wide."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise TypeError(f"{what} must be bytes, bytearray or memoryview, got {type(data).__name__}")
     n = curve_params(curve).field_bytes
     if len(data) != n:
         raise ValueError(f"{curve.value} {what} must be {n} bytes, got {len(data)}")

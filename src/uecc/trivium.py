@@ -18,7 +18,7 @@ matching the published reference vectors.
 
 from __future__ import annotations
 
-from .field import PARAMS, CurveId
+from .field import PARAMS, CurveId, curve_params
 
 _M64 = (1 << 64) - 1
 _MA = (1 << 93) - 1
@@ -80,8 +80,8 @@ def next64(state: TriviumState) -> int:
 def keystream_bytes(state: TriviumState, nbytes: int) -> bytes:
     """Packed keystream (LSB-first within each byte), for vector checks, in
     whole 64-bit words: ValueError, before any word is drawn, unless `nbytes`
-    is a multiple of 8, so consecutive calls skip no keystream."""
-    if nbytes % 8:
+    is a non-negative multiple of 8, so consecutive calls skip no keystream."""
+    if nbytes < 0 or nbytes % 8:
         raise ValueError(f"keystream is drawn in 8-byte words, got {nbytes} bytes")
     return b"".join(next64(state).to_bytes(8, "little") for _ in range(nbytes // 8))
 
@@ -98,7 +98,7 @@ def gen_lambda(state: TriviumState, curve: CurveId) -> int:
     A draw that reduces to 0 is redrawn; after MAX_LAMBDA_DRAWS such draws in
     a row the PRNG is taken to be stuck and RuntimeError is raised.
     """
-    params = PARAMS[curve]
+    params = curve_params(curve)
     words = lambda_words(curve)
     mask = (1 << params.scalar_bits) - 1
     for _ in range(MAX_LAMBDA_DRAWS):

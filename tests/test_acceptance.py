@@ -78,12 +78,15 @@ def test_criterion_7_modeled_latency_display():
     # ASIC power/energy/area are out of scope; the model substitutes cycle
     # counts and displays cycles / 100 MHz as modeled latency.  One random
     # ECSM per configuration shows the published total and microseconds in
-    # both renderings of its report.
+    # both renderings of its report, and `scalarmult --cycles --format kv`
+    # gives each phase of the published decomposition a line, in field order.
     rng, ok = random.Random(77), True
-    for (curve, dpa), (total, latency_us, _, _) in selftest.DESIGN.items():
+    for (curve, dpa), (total, latency_us, phases, _) in selftest.DESIGN.items():
         k = ecsm.Scalar(rng.getrandbits(field.PARAMS[curve].scalar_bits), curve)
         cfg = ecsm.EcsmConfig(dpa, prng_seed=DEFAULT_SEED)  # the seed is unused without DPA
         cycles = ecsm.scalar_mult(k, field.fe(9, curve), cfg).cycles
         ok &= f"total={total} ({latency_us:.2f} us @ 100 MHz)" in cycles.as_text()
-        ok &= f"total_cycles={total}\nmodeled_latency_us={latency_us:.2f}" in cycles.as_kv()
+        ok &= cycles.as_kv().splitlines() == [
+            *(f"{name}={value}" for name, value in zip(phases._fields, phases)),
+            f"total_cycles={total}", f"modeled_latency_us={latency_us:.2f}"]
     _report("7. modeled latency = cycles / 100 MHz -> 10.32/10.38/49.44/54.01 us", ok)

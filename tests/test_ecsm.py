@@ -212,17 +212,12 @@ class TestScalarMult:
 
 
 class TestTrace:
-    def test_trace_off_by_default(self):
-        res = scalar_mult(Scalar(5, CurveId.CURVE25519), fe(9, CurveId.CURVE25519),
-                          EcsmConfig(clamp_mode=RAW))
-        assert res.trace is None
-
     @pytest.mark.parametrize("curve", CURVES, ids=("25519", "448"))
     def test_a_lambda_redraw_reaches_the_trace(self, monkeypatch, curve):
         # the trace is cached per issue log and PRNG word count: a draw that
         # takes one more batch of words must give a trace with those words
         k, x_p = Scalar(12345, curve), fe(9, curve)
-        normal = scalar_mult(k, x_p, dpa_cfg(), want_trace=True).trace
+        normal = scalar_mult(k, x_p, dpa_cfg()).trace
 
         def gen_lambda_redrawn(state, curve):
             for _ in range(trivium.lambda_words(curve)):  # a draw that reduced to 0
@@ -230,7 +225,7 @@ class TestTrace:
             return trivium.gen_lambda(state, curve)
 
         monkeypatch.setattr(ecsm, "gen_lambda", gen_lambda_redrawn)
-        result = scalar_mult(k, x_p, dpa_cfg(), want_trace=True)
+        result = scalar_mult(k, x_p, dpa_cfg())
         words = normal.count("  prng       next64\n")
         assert words == trivium.lambda_words(curve)
         assert result.trace.count("  prng       next64\n") == 2 * words
@@ -238,9 +233,9 @@ class TestTrace:
         assert result.trace != normal
 
     def test_a_cold_trace_renders_each_issued_wave_once(self, monkeypatch):
-        # the trace renders each wave of each issued program once, however
-        # many times the program issues: one `format_op` call per op of the
-        # issue log, far below one line per cycle
+        # the first read of a trace renders each wave of each issued program
+        # once, however many times the program issues: one `format_op` call
+        # per op of the issue log, far below one line per cycle
         calls = []
         spy(monkeypatch, ffau, "format_op", calls)
         for curve, dpa in CONFIGS:
@@ -250,7 +245,9 @@ class TestTrace:
             ecsm._trace.cache_clear()
             calls.clear()
             cfg = dpa_cfg() if dpa else EcsmConfig()
-            result = scalar_mult(Scalar(12345, curve), fe(9, curve), cfg, want_trace=True)
+            result = scalar_mult(Scalar(12345, curve), fe(9, curve), cfg)
+            assert calls == []  # the trace is rendered when it is read, not by the ECSM
+            assert result.trace.count("\n") == result.cycles.total
             assert len(calls) == sum(prog.op_count for prog in issued) < result.cycles.total
             if (curve, dpa) == (CurveId.CURVE25519, False):
                 assert len(calls) == 11 + 265 + 1
@@ -262,7 +259,7 @@ class TestTrace:
         # the trace is a cached function of the issue log, which no scalar
         # changes, so two scalars get the very same object
         cfg = EcsmConfig(dpa_enabled=dpa, prng_seed=DEFAULT_SEED if dpa else None)
-        trace, other = (scalar_mult(Scalar(bits, curve), fe(9, curve), cfg, want_trace=True).trace
+        trace, other = (scalar_mult(Scalar(bits, curve), fe(9, curve), cfg).trace
                         for bits in (12345, 2 ** 200 + 54321))
         assert isinstance(trace, str) and trace is other
         assert trace.count("\n") == selftest.DESIGN[curve, dpa][0]
@@ -288,7 +285,7 @@ def wave_text(ops) -> str:
 
 
 def executed_matches_recorded(monkeypatch, runs) -> bool:
-    """Run each (k, x_p, cfg) traced, with a spy on `ecsm.execute_compiled_wave`:
+    """Run each (k, x_p, cfg), and read its trace, with a spy on `ecsm.execute_compiled_wave`:
     True when every ECSM executed, in order, exactly the ops of the wave lines
     in its trace, the trace holds one line per reported cycle, and each
     executed wave is the very object its program's `compiled()` holds.  The
@@ -300,7 +297,7 @@ def executed_matches_recorded(monkeypatch, runs) -> bool:
     ok = True
     for k, x_p, cfg in runs:
         executed.clear()
-        result = scalar_mult(k, x_p, cfg, want_trace=True)
+        result = scalar_mult(k, x_p, cfg)
         lines = [re.fullmatch(r"cycle +\d+  (\w+) +(.*)", line).groups()
                  for line in result.trace.splitlines()]
         recorded = [text for unit, text in lines if unit not in ("prng", "overhead")]
@@ -360,22 +357,23 @@ class TestIssueSeam:
             issued = []
             assert ecsm._issue(prog, regs, issued) == len(prog.waves)
             assert issued == [(prog, 1)]
-            assert ecsm._issue(prog, regs, None) == len(prog.waves)
 
     @pytest.mark.parametrize("curve,dpa", CONFIGS, ids=("25519", "25519-dpa", "448", "448-dpa"))
     def test_each_program_issues_once_per_ecsm(self, monkeypatch, curve, dpa):
-        # the ladder is one issue that carries the scalar, not one issue per bit
+        # the ladder is one issue that carries the scalar, not one issue per
+        # bit, and the result keeps exactly the issues made, in order
         issued = []
-        spy(monkeypatch, ecsm, "_issue", issued, record=lambda prog, *_: prog.phase_tag)
+        spy(monkeypatch, ecsm, "_issue", issued,
+            record=lambda prog, regs, log, k=0, steps=1: (prog, steps))
         budget = selftest.DESIGN[curve, dpa][2]
         want = [("init", 2)] if dpa else []
         want += [("ladder", budget.ladder_cycles), ("inversion", budget.inversion_cycles), ("final", 1)]
         rng = random.Random(f"issued:{curve.value}:{dpa}")
         for k, x_p, cfg in random_runs(rng, [(curve, dpa)], 2):
-            for want_trace in (False, True):
-                issued.clear()
-                scalar_mult(k, x_p, cfg, want_trace)
-                assert [(phase, cycles) for _, phase, cycles in issued] == want
+            issued.clear()
+            result = scalar_mult(k, x_p, cfg)
+            assert [(prog.phase_tag, cycles) for _, (prog, _), cycles in issued] == want
+            assert result.issued == tuple(recorded for _, recorded, _ in issued)
 
     @pytest.mark.parametrize("curve,dpa", CONFIGS, ids=("25519", "25519-dpa", "448", "448-dpa"))
     def test_executed_equals_recorded(self, monkeypatch, curve, dpa):
@@ -401,7 +399,7 @@ class TestIssueSeam:
                 regs = registers(*(rng.randrange(p) for _ in range(NUM_REGISTERS)))
                 x1, z1, x2, z2, x3, z3 = regs[:Z3 + 1]
                 rnd = regs[R_RND] * pow(z1, t if dpa else 0, p) % p
-                ecsm._issue(prog, regs, None, k, t)
+                ecsm._issue(prog, regs, [], k, t)
                 for i in range(t - 1, -1, -1):
                     if k >> i & 1:
                         x3, z3, x2, z2 = ladder_step(curve, x1, z1, x3, z3, x2, z2)

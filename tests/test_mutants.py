@@ -49,6 +49,8 @@ OWNER = "tests/test_sources.py::test_only_the_owners_name_an_engine_fact"
 STEP = "tests/test_program.py::TestLadderProgram::test_step_equals_reference_for_every_input"
 KERNEL = "tests/test_sources.py::test_kernel_bounds_hold_for_every_input"
 AD_HOC_SQUARE = "tests/test_sources.py::test_kernel_bounds_hold_on_ad_hoc_waves[square]"
+WRONG_TYPE = "tests/test_sources.py::test_public_functions_reject_an_argument_of_the_wrong_type"
+KEYSTREAM = "tests/test_trivium.py::TestKeystream::test_partial_word_rejected_before_any_draw"
 
 # (id, module under src/uecc, old text that occurs exactly once, new text, target)
 MUTANTS = [
@@ -158,6 +160,13 @@ MUTANTS = [
      "cycles=CycleReport(ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles)",
      "cycles=CycleReport(ladder_cycles + 1, inversion_cycles, overhead_cycles - 1, prng_cycles)",
      fails_selftest(FAIL["cycle_totals"])),
+    # an issue that runs and charges its program but leaves it out of the
+    # issue log, and so out of the result and its trace
+    ("issue-log-not-appended", "ecsm", "    issued.append((prog, steps))\n", "",
+     fails_tests("tests/test_cli.py::TestTraceOutput::test_trace_stdout_pinned[25519-False]",
+                 "tests/test_ecsm.py::TestIssueSeam::test_issue_runs_and_records_one_program",
+                 "tests/test_ecsm.py::TestIssueSeam::test_each_program_issues_once_per_ecsm[448-dpa]",
+                 "tests/test_ecsm.py::TestIssueSeam::test_executed_equals_recorded[25519]")),
     ("ladder-charged-one-step", "ecsm", "counters.units += prog.products * steps",
      "counters.units += prog.products",
      fails_tests("tests/test_field.py::TestMul::test_multiplier_unit_counts")),
@@ -165,6 +174,14 @@ MUTANTS = [
      fails_tests(f"{RECORD}[CycleReport]")),
     ("dpa-without-seed", "ecsm", "if dpa_enabled and prng_seed is None:", "if False:",
      fails_tests(f"{RECORD}[EcsmConfig]", "tests/test_ecsm.py::TestConfig::test_dpa_requires_seed")),
+    # the public functions' argument types
+    ("argument-types-unchecked", "ecsm", "    if not isinstance(value, kind):\n", "    if False:\n",
+     fails_tests(*(f"{WRONG_TYPE}[{case}]" for case in (
+         "scalar_mult-k", "scalar_mult-x_p", "scalar_mult-cfg-None", "scalar_mult-cfg-tuple",
+         "scalar_mult_bytes-cfg")))),
+    ("octets-not-bytes-like", "field", "    if not isinstance(data, (bytes, bytearray, memoryview)):\n",
+     "    if False:\n", fails_tests(*(f"{WRONG_TYPE}[scalar_mult_bytes-{case}]"
+                                  for case in ("scalar-int", "scalar-hex", "u")))),
     # RFC 7748 decoding
     ("clamp-keeps-cofactor-bits", "ecsm", "bits & -params.cofactor | ", "bits | ",
      fails_selftest(FAIL["rfc_single_shot"])),
@@ -182,8 +199,12 @@ MUTANTS = [
     # Trivium
     ("trivium-tap-moved", "trivium", "t1 = (a >> 27) ^ a", "t1 = (a >> 26) ^ a",
      fails_selftest(FAIL["trivium_words"])),
-    ("keystream-takes-part-words", "trivium", "    if nbytes % 8:\n", "    if False:\n",
-     fails_tests("tests/test_trivium.py::TestKeystream::test_partial_word_rejected_before_any_draw")),
+    ("keystream-takes-part-words", "trivium", "if nbytes < 0 or nbytes % 8:", "if nbytes < 0:",
+     fails_tests(KEYSTREAM)),
+    ("keystream-takes-negative-lengths", "trivium", "if nbytes < 0 or nbytes % 8:", "if nbytes % 8:",
+     fails_tests(KEYSTREAM)),
+    ("gen-lambda-curve-unchecked", "trivium", "params = curve_params(curve)", "params = PARAMS[curve]",
+     fails_tests("tests/test_trivium.py::TestGenLambda::test_curve_must_be_a_curve_id")),
     # a check that raises is reported, and the checks after it still run
     ("next64-raises", "trivium", "    state.next64_calls += 1\n",
      "    raise RuntimeError('no keystream')\n",

@@ -135,7 +135,7 @@ class TestInversionProgram:
         # branch-free handling of the point at infinity
         for curve in CURVES:
             regs = registers()
-            ecsm._issue(build_inversion_program(curve), regs, None)
+            ecsm._issue(build_inversion_program(curve), regs, [])
             assert regs[Z2] == 0
 
     def test_chain_is_fixed_sequence(self):

@@ -8,9 +8,10 @@ canonical input (one AST walk: an interval proof beside symbolic execution);
 no scalar-derived value reaches the engine's control flow or its issue log
 (a taint check); no module of the package or the tests imports a name it
 never reads; every package name the benchmark reads or wraps exists;
-importing the package loads neither `dataclasses` nor `inspect`; and one
+importing the package loads neither `dataclasses` nor `inspect`; one
 table states every rule by which a record rejects a field, checked through
-its constructor, `_replace` and `_make`."""
+its constructor, `_replace` and `_make`; and one table states every
+argument that a public function rejects by its type."""
 
 import ast
 import functools
@@ -89,13 +90,16 @@ OP = ffau.mul_op(0, 1, 2)
      ValueError, "prng_seed parts must be 10 bytes each"),
     (ecsm.EcsmConfig(), "prng_seed", (bytes(10), bytes(11)), ValueError,
      "prng_seed parts must be 10 bytes each"),
+    (ecsm.EcsmResult(FieldElement(9, C25519), ecsm.CycleReport(1, 2, 3, 4), ()), "issued", [],
+     TypeError, "issued must be a tuple, got list"),
 ], ids=("QuadOpInstruction", "QuadOpInstruction-src", "QuadOpInstruction-left-opsel",
         "QuadOpInstruction-right-opsel", "QuadOpInstruction-opsel-float",
         "QuadOpInstruction-opsel-bool", "QuadOpInstruction-src-float", "QuadOpInstruction-const-tag",
         "Wave", "Wave-five-ops", "Wave-not-an-op", "CycleReport",
         "Scalar", "Scalar-not-an-int", "Scalar-curve", "FieldElement", "FieldElement-not-an-int",
         "FieldElement-curve", "EcsmConfig", "EcsmConfig-dpa-not-a-bool", "EcsmConfig-clamp-mode",
-        "EcsmConfig-seed-part", "EcsmConfig-key-length", "EcsmConfig-iv-length-without-dpa"))
+        "EcsmConfig-seed-part", "EcsmConfig-key-length", "EcsmConfig-iv-length-without-dpa",
+        "EcsmResult"))
 def test_replace_and_make_check_like_the_constructor(record, field, value, error, message):
     # namedtuple's own `_make` builds the tuple without `__new__`, and
     # `_replace` builds through `_make`
@@ -104,6 +108,42 @@ def test_replace_and_make_check_like_the_constructor(record, field, value, error
                   lambda: type(record)._make(fields.values())):
         with pytest.raises(error, match=message):
             build()
+
+
+K, U = ecsm.Scalar(5, C25519), FieldElement(9, C25519)
+K_BYTES, U_BYTES = bytes([5]) + bytes(31), bytes([9]) + bytes(31)
+
+
+# Every argument that a public function rejects by its type, one row each:
+# (function, arguments, error, message).  Each used to fail later, with an
+# error about something else, or to run.
+@pytest.mark.parametrize("function, args, error, message", [
+    (ecsm.scalar_mult, ((5, C25519), U), TypeError, "k must be of type Scalar, got tuple"),
+    (ecsm.scalar_mult, (K, (9, C25519)), TypeError, "x_p must be of type FieldElement, got tuple"),
+    (ecsm.scalar_mult, (K, U, None), TypeError, "cfg must be of type EcsmConfig, got NoneType"),
+    (ecsm.scalar_mult, (K, U, (False, ecsm.RFC_CLAMPED, None)), TypeError,
+     "cfg must be of type EcsmConfig, got tuple"),
+    (ecsm.scalar_mult_bytes, (5, U_BYTES, C25519), TypeError,
+     "scalar must be bytes, bytearray or memoryview, got int"),
+    (ecsm.scalar_mult_bytes, (K_BYTES.hex(), U_BYTES, C25519), TypeError,
+     "scalar must be bytes, bytearray or memoryview, got str"),
+    (ecsm.scalar_mult_bytes, (K_BYTES, None, C25519), TypeError,
+     "u-coordinate must be bytes, bytearray or memoryview, got NoneType"),
+    (ecsm.scalar_mult_bytes, (K_BYTES, U_BYTES, C25519, None), TypeError,
+     "cfg must be of type EcsmConfig, got NoneType"),
+    (ecsm.scalar_mult_bytes, (K_BYTES, U_BYTES, "curve25519"), TypeError, "curve must be a CurveId"),
+], ids=("scalar_mult-k", "scalar_mult-x_p", "scalar_mult-cfg-None", "scalar_mult-cfg-tuple",
+        "scalar_mult_bytes-scalar-int", "scalar_mult_bytes-scalar-hex", "scalar_mult_bytes-u",
+        "scalar_mult_bytes-cfg", "scalar_mult_bytes-curve"))
+def test_public_functions_reject_an_argument_of_the_wrong_type(function, args, error, message):
+    with pytest.raises(error, match=message):
+        function(*args)
+
+
+def test_the_byte_api_takes_any_bytes_like_input():
+    want = ecsm.scalar_mult_bytes(K_BYTES, U_BYTES, C25519)
+    for kind in (bytearray, memoryview):
+        assert ecsm.scalar_mult_bytes(kind(K_BYTES), kind(U_BYTES), C25519) == want
 
 
 # one parse of the package, shared by every test that reads its source

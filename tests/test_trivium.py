@@ -80,10 +80,11 @@ class TestKeystream:
 
     def test_partial_word_rejected_before_any_draw(self):
         # a partial last word would drop the rest of it, so the next call
-        # would skip keystream
+        # would skip keystream; -8 is a multiple of 8 that draws nothing
         st = trivium.TriviumState(*trivium.DEFAULT_SEED)
-        with pytest.raises(ValueError, match="8-byte words, got 12"):
-            trivium.keystream_bytes(st, 12)
+        for nbytes in (12, -8):
+            with pytest.raises(ValueError, match=f"8-byte words, got {nbytes} bytes"):
+                trivium.keystream_bytes(st, nbytes)
         assert st.next64_calls == 0
 
     def test_call_counter(self):
@@ -134,6 +135,13 @@ class TestGenLambda:
             value = sum(w << (64 * i) for i, w in enumerate(words))
             lam = trivium.gen_lambda(trivium.TriviumState(*trivium.DEFAULT_SEED), curve)
             assert lam == (value & ((1 << params.scalar_bits) - 1)) % params.p
+
+    def test_curve_must_be_a_curve_id(self):
+        # the curve's name is not its CurveId, and nothing is drawn for it
+        st = trivium.TriviumState(*trivium.DEFAULT_SEED)
+        with pytest.raises(TypeError, match="curve must be a CurveId, got '25519'"):
+            trivium.gen_lambda(st, "25519")
+        assert st.next64_calls == 0
 
     def test_curve25519_mask_to_255_bits(self):
         # an all-ones draw: the mask drops bit 255, leaving (2^255 - 1) % p = 18
