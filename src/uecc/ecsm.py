@@ -9,9 +9,11 @@ block by `ffau.registers` (with DPA: lambda drawn from a fresh Trivium, then
 the init program).
 Every wave issues through `_issue`, which executes, counts and records one
 program in the issue log, so the trace, the `CycleReport` and the product
-count are what ran.  Every `EcsmResult` keeps its issue log, and its `trace`
-is text built from it on first read, a cached function of the log
-(`_trace`), so every scalar of a configuration shares one string.
+count are what ran.  An `EcsmResult` holds what ran, its issue log and its
+PRNG word count, and derives the rest from them: `cycles` sums the log by
+phase (`_cycles`), and `trace` is text built from it on first read, a
+cached function of the log (`_trace`), so every scalar of a configuration
+shares one string.
 Each program issues once per ECSM: the ladder's call carries the scalar, and
 `_issue` runs its bit loop and masked swaps itself.
 Each wave writes its results `% p`, so every register is canonical at every
@@ -25,11 +27,11 @@ import collections
 import functools
 
 from .bigmul import counters
-from .field import PARAMS, CurveId, FieldElement, check_width, curve_params, fe
+from .field import BYTES_LIKE, PARAMS, CurveId, FieldElement, check_width, curve_params, fe
 from .ffau import execute_compiled_wave, registers
 from .program import (
-    FINAL_WAVE, INIT_WAVES, R_RND, X2, X3, Z1, Z2, Z3, ScheduledProgram, build_inversion_program,
-    build_ladder_program,
+    FINAL_WAVE, INIT_WAVES, PHASES, R_RND, X2, X3, Z1, Z2, Z3, ScheduledProgram,
+    build_inversion_program, build_ladder_program,
 )
 from .trivium import TriviumState, gen_lambda
 
@@ -77,12 +79,11 @@ class EcsmConfig(collections.namedtuple("EcsmConfig", "dpa_enabled clamp_mode pr
             raise ValueError("dpa_enabled requires a prng_seed (key, iv)")
         if prng_seed is not None:
             if not (isinstance(prng_seed, tuple) and len(prng_seed) == 2
-                    and all(isinstance(part, (bytes, bytearray)) for part in prng_seed)):
+                    and all(isinstance(part, BYTES_LIKE) for part in prng_seed)):
                 raise ValueError("prng_seed must be a (key, iv) tuple of bytes")
-            key, iv = prng_seed
-            if len(key) != 10 or len(iv) != 10:
+            prng_seed = tuple(map(bytes, prng_seed))  # a caller's buffer is copied, not kept
+            if any(len(part) != 10 for part in prng_seed):
                 raise ValueError("prng_seed parts must be 10 bytes each")
-            prng_seed = (bytes(key), bytes(iv))  # a caller's bytearray is copied, not kept
         return super().__new__(cls, dpa_enabled, clamp_mode, prng_seed)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
@@ -91,18 +92,27 @@ class EcsmConfig(collections.namedtuple("EcsmConfig", "dpa_enabled clamp_mode pr
 CLOCK_MHZ = 100
 
 
+def _check_count(name: str, value) -> None:
+    """TypeError unless `value` is an int (a bool or a float is not a count
+    of cycles), ValueError if it is negative, each naming the field `name`."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 class CycleReport(collections.namedtuple(
         "CycleReport", "ladder_cycles inversion_cycles overhead_cycles prng_cycles")):
-    """An ECSM's cycles by phase, as `scalar_mult` sums them; `selftest.DESIGN`
-    states each configuration's published decomposition as a literal report."""
+    """An ECSM's cycles by phase, as `_cycles` derives them from its issue
+    log; `selftest.DESIGN` states each configuration's published
+    decomposition as a literal report."""
 
     __slots__ = ()
 
     def __new__(cls, ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles):
         self = super().__new__(cls, ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles)
         for name, cycles in zip(self._fields, self):
-            if cycles < 0:
-                raise ValueError(f"{name} must be non-negative")
+            _check_count(name, cycles)
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
@@ -136,25 +146,33 @@ class CycleReport(collections.namedtuple(
         )
 
 
-class EcsmResult(collections.namedtuple("EcsmResult", "x_q cycles issued")):
-    """`x_q` is a `FieldElement` and `cycles` a `CycleReport`; `issued` is the
-    issue log, the `(program, steps)` the ECSM issued in order, as a tuple,
-    which `trace` renders."""
+class EcsmResult(collections.namedtuple("EcsmResult", "x_q prng_cycles issued")):
+    """What an ECSM ran: `x_q` is a `FieldElement`, `prng_cycles` the PRNG
+    words it drew, and `issued` its issue log, the `(program, steps)` it
+    issued in order, as a tuple.  `cycles` and `trace` derive from the last
+    two."""
 
     __slots__ = ()
 
-    def __new__(cls, x_q, cycles, issued):
+    def __new__(cls, x_q, prng_cycles, issued):
+        _check_arg("x_q", x_q, FieldElement)
+        _check_count("prng_cycles", prng_cycles)
         if not isinstance(issued, tuple):  # `_trace` caches by the log, so it must hash
             raise TypeError(f"issued must be a tuple, got {type(issued).__name__}")
-        return super().__new__(cls, x_q, cycles, issued)
+        return super().__new__(cls, x_q, prng_cycles, issued)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
+
+    @property
+    def cycles(self):
+        """The `CycleReport` (`_cycles`): the cycles by phase of what issued."""
+        return _cycles(self.issued, self.prng_cycles)
 
     @property
     def trace(self) -> str:
         """The trace text (`_trace`): one line per cycle, shared by every
         scalar of the configuration."""
-        return _trace(self.issued, self.cycles.prng_cycles)
+        return _trace(self.issued, self.prng_cycles)
 
 
 def decode_scalar(data: bytes, curve: CurveId, clamp_mode: str) -> Scalar:
@@ -193,12 +211,13 @@ def _cswap_running_pairs(regs: list[int], swap_bit: int) -> None:
 
 
 def _issue(prog: ScheduledProgram, regs: list[int], issued: list, k: int = 0,
-           steps: int = 1) -> int:
+           steps: int = 1) -> None:
     """Issue `prog` on `regs` `steps` times, every wave one cycle, charge
     its products (`prog.products`, from `ffau.UNITS`) to `counters` once per
-    step, and record `(prog, steps)` in the issue log `issued`.  Returns
-    the cycles issued.  The engine issues waves, and charges products,
-    nowhere else, and the checks issue whole programs through it too.
+    step, and record `(prog, steps)` in the issue log `issued`, the one
+    record of the cycles issued (`_cycles`).  The engine issues waves, and
+    charges products, nowhere else, and the checks issue whole programs
+    through it too.
 
     The ladder passes the scalar `k` and its t bits as `steps`: before step
     i (from t - 1 down to 0) the running pairs swap masked by bit i of
@@ -215,7 +234,19 @@ def _issue(prog: ScheduledProgram, regs: list[int], issued: list, k: int = 0,
     _cswap_running_pairs(regs, k & 1)
     counters.units += prog.products * steps
     issued.append((prog, steps))
-    return len(waves) * steps
+
+
+def _cycles(issued, prng_cycles: int) -> CycleReport:
+    """The `CycleReport` of an ECSM that drew `prng_cycles` PRNG words and
+    then issued the issue log `issued`, its `(program, steps)` in order:
+    each program's waves times its steps, summed by phase, with the init
+    and final phases and the load/store cycle that latches x_Q as
+    overhead."""
+    phase = dict.fromkeys(PHASES, 0)
+    for prog, steps in issued:
+        phase[prog.phase_tag] += len(prog.waves) * steps
+    return CycleReport(phase["ladder"], phase["inversion"], phase["init"] + phase["final"] + 1,
+                       prng_cycles)
 
 
 @functools.cache
@@ -245,9 +276,8 @@ def scalar_mult(k: Scalar, x_p: FieldElement, cfg: EcsmConfig = EcsmConfig()) ->
     ladder iterations, Fermat inversion of Z2, final multiplication X2 * Z2.
 
     Every phase issues its program through one `_issue` call, the ladder's
-    with the scalar, and the `CycleReport` sums the cycles they return, plus
-    the PRNG words and the load/store cycle that latches x_Q.  The result
-    keeps the issue log, from which `EcsmResult.trace` renders the trace."""
+    with the scalar.  The result keeps the PRNG words drawn and the issue
+    log, from which `EcsmResult.cycles` and `EcsmResult.trace` derive."""
     _check_arg("k", k, Scalar)
     _check_arg("x_p", x_p, FieldElement)
     _check_arg("cfg", cfg, EcsmConfig)
@@ -260,24 +290,21 @@ def scalar_mult(k: Scalar, x_p: FieldElement, cfg: EcsmConfig = EcsmConfig()) ->
     # DPA, Z1 = X2 = Z3 = R_RND = lambda, drawn from a fresh PRNG, and the init
     # program scales X1 and X3 by lambda.
     regs = registers(x_p.n, 1, 1, 0, x_p.n, 1)
-    prng_cycles = overhead_cycles = 0
+    prng_cycles = 0
     if cfg.dpa_enabled:
         prng = TriviumState(*cfg.prng_seed)
         lam = gen_lambda(prng, curve)
         prng_cycles = prng.next64_calls
         regs[Z1] = regs[X2] = regs[Z3] = regs[R_RND] = lam
-        overhead_cycles = _issue(_INIT[curve], regs, issued)
+        _issue(_INIT[curve], regs, issued)
 
-    ladder_cycles = _issue(build_ladder_program(curve, cfg.dpa_enabled), regs, issued, k.bits,
-                           PARAMS[curve].scalar_bits)
-    inversion_cycles = _issue(build_inversion_program(curve), regs, issued)
-    overhead_cycles += _issue(_FINAL[curve], regs, issued) + 1  # + the load/store cycle
+    _issue(build_ladder_program(curve, cfg.dpa_enabled), regs, issued, k.bits,
+           PARAMS[curve].scalar_bits)
+    _issue(build_inversion_program(curve), regs, issued)
+    _issue(_FINAL[curve], regs, issued)
 
-    return EcsmResult(
-        x_q=FieldElement(regs[X2], curve),
-        cycles=CycleReport(ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles),
-        issued=tuple(issued),
-    )
+    return EcsmResult(x_q=FieldElement(regs[X2], curve), prng_cycles=prng_cycles,
+                      issued=tuple(issued))
 
 
 def scalar_mult_bytes(

@@ -147,10 +147,14 @@ SPLIT448 = "{v}h = {v} >> 224\n{v}l = {v} & _M224\n"
 PRODUCT_A24 = "x = {a} * {b}\n"
 
 
+# the octet types the package takes, for an encoded input or a PRNG seed
+BYTES_LIKE = (bytes, bytearray, memoryview)
+
+
 def check_width(data: bytes, curve: CurveId, what: str) -> None:
-    """Reject an octet string that is not bytes-like (TypeError: a hex
+    """Reject an octet string that is not `BYTES_LIKE` (TypeError: a hex
     `str` is not its octets) or not exactly one field element wide."""
-    if not isinstance(data, (bytes, bytearray, memoryview)):
+    if not isinstance(data, BYTES_LIKE):
         raise TypeError(f"{what} must be bytes, bytearray or memoryview, got {type(data).__name__}")
     n = curve_params(curve).field_bytes
     if len(data) != n:

@@ -55,6 +55,9 @@ INIT_WAVES = (Wave((mul_op(Z1, X1, X3),)), Wave((mul_op(Z1, X1, X1),)))
 # output: x_Q = X2 * Z2 once the inversion program has replaced Z2 by 1/Z2
 FINAL_WAVE = Wave((mul_op(X2, Z2, X2),))
 
+# the phases of an ECSM, in the order they issue; each program belongs to one
+PHASES = ("init", "ladder", "inversion", "final")
+
 
 # A plain class, so programs hash and compare by identity: the cached
 # `compiled` finds its tuple without hashing every wave and op, and nothing
@@ -67,6 +70,8 @@ class ScheduledProgram:
     and compiled, once."""
 
     def __init__(self, waves: tuple[Wave, ...], phase_tag: str, curve: CurveId, dpa: bool = False):
+        if phase_tag not in PHASES:  # a misspelt phase would reach the trace and the cycles
+            raise ValueError(f"phase_tag must be one of {PHASES}, got {phase_tag!r}")
         units = {}  # id of each distinct wave object: the units it takes
         for i, wave in enumerate(waves):
             if id(wave) not in units:
@@ -76,7 +81,7 @@ class ScheduledProgram:
                     raise ScheduleError(f"wave {i}: {exc}") from None
         self.products = sum(units[id(wave)] for wave in waves)  # 256-bit products per issue
         self.waves = waves
-        self.phase_tag = phase_tag  # ladder | inversion | init | final
+        self.phase_tag = phase_tag
         self.curve = curve
         self.dpa = dpa
 

@@ -137,21 +137,22 @@ class TestInitialization:
 
     @staticmethod
     def issued_until_ladder(monkeypatch, curve, cfg):
-        """((phase, registers before the issue), cycles issued) of each
-        program issued before and including the ladder."""
+        """(phase, registers before the issue, cycles issued) of each program
+        issued before and including the ladder."""
         issued = []
         with monkeypatch.context() as patch:
-            spy(patch, ecsm, "_issue", issued, record=lambda prog, regs, *_: (prog.phase_tag, list(regs)))
+            spy(patch, ecsm, "_issue", issued, record=lambda prog, regs, log, k=0, steps=1: (
+                prog.phase_tag, list(regs), len(prog.waves) * steps))
             scalar_mult(Scalar(1, curve), fe(9, curve), cfg)
-        phases = [phase for _, (phase, _), _ in issued]
-        return [(recorded, cycles) for _, recorded, cycles in issued[:phases.index("ladder") + 1]]
+        phases = [phase for _, (phase, _, _), _ in issued]
+        return [recorded for _, recorded, _ in issued[:phases.index("ladder") + 1]]
 
     def test_lambda_one_degenerate(self, monkeypatch):
         # the plain initialization is the randomized one with lambda = 1 and no
         # init program: X1 = X3 = x_P, Z1 = X2 = Z3 = 1, Z2 = 0, and R_RND = 0
         for curve in CURVES:
             (ladder,) = self.issued_until_ladder(monkeypatch, curve, EcsmConfig())
-            assert ladder[0] == ("ladder", registers(9, 1, 1, 0, 9, 1))  # X1, Z1, X2, Z2, X3, Z3
+            assert ladder[:2] == ("ladder", registers(9, 1, 1, 0, 9, 1))  # X1, Z1, X2, Z2, X3, Z3
 
     def test_randomized_state(self, monkeypatch):
         for curve in CURVES:
@@ -161,9 +162,9 @@ class TestInitialization:
             init, ladder = self.issued_until_ladder(monkeypatch, curve, cfg)
             want = registers(9, lam, lam, 0, 9, lam)  # X1, Z1, X2, Z2, X3, Z3
             want[R_RND] = lam
-            assert init == (("init", want), 2)
+            assert init == ("init", want, 2)
             want[X1] = want[X3] = lam * 9 % p
-            assert ladder[0] == ("ladder", want)
+            assert ladder[:2] == ("ladder", want)
 
 
 class TestScalarMult:
@@ -335,13 +336,12 @@ def inject_on_one_bits(monkeypatch, through_seam):
     extra = {curve: ScheduledProgram((EXTRA_WAVE,), "ladder", curve) for curve in CURVES}
 
     def issue(prog, regs, issued, k=0, steps=1):
-        cycles = real(prog, regs, issued, k, steps)
+        real(prog, regs, issued, k, steps)
         for _ in range(bin(k).count("1")):  # only the ladder's call carries a scalar
             if through_seam:
-                cycles += real(extra[prog.curve], regs, issued)
+                real(extra[prog.curve], regs, issued)
             else:
                 ecsm.execute_compiled_wave(regs, EXTRA_WAVE.compiled(prog.curve), prog.curve)
-        return cycles
 
     monkeypatch.setattr(ecsm, "_issue", issue)
 
@@ -350,18 +350,21 @@ class TestIssueSeam:
     """`ecsm._issue` executes, records and counts every wave of an ECSM."""
 
     def test_issue_runs_and_records_one_program(self):
-        # the issue log, the trace's only input, gets (program, steps) per issue
+        # the issue log, the only input of the trace and the cycles, gets
+        # (program, steps) per issue, and `_issue` returns nothing besides
         for curve in CURVES:
             prog = build_ladder_program(curve, True)
             regs = registers()
             issued = []
-            assert ecsm._issue(prog, regs, issued) == len(prog.waves)
+            assert ecsm._issue(prog, regs, issued) is None
             assert issued == [(prog, 1)]
+            assert ecsm._cycles(issued, 0) == (len(prog.waves), 0, 1, 0)
 
     @pytest.mark.parametrize("curve,dpa", CONFIGS, ids=("25519", "25519-dpa", "448", "448-dpa"))
     def test_each_program_issues_once_per_ecsm(self, monkeypatch, curve, dpa):
         # the ladder is one issue that carries the scalar, not one issue per
-        # bit, and the result keeps exactly the issues made, in order
+        # bit, each issue's waves times steps are the published cycles of its
+        # phase, and the result keeps exactly the issues made, in order
         issued = []
         spy(monkeypatch, ecsm, "_issue", issued,
             record=lambda prog, regs, log, k=0, steps=1: (prog, steps))
@@ -372,7 +375,8 @@ class TestIssueSeam:
         for k, x_p, cfg in random_runs(rng, [(curve, dpa)], 2):
             issued.clear()
             result = scalar_mult(k, x_p, cfg)
-            assert [(prog.phase_tag, cycles) for _, (prog, _), cycles in issued] == want
+            assert [(prog.phase_tag, len(prog.waves) * steps)
+                    for _, (prog, steps), _ in issued] == want
             assert result.issued == tuple(recorded for _, recorded, _ in issued)
 
     @pytest.mark.parametrize("curve,dpa", CONFIGS, ids=("25519", "25519-dpa", "448", "448-dpa"))
@@ -454,15 +458,17 @@ class TestConfig:
                 EcsmConfig(dpa_enabled=dpa, prng_seed=trivium.DEFAULT_SEED)
 
     def test_seed_is_copied_to_bytes(self):
-        # a caller's bytearrays are not kept: the config hashes, and extending
-        # them later changes neither the config nor its first DPA run
-        key, iv = bytearray(10), bytearray(10)
-        cfg = EcsmConfig(True, RFC_CLAMPED, (key, iv))
-        key.extend(b"x")
-        assert cfg.prng_seed == (bytes(10), bytes(10))
-        assert all(type(part) is bytes for part in cfg.prng_seed)
-        assert hash(cfg) == hash(dpa_cfg((bytes(10), bytes(10))))
-        scalar_mult(Scalar(5, CurveId.CURVE25519), fe(9, CurveId.CURVE25519), cfg)
+        # a caller's bytearrays and memoryviews are not kept: the config
+        # hashes, and writing to them later changes neither the config nor
+        # its first DPA run
+        for kind in (bytearray, lambda n: memoryview(bytearray(n))):
+            key, iv = kind(10), kind(10)
+            cfg = EcsmConfig(True, RFC_CLAMPED, (key, iv))
+            key[0] = iv[9] = 1
+            assert cfg.prng_seed == (bytes(10), bytes(10))
+            assert all(type(part) is bytes for part in cfg.prng_seed)
+            assert hash(cfg) == hash(dpa_cfg((bytes(10), bytes(10))))
+            scalar_mult(Scalar(5, CurveId.CURVE25519), fe(9, CurveId.CURVE25519), cfg)
 
     def test_clamp_mode_checked(self):
         # the constant's name is not its value

@@ -145,6 +145,9 @@ MUTANTS = [
      fails_tests(f"{OWNER}[NUM_REGISTERS]")),
     ("program-binds-multipliers", "program", "T0, T1, T2, T3 = 6, 7, 8, 9",
      "MULTIPLIERS = 4\nT0, T1, T2, T3 = 6, 7, 8, 9", fails_tests(f"{OWNER}[MULTIPLIERS]")),
+    # a program of no phase, which would reach the trace and no phase's cycles
+    ("phase-unchecked", "program", "        if phase_tag not in PHASES:", "        if False:",
+     fails_tests("tests/test_program.py::TestScheduledProgram::test_phase_must_be_one_of_the_phases")),
     # the engine's masked swap and its bit chain
     ("closing-swap-dropped", "ecsm", "    _cswap_running_pairs(regs, k & 1)\n", "",
      fails_selftest(FAIL["ecsm_vs_reference"])),
@@ -155,23 +158,31 @@ MUTANTS = [
      fails_selftest(FAIL["ecsm_vs_reference"], FAIL["rfc_single_shot"])),
     ("swap-bits-not-chained", "ecsm", "swaps = k ^ (k >> 1)", "swaps = k",
      fails_selftest(FAIL["ecsm_vs_reference"], FAIL["rfc_single_shot"])),
-    # the engine's accounting
+    # the engine's accounting: the cycles derived from the issue log
     ("overhead-cycle-moved", "ecsm",
-     "cycles=CycleReport(ladder_cycles, inversion_cycles, overhead_cycles, prng_cycles)",
-     "cycles=CycleReport(ladder_cycles + 1, inversion_cycles, overhead_cycles - 1, prng_cycles)",
+     'CycleReport(phase["ladder"], phase["inversion"], phase["init"] + phase["final"] + 1,',
+     'CycleReport(phase["ladder"] + 1, phase["inversion"], phase["init"] + phase["final"],',
      fails_selftest(FAIL["cycle_totals"])),
     # an issue that runs and charges its program but leaves it out of the
-    # issue log, and so out of the result and its trace
+    # issue log, and so out of the result, its trace and its cycles
     ("issue-log-not-appended", "ecsm", "    issued.append((prog, steps))\n", "",
      fails_tests("tests/test_cli.py::TestTraceOutput::test_trace_stdout_pinned[25519-False]",
                  "tests/test_ecsm.py::TestIssueSeam::test_issue_runs_and_records_one_program",
                  "tests/test_ecsm.py::TestIssueSeam::test_each_program_issues_once_per_ecsm[448-dpa]",
                  "tests/test_ecsm.py::TestIssueSeam::test_executed_equals_recorded[25519]")),
+    ("issue-log-not-appended-selftest", "ecsm", "    issued.append((prog, steps))\n", "",
+     fails_selftest(FAIL["inversion"], FAIL["cycle_totals"])),
     ("ladder-charged-one-step", "ecsm", "counters.units += prog.products * steps",
      "counters.units += prog.products",
      fails_tests("tests/test_field.py::TestMul::test_multiplier_unit_counts")),
-    ("cycle-report-admits-negative", "ecsm", "            if cycles < 0:\n", "            if False:\n",
-     fails_tests(f"{RECORD}[CycleReport]")),
+    ("cycle-report-admits-negative", "ecsm", "    if value < 0:\n", "    if False:\n",
+     fails_tests(f"{RECORD}[CycleReport]", f"{RECORD}[EcsmResult-prng-negative]")),
+    ("cycle-report-admits-floats", "ecsm", "    if type(value) is not int:\n", "    if False:\n",
+     fails_tests(f"{RECORD}[CycleReport-not-an-int]", f"{RECORD}[EcsmResult-prng-not-an-int]")),
+    ("result-x-unchecked", "ecsm", '        _check_arg("x_q", x_q, FieldElement)\n', "",
+     fails_tests(f"{RECORD}[EcsmResult-x_q]")),
+    ("result-prng-unchecked", "ecsm", '        _check_count("prng_cycles", prng_cycles)\n', "",
+     fails_tests(f"{RECORD}[EcsmResult-prng-not-an-int]", f"{RECORD}[EcsmResult-prng-negative]")),
     ("dpa-without-seed", "ecsm", "if dpa_enabled and prng_seed is None:", "if False:",
      fails_tests(f"{RECORD}[EcsmConfig]", "tests/test_ecsm.py::TestConfig::test_dpa_requires_seed")),
     # the public functions' argument types
@@ -179,9 +190,14 @@ MUTANTS = [
      fails_tests(*(f"{WRONG_TYPE}[{case}]" for case in (
          "scalar_mult-k", "scalar_mult-x_p", "scalar_mult-cfg-None", "scalar_mult-cfg-tuple",
          "scalar_mult_bytes-cfg")))),
-    ("octets-not-bytes-like", "field", "    if not isinstance(data, (bytes, bytearray, memoryview)):\n",
+    ("octets-not-bytes-like", "field", "    if not isinstance(data, BYTES_LIKE):\n",
      "    if False:\n", fails_tests(*(f"{WRONG_TYPE}[scalar_mult_bytes-{case}]"
                                   for case in ("scalar-int", "scalar-hex", "u")))),
+    # one bytes-like rule for the octets and the seed
+    ("bytes-like-drops-memoryview", "field", "BYTES_LIKE = (bytes, bytearray, memoryview)",
+     "BYTES_LIKE = (bytes, bytearray)",
+     fails_tests("tests/test_sources.py::test_the_byte_api_takes_any_bytes_like_input",
+                 "tests/test_ecsm.py::TestConfig::test_seed_is_copied_to_bytes")),
     # RFC 7748 decoding
     ("clamp-keeps-cofactor-bits", "ecsm", "bits & -params.cofactor | ", "bits | ",
      fails_selftest(FAIL["rfc_single_shot"])),

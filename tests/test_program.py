@@ -104,13 +104,16 @@ class TestLadderProgram:
             with pytest.raises(ScheduleError, match="wave 0: wave takes 4 multiplier units"):
                 ScheduledProgram(pack(_ladder_ops(dpa), curve), "ladder", curve, dpa)
             return
+        # the what-if programs, issued as an ECSM issues them, through the
+        # engine's one derivation of cycles from an issue log
         ladder = ScheduledProgram(pack(_ladder_ops(dpa), curve), "ladder", curve, dpa)
-        inversion = ScheduledProgram(program._INVERSION_WAVES[curve], "inversion", curve)
-        ScheduledProgram(INIT_WAVES, "init", curve, dpa=True)
-        ScheduledProgram((FINAL_WAVE,), "final", curve)
-        assert len(inversion.waves) == budget.inversion_cycles
-        cycles = budget._replace(ladder_cycles=PARAMS[curve].scalar_bits * len(ladder.waves)).total
-        assert (len(ladder.waves), cycles) == want
+        issued = [(ScheduledProgram(INIT_WAVES, "init", curve, dpa=True), 1)] if dpa else []
+        issued += [(ladder, PARAMS[curve].scalar_bits),
+                   (ScheduledProgram(program._INVERSION_WAVES[curve], "inversion", curve), 1),
+                   (ScheduledProgram((FINAL_WAVE,), "final", curve), 1)]
+        cycles = ecsm._cycles(issued, budget.prng_cycles)
+        assert cycles._replace(ladder_cycles=budget.ladder_cycles) == budget
+        assert (len(ladder.waves), cycles.total) == want
         if (c, u) == (4, 4):
             assert repr(ladder.waves) == repr(committed.waves)
 
@@ -189,6 +192,12 @@ class TestScheduledProgram:
         bad = Wave((mul_op(0, 1, 6), mul_op(6, 2, 7)))
         with pytest.raises(ScheduleError, match="wave 1: register 6 read and written"):
             ScheduledProgram((wave, bad, bad), "ladder", CurveId.CURVE25519)
+
+    def test_phase_must_be_one_of_the_phases(self):
+        # a misspelt phase would build, reach the trace and be summed by no phase
+        for phase in ("inversoin", "Ladder", None):
+            with pytest.raises(ValueError, match=f"phase_tag must be one of .*, got {phase!r}"):
+                ScheduledProgram(INIT_WAVES, phase, CurveId.CURVE25519)
 
 
 class TestValidateSchedule:

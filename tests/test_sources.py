@@ -75,6 +75,8 @@ OP = ffau.mul_op(0, 1, 2)
     (Wave((OP,)), "ops", (OP,) * 5, ValueError, "wave must hold 1-4 ops, got 5"),
     (Wave((OP,)), "ops", (OP, (0, 1, 2)), TypeError, r"wave op \(0, 1, 2\) is not a QuadOpInstruction"),
     (ecsm.CycleReport(1, 2, 3, 4), "prng_cycles", -5, ValueError, "prng_cycles must be non-negative"),
+    (ecsm.CycleReport(1, 2, 3, 4), "ladder_cycles", 1.5, TypeError,
+     "ladder_cycles must be an int, got 1.5"),
     (ecsm.Scalar(1, C25519), "bits", 1 << 255, ValueError, "scalar out of range"),
     (ecsm.Scalar(1, C25519), "bits", bytes(32), TypeError, "bits must be an int"),
     (ecsm.Scalar(1, C25519), "curve", "curve25519", TypeError, "curve must be a CurveId"),
@@ -90,16 +92,22 @@ OP = ffau.mul_op(0, 1, 2)
      ValueError, "prng_seed parts must be 10 bytes each"),
     (ecsm.EcsmConfig(), "prng_seed", (bytes(10), bytes(11)), ValueError,
      "prng_seed parts must be 10 bytes each"),
-    (ecsm.EcsmResult(FieldElement(9, C25519), ecsm.CycleReport(1, 2, 3, 4), ()), "issued", [],
-     TypeError, "issued must be a tuple, got list"),
+    (ecsm.EcsmResult(FieldElement(9, C25519), 4, ()), "issued", [], TypeError,
+     "issued must be a tuple, got list"),
+    (ecsm.EcsmResult(FieldElement(9, C25519), 4, ()), "x_q", None, TypeError,
+     "x_q must be of type FieldElement, got NoneType"),
+    (ecsm.EcsmResult(FieldElement(9, C25519), 4, ()), "prng_cycles", "4", TypeError,
+     "prng_cycles must be an int, got '4'"),
+    (ecsm.EcsmResult(FieldElement(9, C25519), 4, ()), "prng_cycles", -1, ValueError,
+     "prng_cycles must be non-negative"),
 ], ids=("QuadOpInstruction", "QuadOpInstruction-src", "QuadOpInstruction-left-opsel",
         "QuadOpInstruction-right-opsel", "QuadOpInstruction-opsel-float",
         "QuadOpInstruction-opsel-bool", "QuadOpInstruction-src-float", "QuadOpInstruction-const-tag",
-        "Wave", "Wave-five-ops", "Wave-not-an-op", "CycleReport",
+        "Wave", "Wave-five-ops", "Wave-not-an-op", "CycleReport", "CycleReport-not-an-int",
         "Scalar", "Scalar-not-an-int", "Scalar-curve", "FieldElement", "FieldElement-not-an-int",
         "FieldElement-curve", "EcsmConfig", "EcsmConfig-dpa-not-a-bool", "EcsmConfig-clamp-mode",
         "EcsmConfig-seed-part", "EcsmConfig-key-length", "EcsmConfig-iv-length-without-dpa",
-        "EcsmResult"))
+        "EcsmResult", "EcsmResult-x_q", "EcsmResult-prng-not-an-int", "EcsmResult-prng-negative"))
 def test_replace_and_make_check_like_the_constructor(record, field, value, error, message):
     # namedtuple's own `_make` builds the tuple without `__new__`, and
     # `_replace` builds through `_make`
@@ -195,9 +203,12 @@ OWNERS = {
     "counters": ("bigmul", {"ecsm._issue"},
                  "`ecsm._issue` charges each issued program's products; a charge anywhere else"
                  " could drift from the products the waves execute"),
-    "CycleReport": ("ecsm", {"ecsm.scalar_mult", "selftest"},
-                    "`ecsm.scalar_mult` models an ECSM's cycles and `selftest.DESIGN` states the"
+    "CycleReport": ("ecsm", {"ecsm._cycles", "selftest"},
+                    "`ecsm._cycles` models an ECSM's cycles and `selftest.DESIGN` states the"
                     " published ones; a report built elsewhere would be a second model"),
+    "_cycles": ("ecsm", {"ecsm.EcsmResult.cycles", "selftest.inversion"},
+                "an ECSM's cycles are read off its issue log in one place, as its trace is;"
+                " a second sum of the waves issued could drift from the log"),
     **dict.fromkeys(("exec", "compile"), (
         None, {"ffau._kernel_code"}, "`field` holds each curve's arithmetic as text and"
         " generates nothing; `ffau._kernel_code` is the one place that turns text into code")),
@@ -569,12 +580,12 @@ def scalar_taint(source):
     tainted expression is tainted, so `k` taints `swaps`, and `swap_bit`
     taints `mask` and `d`.  No tainted value may reach a branch or loop
     test, a comparison, a loop iterable, a subscript index, a return value
-    (the cycles issued) or a call, except as the argument of one of
-    SCALAR_SOURCES' own parameters, whose function is checked with it
-    tainted.  The issue log, which the trace is built from, is written by a
-    call, so nothing tainted reaches it.  A register write `regs[i] ^= d`
-    taints the stored value, not `i`: register values are data, which the
-    kernels handle straight-line (tested above), and reads of them are not
+    or a call, except as the argument of one of SCALAR_SOURCES' own
+    parameters, whose function is checked with it tainted.  The issue log,
+    which the trace and the cycles are built from, is written by a call, so
+    nothing tainted reaches it.  A register write `regs[i] ^= d` taints the
+    stored value, not `i`: register values are data, which the kernels
+    handle straight-line (tested above), and reads of them are not
     tracked.  `Scalar.__new__`'s range check is input validation, and the
     decoding functions are outside the engine."""
     funcs = {node.name: node for node in ast.walk(ast.parse(source))
@@ -650,8 +661,9 @@ def test_the_scalar_reaches_no_control_flow_and_no_issue_log():
      "_cswap_running_pairs: scalar reaches a branch test"),
     ("issued.append((prog, steps))", "issued.append((prog, steps, k & 1))", "_issue: scalar reaches a call"),
     ("PARAMS[curve].scalar_bits)\n", "k.bits.bit_length())\n", "scalar_mult: scalar reaches a call"),
-    ("return len(waves) * steps", "return len(waves) * steps + (swaps & 1)", "scalar reaches a return"),
-], ids=("if-k", "loop-bound", "index", "early-return", "issue-log", "steps", "cycles"))
+    ("    issued.append((prog, steps))\n", "    issued.append((prog, steps))\n    return swaps & 1\n",
+     "_issue: scalar reaches a return value"),
+], ids=("if-k", "loop-bound", "index", "early-return", "issue-log", "steps", "return"))
 def test_scalar_taint_rejects_a_scalar_dependent_engine(old, new, message):
     # the proof can fail: each edit makes the issued waves, the cycles or the
     # trace depend on the scalar
