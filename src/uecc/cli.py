@@ -101,14 +101,8 @@ def cmd_scalarmult(args) -> int:
         if args.cycles:
             print(result.cycles.as_text())
     if args.trace:
-        _print_trace(result.trace)
+        sys.stdout.write(result.trace)
     return 0
-
-
-def _print_trace(trace: str):
-    """One line per executed cycle, written at once: the trace is its text,
-    built once per issue log, so this renders and joins nothing."""
-    sys.stdout.write(trace)
 
 
 def cmd_program_dump(args) -> int:

@@ -179,7 +179,7 @@ def decode_scalar(data: bytes, curve: CurveId, clamp_mode: str) -> Scalar:
     """RFC 7748's scalar decoding: the low `scalar_bits` bits of the
     little-endian octets, and when clamping the cofactor's bits cleared and
     the top bit set."""
-    check_width(data, curve, "scalar")
+    data = check_width(data, curve, "scalar")
     params = PARAMS[curve]
     bits = int.from_bytes(data, "little") & ((1 << params.scalar_bits) - 1)
     if _clamps(clamp_mode):
@@ -190,7 +190,7 @@ def decode_scalar(data: bytes, curve: CurveId, clamp_mode: str) -> Scalar:
 def decode_u(data: bytes, curve: CurveId, clamp_mode: str) -> FieldElement:
     """RFC 7748's u-coordinate decoding: when clamping, the low `scalar_bits`
     bits (the ignored Curve25519 top bit masked), reduced mod p."""
-    check_width(data, curve, "u-coordinate")
+    data = check_width(data, curve, "u-coordinate")
     value = int.from_bytes(data, "little")
     if _clamps(clamp_mode):
         value &= (1 << PARAMS[curve].scalar_bits) - 1

@@ -26,8 +26,8 @@ issue rule (`Wave`, `Wave.check`) and the product charge
 `_kernel_code`, which `compile_ops` calls, is the package's one code
 generator.  Every whole program, the engine's and the checks', runs its
 kernels through `execute_compiled_wave` in `ecsm._issue`.  The checked
-`execute_wave` runs single ad-hoc waves: `mul_int` and `mul_small_int` each
-issue one that way.
+`execute_wave` runs single ad-hoc waves: `mul_int`, `mul_small_int` and
+`selftest.add_sub` issue theirs that way.
 """
 
 from __future__ import annotations

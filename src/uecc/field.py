@@ -151,11 +151,14 @@ PRODUCT_A24 = "x = {a} * {b}\n"
 BYTES_LIKE = (bytes, bytearray, memoryview)
 
 
-def check_width(data: bytes, curve: CurveId, what: str) -> None:
-    """Reject an octet string that is not `BYTES_LIKE` (TypeError: a hex
-    `str` is not its octets) or not exactly one field element wide."""
+def check_width(data: bytes, curve: CurveId, what: str) -> bytes:
+    """`data` copied to `bytes`, and so measured in octets, not in a view's
+    items: TypeError unless `BYTES_LIKE` (a hex `str` is not its octets),
+    ValueError unless exactly one field element wide."""
     if not isinstance(data, BYTES_LIKE):
         raise TypeError(f"{what} must be bytes, bytearray or memoryview, got {type(data).__name__}")
+    octets = bytes(data)
     n = curve_params(curve).field_bytes
-    if len(data) != n:
-        raise ValueError(f"{curve.value} {what} must be {n} bytes, got {len(data)}")
+    if len(octets) != n:
+        raise ValueError(f"{curve.value} {what} must be {n} bytes, got {len(octets)}")
+    return octets

@@ -37,17 +37,23 @@ def ladder_step(curve: CurveId, x1, z1, x2, z2, x3, z3):
     return new_x2, new_z2, new_x3, new_z3
 
 
-def scalar_mult_ref(curve: CurveId, k: int, x_p: int) -> int:
-    """Branching double-and-add ladder over projective x-coordinates."""
-    p = P[curve]
-    x1, z1 = x_p % p, 1
-    x2, z2 = 1, 0
-    x3, z3 = x_p % p, 1
-    for i in range(BITS[curve] - 1, -1, -1):
+def ladder(curve: CurveId, k: int, t: int, x1, z1, x2, z2, x3, z3):
+    """The branching ladder over bits t - 1 down to 0 of `k`, from the
+    difference (x1 : z1) and the running pairs (x2 : z2), (x3 : z3): a step
+    on (R1, R0) for a one-bit, on (R0, R1) for a zero-bit.  Returns
+    (x2, z2, x3, z3)."""
+    for i in range(t - 1, -1, -1):
         if (k >> i) & 1:
             x3, z3, x2, z2 = ladder_step(curve, x1, z1, x3, z3, x2, z2)
         else:
             x2, z2, x3, z3 = ladder_step(curve, x1, z1, x2, z2, x3, z3)
+    return x2, z2, x3, z3
+
+
+def scalar_mult_ref(curve: CurveId, k: int, x_p: int) -> int:
+    """Branching double-and-add ladder over projective x-coordinates."""
+    p = P[curve]
+    x2, z2, _, _ = ladder(curve, k, BITS[curve], x_p % p, 1, 1, 0, x_p % p, 1)
     if z2 == 0:
         return 0
     return x2 * pow(z2, p - 2, p) % p

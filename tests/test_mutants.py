@@ -51,6 +51,10 @@ KERNEL = "tests/test_sources.py::test_kernel_bounds_hold_for_every_input"
 AD_HOC_SQUARE = "tests/test_sources.py::test_kernel_bounds_hold_on_ad_hoc_waves[square]"
 WRONG_TYPE = "tests/test_sources.py::test_public_functions_reject_an_argument_of_the_wrong_type"
 KEYSTREAM = "tests/test_trivium.py::TestKeystream::test_partial_word_rejected_before_any_draw"
+EXECUTED = "tests/test_ecsm.py::TestIssueSeam::test_executed_equals_recorded"
+# one extra wave, Z2^2 into r6 (T0): the inversion writes T0 before it reads
+# it, so x_Q is unchanged
+EXTRA_WAVE = "    from .ffau import Wave, mul_op\n    extra = Wave((mul_op(Z2, Z2, 6),))\n"
 
 # (id, module under src/uecc, old text that occurs exactly once, new text, target)
 MUTANTS = [
@@ -172,6 +176,19 @@ MUTANTS = [
                  "tests/test_ecsm.py::TestIssueSeam::test_executed_equals_recorded[25519]")),
     ("issue-log-not-appended-selftest", "ecsm", "    issued.append((prog, steps))\n", "",
      fails_selftest(FAIL["inversion"], FAIL["cycle_totals"])),
+    # an extra wave per one-bit of the scalar, issued through the seam: the
+    # trace and the cycles follow the scalar, and only those two checks see it
+    ("extra-wave-through-the-seam", "ecsm", "    _issue(build_inversion_program(curve), regs, issued)\n",
+     EXTRA_WAVE + "    for _ in range(bin(k.bits).count('1')):\n"
+     "        _issue(ScheduledProgram((extra,), 'ladder', curve), regs, issued)\n"
+     "    _issue(build_inversion_program(curve), regs, issued)\n",
+     fails_selftest(FAIL["trace_constancy"], FAIL["cycle_totals"])),
+    # the same wave run around the seam, which records it nowhere: every
+    # `selftest` check passes, and only the executed-equals-recorded spy sees it
+    ("extra-wave-around-the-seam", "ecsm", "    _cswap_running_pairs(regs, k & 1)\n",
+     "    _cswap_running_pairs(regs, k & 1)\n" + EXTRA_WAVE + "    for _ in range(bin(k).count('1')):\n"
+     "        execute_compiled_wave(regs, extra.compiled(curve), curve)\n",
+     fails_tests(*(f"{EXECUTED}[{case}]" for case in ("25519", "25519-dpa", "448", "448-dpa")))),
     ("ladder-charged-one-step", "ecsm", "counters.units += prog.products * steps",
      "counters.units += prog.products",
      fails_tests("tests/test_field.py::TestMul::test_multiplier_unit_counts")),
@@ -198,6 +215,10 @@ MUTANTS = [
      "BYTES_LIKE = (bytes, bytearray)",
      fails_tests("tests/test_sources.py::test_the_byte_api_takes_any_bytes_like_input",
                  "tests/test_ecsm.py::TestConfig::test_seed_is_copied_to_bytes")),
+    # an octet string measured by its items: a 64-byte view of 2-byte items
+    # passes as 32 bytes
+    ("octets-measured-by-items", "field", "    octets = bytes(data)\n", "    octets = data\n",
+     fails_tests("tests/test_sources.py::test_the_byte_api_takes_any_bytes_like_input")),
     # RFC 7748 decoding
     ("clamp-keeps-cofactor-bits", "ecsm", "bits & -params.cofactor | ", "bits | ",
      fails_selftest(FAIL["rfc_single_shot"])),
@@ -221,6 +242,17 @@ MUTANTS = [
      fails_tests(KEYSTREAM)),
     ("gen-lambda-curve-unchecked", "trivium", "params = curve_params(curve)", "params = PARAMS[curve]",
      fails_tests("tests/test_trivium.py::TestGenLambda::test_curve_must_be_a_curve_id")),
+    # the checks run a program only through the engine's seam, and build no
+    # cycle report besides the published table
+    ("selftest-loops-checked-waves", "selftest",
+     "            ecsm._issue(program.build_inversion_program(curve), regs, issued)\n",
+     "            prog = program.build_inversion_program(curve)\n"
+     "            for wave in prog.waves:\n"
+     "                execute_wave(regs, wave, curve)\n"
+     "            issued.append((prog, 1))\n",
+     fails_tests(f"{OWNER}[execute_wave]", f"{OWNER}[_issue]")),
+    ("selftest-builds-a-cycle-report", "selftest", ".cycles == want for _ in range(n))",
+     ".cycles == CycleReport(*want) for _ in range(n))", fails_tests(f"{OWNER}[CycleReport]")),
     # a check that raises is reported, and the checks after it still run
     ("next64-raises", "trivium", "    state.next64_calls += 1\n",
      "    raise RuntimeError('no keystream')\n",
@@ -251,7 +283,10 @@ def failed_ids(stdout):
             if line.startswith("FAILED ")}
 
 
-@pytest.mark.parametrize("row", MUTANTS, ids=[row[0] for row in MUTANTS])
+IDS = [row[0] for row in MUTANTS]
+
+
+@pytest.mark.parametrize("row", MUTANTS, ids=IDS)
 def test_mutant_is_killed(tmp_path, row):
     name, module, old, new, (kind, expected) = row
     path = pathlib.Path("src", "uecc", f"{module}.py")
@@ -270,7 +305,9 @@ def test_mutant_is_killed(tmp_path, row):
 
 
 def test_the_unmutated_copy_passes_every_target(tmp_path):
-    # a target that failed for some other reason would count as a kill
+    # a target that failed for some other reason would count as a kill; and a
+    # repeated id, which pytest would suffix, would not be the row's pytest id
+    assert len(set(IDS)) == len(IDS)
     copy = copy_of_the_checkout(tmp_path)
     out = run(copy, SELFTEST, SELFTEST_SECONDS)
     assert out.returncode == 0, out.stdout
